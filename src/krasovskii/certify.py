@@ -374,15 +374,6 @@ def margin_right(a: float, sigma: float, P, delay: float,
     return MarginReport("right-growth", delay, inputs, outputs)
 
 
-def margin_right_composite(a: float, sigma: float, P, delay: float) -> float:
-    """The single-expression form of the right-growth threshold:
-    min(p_m e^{-2 delay}/sigma, 1) * (a p_m / (2 p_M)) e^{-2 delay}.
-    Must agree with margin_right to machine precision."""
-    p_m, p_M = _eigen_extremes(P)
-    decay = math.exp(-2.0 * delay)
-    return min(p_m * decay / sigma, 1.0) * a * p_m * decay / (2.0 * p_M)
-
-
 def margin_left(a_lower: float, a_upper: float, a: float, sigma: float, P,
                 delay: float) -> MarginReport:
     """Constants of the left-growth route.
@@ -424,18 +415,6 @@ def margin_left(a_lower: float, a_upper: float, a: float, sigma: float, P,
                  "lam_min": lam_min, "lam_star": lam_star,
                  "mu_coefficient": mu_coefficient, "decay_rate": decay_rate,
                  "p_m": p_m, "p_M": p_M})
-
-
-def left_contraction_residual(report: MarginReport, lam: float) -> float:
-    """Signed slack of the left-growth contraction inequality at lam;
-    positive means lam satisfies it strictly."""
-    o, i = report.outputs, report.inputs
-    a_lower, a_upper, sigma = i["a_lower"], i["a_upper"], i["sigma"]
-    eps, q, p_m, p_M = o["eps"], o["q"], o["p_m"], o["p_M"]
-    qe = q * eps
-    lhs = qe / p_M * (p_m * a_lower / (2.0 * a_upper) * lam * lam
-                      - 4.0 * eps * sigma * a_upper / a_lower)
-    return lhs - 2.0 * a_upper / a_lower
 
 
 @dataclass(frozen=True)

@@ -130,18 +130,6 @@ def fit_envelope(trajs: Sequence[Trajectory], k_cap: float = 1e3,
     return EnvelopeFit(k, eta, slack, len(trajs), k_cap)
 
 
-def envelope_slack(fit: EnvelopeFit, trajs: Sequence[Trajectory]) -> float:
-    """Smallest gap k sup|x0| e^{-eta t} - |x(t)| over an ensemble."""
-    gap = math.inf
-    for tr in trajs:
-        sel = tr.times >= 0.0
-        t = tr.times[sel]
-        mag = np.linalg.norm(tr.values[sel], axis=1)
-        gap = min(gap, float(np.min(
-            fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t) - mag)))
-    return gap
-
-
 @dataclass(frozen=True)
 class GainFit:
     """Linear input-gain estimate from constant-input tails.

@@ -204,7 +204,7 @@ def _integral_eval(Q, weight_fn, polynomial, phi: HistoryFunction) -> float:
     # degree <= 3 per segment (constant weight, linear history)
     if phi.delay == 0.0 or phi.grid.shape[0] < 2:
         return 0.0
-    if polynomial and phi.interpolation == "linear":
+    if polynomial:
         g = phi.grid
         vals = phi.values
         mids = 0.5 * (vals[:-1] + vals[1:])
@@ -232,11 +232,6 @@ def _maxexp_eval(P, phi: HistoryFunction) -> float:
     best = float(np.max(node_vals))
     if g.shape[0] < 2:
         return best
-    if phi.interpolation == "cubic":
-        offsets = np.linspace(0.0, 1.0, 18)[1:-1]
-        seg = g[:-1][:, None] + offsets[None, :] * np.diff(g)[:, None]
-        ts = seg.ravel()
-        return max(best, float(np.max(np.exp(2.0 * ts) * _qform(phi.eval(ts), P))))
     # exact interior maxima: on each segment the integrand is
     # exp(2 tau) (alpha t^2 + beta t + gamma); critical points solve
     # 2 alpha t^2 + 2(alpha + beta) t + (beta + 2 gamma) = 0
@@ -276,8 +271,6 @@ def _maxexp_eval(P, phi: HistoryFunction) -> float:
 
 def driver_derivative_closed(V: Functional, phi: HistoryFunction, w) -> float:
     """Exact derivative of max-free trees on piecewise-linear histories."""
-    if phi.interpolation != "linear":
-        raise ValueError("closed-form derivative requires a piecewise-linear history")
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if isinstance(V, PointQuadratic):
         return float(2.0 * phi.eval(0.0) @ V.Q @ w)

@@ -1,10 +1,10 @@
 """History functions: the state objects of time-delay systems.
 
 A history is a curve phi on [-delay, 0] with values in R^n, stored as
-samples on a strictly increasing grid together with an interpolation
-rule (piecewise-linear by default, cubic Hermite optional).  The sup
-norm is the supremum of the Euclidean norm |phi(tau)| over the window;
-for piecewise-linear histories it is attained at a grid node, so it is
+samples on a strictly increasing grid and interpolated piecewise
+linearly between them, the one rule every exact computation of the
+package assumes.  The sup norm is the supremum of the Euclidean norm
+|phi(tau)| over the window; it is attained at a grid node, so it is
 computed exactly.
 
 The module also provides the two-branch extension used to form upper
@@ -16,7 +16,6 @@ by h and continues linearly with slope w on [-h, 0].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +38,7 @@ def _edge_tol(delay: float) -> float:
 
 @dataclass(frozen=True)
 class HistoryFunction:
-    """Sampled curve on [-delay, 0] with interpolation.
+    """Sampled curve on [-delay, 0], piecewise linear between its nodes.
 
     Immutable after construction; instances are safe to share across
     parallel workers.
@@ -48,7 +47,6 @@ class HistoryFunction:
     delay: float
     grid: np.ndarray
     values: np.ndarray
-    interpolation: str = "linear"
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -59,8 +57,6 @@ class HistoryFunction:
             raise ValueError("delay must be nonnegative")
         if grid.ndim != 1 or values.ndim != 2 or values.shape[0] != grid.shape[0]:
             raise ValueError("grid must be (m,), values (m, n) with matching m")
-        if self.interpolation not in ("linear", "cubic"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
         if self.delay == 0.0:
             if grid.shape[0] != 1 or grid[0] != 0.0:
                 raise ValueError("zero-delay history must have the single node 0")
@@ -77,25 +73,17 @@ class HistoryFunction:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def _trusted(cls, delay, grid, values, interpolation="linear"):
+    def _trusted(cls, delay, grid, values):
         # Hot-path constructor for solver-internal grids; skips validation.
         obj = object.__new__(cls)
         object.__setattr__(obj, "delay", float(delay))
         object.__setattr__(obj, "grid", grid)
         object.__setattr__(obj, "values", values)
-        object.__setattr__(obj, "interpolation", interpolation)
         return obj
 
     @property
     def n(self) -> int:
         return self.values.shape[1]
-
-    @cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicHermiteSpline
-
-        slopes = np.gradient(self.values, self.grid, axis=0)
-        return CubicHermiteSpline(self.grid, self.values, slopes, axis=0)
 
     def eval(self, tau):
         """Value at tau in [-delay, 0]; exact at grid nodes.
@@ -111,8 +99,6 @@ class HistoryFunction:
         t = np.clip(t, -self.delay, 0.0)
         if self.grid.shape[0] == 1:
             out = np.broadcast_to(self.values[0], (t.shape[0], self.n)).copy()
-        elif self.interpolation == "cubic":
-            out = self._spline(t)
         else:
             idx = np.clip(np.searchsorted(self.grid, t, side="right") - 1,
                           0, self.grid.shape[0] - 2)
@@ -123,20 +109,9 @@ class HistoryFunction:
         return out[0] if scalar else out
 
     def sup_norm(self) -> float:
-        """sup of |phi(tau)| over [-delay, 0].
-
-        Exact for piecewise-linear histories (the Euclidean norm along a
-        linear segment is convex, so it peaks at an endpoint).  Cubic
-        histories are oversampled 8x per segment, a documented
-        approximation.
-        """
-        node_max = float(np.max(np.linalg.norm(self.values, axis=1)))
-        if self.interpolation != "cubic" or self.grid.shape[0] < 2:
-            return node_max
-        offsets = np.linspace(0.0, 1.0, 10)[1:-1]
-        seg = self.grid[:-1][:, None] + offsets[None, :] * np.diff(self.grid)[:, None]
-        vals = self._spline(seg.ravel())
-        return max(node_max, float(np.max(np.linalg.norm(vals, axis=1))))
+        """sup of |phi(tau)| over [-delay, 0], exact: the Euclidean norm
+        along a linear segment is convex, so it peaks at an endpoint."""
+        return float(np.max(np.linalg.norm(self.values, axis=1)))
 
 
 def constant_history(delay: float, value) -> HistoryFunction:
@@ -210,7 +185,7 @@ def driver_extension(phi: HistoryFunction, h: float, w) -> HistoryFunction:
     tail_val = phi.values[-1] + h * w
     grid = np.concatenate(([-phi.delay], mid_grid, [-h, 0.0]))
     values = np.vstack([head, mid_vals, phi.values[-1], tail_val])
-    return HistoryFunction(phi.delay, grid, values, phi.interpolation)
+    return HistoryFunction(phi.delay, grid, values)
 
 
 def window(traj, t: float) -> HistoryFunction:
@@ -231,20 +206,29 @@ def window(traj, t: float) -> HistoryFunction:
     i1 = np.searchsorted(times, t, side="left")
     if delay == 0.0:
         return HistoryFunction._trusted(
-            0.0, np.array([0.0]), _interp_rows(times, values, t)[None, :])
+            0.0, np.array([0.0]), np.vstack([_interp_row(times, values, t)]))
     grid = np.concatenate(([-delay], times[i0:i1] - t, [0.0]))
     vals = np.vstack([
-        _interp_rows(times, values, lo),
+        _interp_row(times, values, lo),
         values[i0:i1],
-        _interp_rows(times, values, t),
+        _interp_row(times, values, t),
     ])
     return HistoryFunction._trusted(delay, grid, vals)
 
 
-def _interp_rows(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+def _interp_row(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+    """The piecewise-linear interpolant of the rows `values` on the
+    increasing grid `times`, at t; a node row itself (not a copy) when t
+    falls on or beyond a node at either end of its segment."""
     idx = int(np.searchsorted(times, t, side="right")) - 1
-    idx = min(max(idx, 0), times.shape[0] - 2)
+    if idx >= times.shape[0] - 1:
+        idx = times.shape[0] - 2
+    elif idx < 0:
+        idx = 0
     g0 = times[idx]
     lam = (t - g0) / (times[idx + 1] - g0)
-    lam = min(max(lam, 0.0), 1.0)
+    if lam <= 0.0:
+        return values[idx]
+    if lam >= 1.0:
+        return values[idx + 1]
     return (1.0 - lam) * values[idx] + lam * values[idx + 1]

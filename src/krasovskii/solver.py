@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import histories
-from .histories import HistoryFunction
+from .histories import HistoryFunction, _interp_row
 from .systems import DelaySystem, InputSignal, zero_input
 
 __all__ = [
@@ -113,9 +113,9 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
             if fast:
                 pw = sys.pointwise
                 if delay > 0:
-                    xd1 = _interp(times, values, t - delay)
-                    xdm = _interp(times, values, t + half - delay)
-                    xd2 = _interp(times, values, t + dt - delay)
+                    xd1 = _interp_row(times, values, t - delay)
+                    xdm = _interp_row(times, values, t + half - delay)
+                    xd2 = _interp_row(times, values, t + dt - delay)
                     k1 = pw(y, xd1, u.evaluate(t))
                     k2 = pw(y + half * k1, xdm, u.evaluate(t + half))
                     k3 = pw(y + half * k2, xdm, u.evaluate(t + half))
@@ -167,21 +167,6 @@ def _initial_grid(x0: HistoryFunction, delay: float, dt: float) -> np.ndarray:
     return np.sort(np.concatenate([neg, extras]))
 
 
-def _interp(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    if idx >= times.shape[0] - 1:
-        idx = times.shape[0] - 2
-    elif idx < 0:
-        idx = 0
-    g0 = times[idx]
-    lam = (t - g0) / (times[idx + 1] - g0)
-    if lam <= 0.0:
-        return values[idx]
-    if lam >= 1.0:
-        return values[idx + 1]
-    return (1.0 - lam) * values[idx] + lam * values[idx + 1]
-
-
 def _stage_history(times, values, filled, delay, s, ys):
     # history on [s - delay, s]; the final node carries the stage state,
     # bridging the (at most one step wide) gap past the filled segment
@@ -189,13 +174,17 @@ def _stage_history(times, values, filled, delay, s, ys):
         return HistoryFunction._trusted(0.0, np.array([0.0]), ys[None, :])
     lo = s - delay
     i0 = int(np.searchsorted(times, lo, side="right"))
+    while times[i0] - s <= -delay:
+        # a node just past lo can round onto -delay once shifted; dropping
+        # it keeps the grid strictly increasing and phi(-delay) = x(lo)
+        i0 += 1
     i1 = min(int(np.searchsorted(times, s, side="left")), filled)
     grid = np.empty(i1 - i0 + 2)
     grid[0] = -delay
     grid[1:-1] = times[i0:i1] - s
     grid[-1] = 0.0
     vals = np.empty((i1 - i0 + 2, ys.shape[0]))
-    vals[0] = _interp(times, values, lo)
+    vals[0] = _interp_row(times, values, lo)
     vals[1:-1] = values[i0:i1]
     vals[-1] = ys
     return HistoryFunction._trusted(delay, grid, vals)

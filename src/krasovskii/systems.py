@@ -7,14 +7,19 @@ lower growth bound) plus an analytically solvable scalar baseline
 dx/dt = -a x(t) + b x(t - delay) + u(t).
 
 Vector fields are pure callables (HistoryFunction, input vector) -> R^n
-with f(0, 0) = 0, asserted once at construction.  Systems that depend on
-the history only through phi(0) and phi(-delay) also expose a
-`pointwise` evaluator, which the solver uses as a fast path.
+with f(0, 0) = 0, asserted once at construction.  Each built-in
+right-hand side reads the history only through phi(0) and phi(-delay),
+so it is stated once, as a `pointwise` formula f(x(t), x(t - delay), v);
+its `field` is derived from that formula, and the solver uses the
+formula directly as its fast path.  Only example2 with a user-supplied
+uncertainty pair, which may read the whole history, has a general
+`field` and no `pointwise` formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,8 +53,8 @@ class DelaySystem:
     delay: float
     field: Callable[[HistoryFunction, np.ndarray], np.ndarray]
     name: str = ""
-    # optional fast evaluator f(x(t), x(t - delay), v) for fields that read
-    # the history only at 0 and -delay
+    # the formula f(x(t), x(t - delay), v) of a field that reads the
+    # history only at 0 and -delay; the solver's fast path
     pointwise: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -105,25 +110,29 @@ class UncertaintyPair:
                         f"on probe {i}")
 
 
-ZERO_UNCERTAINTY = UncertaintyPair(lambda phi: 0.0, lambda phi: 0.0)
+# built-in bounded uncertainty of example2: the component values at -delay
+DELAYED_UNCERTAINTY = UncertaintyPair(lambda phi: float(phi.eval(-phi.delay)[0]),
+                                      lambda phi: float(phi.eval(-phi.delay)[1]))
+
+
+def _pointwise_system(n: int, delay: float, name: str, pointwise) -> DelaySystem:
+    """The system whose one formula is pointwise(x(t), x(t - delay), v)."""
+
+    def field(phi, v):
+        return pointwise(phi.eval(0.0), phi.eval(-delay), v)
+
+    return DelaySystem(n, 1, delay, field, name, pointwise)
 
 
 def make_example1(delay: float) -> DelaySystem:
     """Planar system with a delayed cross-coupling and cubic rotation terms."""
-
-    def field(phi, v):
-        x = phi.eval(0.0)
-        xd = phi.eval(-delay)
-        q = x[0] * x[0] + xd[1] * xd[1]
-        return np.array([-0.5 * x[0] + xd[1] + x[1] * q,
-                         -2.0 * x[1] - x[0] * q + v[0]])
 
     def pointwise(x, xd, v):
         q = x[0] * x[0] + xd[1] * xd[1]
         return np.array([-0.5 * x[0] + xd[1] + x[1] * q,
                          -2.0 * x[1] - x[0] * q + v[0]])
 
-    return DelaySystem(2, 1, delay, field, "example1", pointwise)
+    return _pointwise_system(2, delay, "example1", pointwise)
 
 
 def make_example2(delay: float, epsilon: float = 0.0,
@@ -134,29 +143,31 @@ def make_example2(delay: float, epsilon: float = 0.0,
     With epsilon = 0 and d = 0 the first equation still reads
     x1(t - delay), unlike example1's x2(t - delay); this follows the
     defining equations of this variant.
+
+    d = DELAYED_UNCERTAINTY folds into the pointwise formula as
+    epsilon * x(t - delay); any other d is validated, and the system
+    then has only a general `field`.
     """
-    if d is None:
-        d = ZERO_UNCERTAINTY
-    else:
+    name = f"example2(eps={epsilon:g})"
+
+    def core(x, xd, v):
+        q = x[0] * x[0] + xd[1] * xd[1]
+        return np.array([-0.5 * x[0] + xd[0] + x[1] * q,
+                         -2.0 * x[1] - x[0] * q + v[0]])
+
+    if d is not None and d is not DELAYED_UNCERTAINTY:
         d.validate(2, delay)
+    if d is None or epsilon == 0.0:
+        return _pointwise_system(2, delay, name, core)
+    if d is DELAYED_UNCERTAINTY:
+        return _pointwise_system(2, delay, name,
+                                 lambda x, xd, v: core(x, xd, v) + epsilon * xd)
 
     def field(phi, v):
-        x = phi.eval(0.0)
-        xd = phi.eval(-delay)
-        q = x[0] * x[0] + xd[1] * xd[1]
-        return np.array([
-            -0.5 * x[0] + xd[0] + x[1] * q + epsilon * d.d1(phi),
-            -2.0 * x[1] - x[0] * q + v[0] + epsilon * d.d2(phi),
-        ])
+        return (core(phi.eval(0.0), phi.eval(-delay), v)
+                + epsilon * np.array([d.d1(phi), d.d2(phi)]))
 
-    pointwise = None
-    if d is ZERO_UNCERTAINTY or epsilon == 0.0:
-        def pointwise(x, xd, v):
-            q = x[0] * x[0] + xd[1] * xd[1]
-            return np.array([-0.5 * x[0] + xd[0] + x[1] * q,
-                             -2.0 * x[1] - x[0] * q + v[0]])
-
-    return DelaySystem(2, 1, delay, field, f"example2(eps={epsilon:g})", pointwise)
+    return DelaySystem(2, 1, delay, field, name)
 
 
 def make_example3(delay: float) -> DelaySystem:
@@ -164,33 +175,21 @@ def make_example3(delay: float) -> DelaySystem:
     equation.  The quartic it induces in x(0)'f(x_t, .) defeats every
     quadratic lower growth bound."""
 
-    def field(phi, v):
-        x = phi.eval(0.0)
-        xd = phi.eval(-delay)
-        q = x[0] * x[0] + xd[1] * xd[1]
-        return np.array([
-            -0.5 * x[0] + xd[0] + x[1] * q,
-            -2.0 * x[1] - x[1] ** 3 - x[0] * q + v[0],
-        ])
-
     def pointwise(x, xd, v):
         q = x[0] * x[0] + xd[1] * xd[1]
         return np.array([-0.5 * x[0] + xd[0] + x[1] * q,
                          -2.0 * x[1] - x[1] ** 3 - x[0] * q + v[0]])
 
-    return DelaySystem(2, 1, delay, field, "example3", pointwise)
+    return _pointwise_system(2, delay, "example3", pointwise)
 
 
 def make_linear_baseline(a: float, b: float, delay: float) -> DelaySystem:
     """Scalar dx/dt = -a x(t) + b x(t - delay) + u(t); solvable by hand."""
 
-    def field(phi, v):
-        return np.array([-a * phi.eval(0.0)[0] + b * phi.eval(-delay)[0] + v[0]])
-
     def pointwise(x, xd, v):
         return np.array([-a * x[0] + b * xd[0] + v[0]])
 
-    return DelaySystem(1, 1, delay, field, f"linear(a={a:g},b={b:g})", pointwise)
+    return _pointwise_system(1, delay, f"linear(a={a:g},b={b:g})", pointwise)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +249,19 @@ def sinusoid_input(amplitude: float, omega: float, phase: float = 0.0) -> InputS
 
 def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
                           m: int = 1) -> InputSignal:
-    """Seeded piecewise-constant noise, uniform in [-amplitude, amplitude]."""
+    """Seeded piecewise-constant noise, uniform in [-amplitude, amplitude].
+
+    Each segment's value is drawn once, from its own generator, and kept
+    as a read-only array."""
     if switch_dt <= 0:
         raise ValueError("switch_dt must be positive")
 
+    @lru_cache(maxsize=None)
     def _segment(j: int) -> np.ndarray:
         rng = np.random.default_rng((seed, j) if np.isscalar(seed) else (*seed, j))
-        return rng.uniform(-amplitude, amplitude, m)
+        value = rng.uniform(-amplitude, amplitude, m)
+        value.flags.writeable = False
+        return value
 
     def evaluate(t):
         return _segment(int(np.floor(t / switch_dt)))
@@ -291,9 +296,7 @@ def build_system(name: str, delay: float, params: dict | None = None) -> DelaySy
         eps = float(params.pop("epsilon", 0.0))
         d = None
         if params.pop("uncertainty", "") == "delayed":
-            # built-in bounded uncertainty: component values at -delay
-            d = UncertaintyPair(lambda phi: float(phi.eval(-delay)[0]),
-                                lambda phi: float(phi.eval(-delay)[1]))
+            d = DELAYED_UNCERTAINTY
         if params:
             raise ValueError(f"unknown example2 parameter(s): {sorted(params)}")
         return make_example2(delay, eps, d)

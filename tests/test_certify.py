@@ -12,10 +12,8 @@ from krasovskii.certify import (
     check_sandwich,
     example2_eps2_closed_form,
     expiss_to_two_inequality,
-    left_contraction_residual,
     margin_left,
     margin_right,
-    margin_right_composite,
     margin_history_term,
     rfc_bound,
     robustness_margin_example2,
@@ -27,6 +25,28 @@ from krasovskii.histories import constant_history
 from krasovskii.systems import DelaySystem, make_example1, make_example3
 
 EYE = np.eye(2)
+
+
+def margin_right_composite(a, sigma, P, delay):
+    """Reference: the single-expression form of the right-growth
+    threshold, min(p_m e^{-2 delay}/sigma, 1) * (a p_m / (2 p_M)) e^{-2 delay}.
+    Must agree with margin_right to machine precision."""
+    eigs = np.linalg.eigvalsh(P)
+    p_m, p_M = float(eigs[0]), float(eigs[-1])
+    decay = math.exp(-2.0 * delay)
+    return min(p_m * decay / sigma, 1.0) * a * p_m * decay / (2.0 * p_M)
+
+
+def left_contraction_residual(report, lam):
+    """Reference: signed slack of the left-growth contraction inequality
+    at lam; positive means lam satisfies it strictly."""
+    o, i = report.outputs, report.inputs
+    a_lower, a_upper, sigma = i["a_lower"], i["a_upper"], i["sigma"]
+    eps, q, p_m, p_M = o["eps"], o["q"], o["p_m"], o["p_M"]
+    qe = q * eps
+    lhs = qe / p_M * (p_m * a_lower / (2.0 * a_upper) * lam * lam
+                      - 4.0 * eps * sigma * a_upper / a_lower)
+    return lhs - 2.0 * a_upper / a_lower
 
 
 def sampler_for(sys, seed=1234):

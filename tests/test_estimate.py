@@ -8,7 +8,6 @@ from krasovskii.certify import two_inequality_to_expiss
 from krasovskii.estimate import (
     FitFailure,
     empirical_two_inequality,
-    envelope_slack,
     fit_envelope,
     fit_iss_gain,
     run_ensemble,
@@ -23,6 +22,19 @@ from krasovskii.systems import (
     make_linear_baseline,
     zero_input,
 )
+
+
+def envelope_slack(fit, trajs):
+    """Reference: smallest gap k sup|x0| e^{-eta t} - |x(t)| over an
+    ensemble."""
+    gap = math.inf
+    for tr in trajs:
+        sel = tr.times >= 0.0
+        t = tr.times[sel]
+        mag = np.linalg.norm(tr.values[sel], axis=1)
+        gap = min(gap, float(np.min(
+            fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t) - mag)))
+    return gap
 
 
 def decay_ensemble(count=5, horizon=15.0, dt=0.01, scale=1.0):

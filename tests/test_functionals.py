@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -167,40 +165,6 @@ class TestClosedDerivative:
             driver_derivative_closed(MaxExp(np.eye(2)),
                                      constant_history(1.0, [1.0, 0.0]),
                                      np.zeros(2))
-
-    def test_cubic_history_unsupported(self):
-        phi = dataclasses.replace(random_history(2, 2, 1.0, 1.0, 2),
-                                  interpolation="cubic")
-        with pytest.raises(ValueError, match="piecewise-linear"):
-            driver_derivative_closed(PointQuadratic(np.eye(2)), phi,
-                                     np.zeros(2))
-
-
-class TestCubicFallbacks:
-    def cubic(self, seed, modes=3):
-        return dataclasses.replace(random_history(seed, 2, 1.0, 1.0, modes),
-                                   interpolation="cubic")
-
-    def test_maxexp_oversampled_near_dense_reference(self):
-        P = np.eye(2)
-        phi = self.cubic(51)
-        val = eval_functional(MaxExp(P), phi)
-        dense = np.linspace(-1.0, 0.0, 20001)
-        rows = phi.eval(dense)
-        brute = float(np.max(np.exp(2.0 * dense)
-                             * np.einsum("ij,jk,ik->i", rows, P, rows)))
-        assert val == pytest.approx(brute, rel=1e-4)
-
-    def test_integral_refined_quadrature_near_oracle(self):
-        from scipy.integrate import quad
-
-        phi = self.cubic(52)
-        Q = np.eye(2)
-        oracle, err = quad(
-            lambda tau: float(phi.eval(tau) @ Q @ phi.eval(tau)),
-            -1.0, 0.0, limit=200)
-        val = eval_functional(IntegralQuadratic(Q), phi)
-        assert val == pytest.approx(oracle, abs=max(1e-8, 10 * err))
 
 
 class TestNumericDerivative:

@@ -76,12 +76,6 @@ class TestSupNorm:
         both = dataclasses.replace(a, values=a.values + b.values)
         assert both.sup_norm() <= a.sup_norm() + b.sup_norm() + 1e-12
 
-    def test_cubic_at_least_node_max(self):
-        phi = random_history(4, 2, 1.0, 1.0, 6)
-        cubic = dataclasses.replace(phi, interpolation="cubic")
-        node_max = np.max(np.linalg.norm(phi.values, axis=1))
-        assert cubic.sup_norm() >= node_max - 1e-15
-
 
 class TestDriverExtension:
     def test_identity_at_zero_step(self):

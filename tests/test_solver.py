@@ -15,6 +15,7 @@ from krasovskii.solver import (
 )
 from krasovskii.systems import (
     DelaySystem,
+    build_system,
     make_example1,
     make_linear_baseline,
     shift_input,
@@ -127,14 +128,23 @@ class TestAccuracy:
                             1.0, dt)
         assert np.linalg.norm(restart.values[-1] - straight.values[-1]) <= 10 * dt ** 4 + 1e-9
 
-    def test_fast_and_general_paths_agree(self):
-        sys = make_example1(1.0)
+    @pytest.mark.parametrize("name, params", [
+        pytest.param("example1", {}, id="example1"),
+        pytest.param("example3", {}, id="example3"),
+        pytest.param("linear", {"a": 1.0, "b": 0.5}, id="linear"),
+        pytest.param("example2", {"epsilon": 0.05, "uncertainty": "delayed"},
+                     id="example2-delayed"),
+    ])
+    def test_fast_and_general_paths_agree(self, name, params):
+        # the derived field on stage histories reads exactly the values
+        # the pointwise path interpolates, so the two agree bit for bit
+        sys = build_system(name, 1.0, params)
         general = dataclasses.replace(sys, pointwise=None)
-        x0 = random_history(29, 2, 1.0, 1.0, 2)
+        x0 = random_history(29, sys.n, 1.0, 1.0, 2)
         u = sinusoid_input(1.0, 2.0)
         a = integrate(sys, x0, u, 2.0, 0.01)
         b = integrate(general, x0, u, 2.0, 0.01)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-12
+        assert np.array_equal(a.values, b.values)
 
     def test_determinism(self):
         sys = make_example1(1.0)

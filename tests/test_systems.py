@@ -82,6 +82,19 @@ class TestExample2:
                                               lambda p: 0.5 * float(p.eval(0.0)[0])))
         assert np.allclose(sys.field(zero_history(2.0, 2), V0), 0.0, atol=0)
 
+    def test_delayed_uncertainty_folds_into_formula(self):
+        # the built-in delayed uncertainty gives the same field, bit for
+        # bit, as the equivalent user-supplied pair on the general path
+        builtin = build_system("example2", 1.0,
+                               {"epsilon": 0.05, "uncertainty": "delayed"})
+        user = make_example2(1.0, 0.05, UncertaintyPair(
+            lambda p: float(p.eval(-1.0)[0]), lambda p: float(p.eval(-1.0)[1])))
+        assert user.pointwise is None
+        for i in range(20):
+            phi = random_history((43, i), 2, 1.0, 2.0, 3)
+            v = np.array([float(i) / 7.0])
+            assert np.array_equal(builtin.field(phi, v), user.field(phi, v))
+
     def test_unbounded_uncertainty_rejected(self):
         bad = UncertaintyPair(lambda phi: 2.0 * phi.sup_norm() + 1.0,
                               lambda phi: 0.0)
@@ -169,6 +182,15 @@ class TestInputSignals:
         for t in (0.0, 0.3, 1.9, 7.2):
             assert np.array_equal(a.evaluate(t), b.evaluate(t))
 
+    def test_noise_segments_drawn_once_read_only(self):
+        u = piecewise_noise_input((9, 4), 2.0, 0.5)
+        first = u.evaluate(1.1)
+        assert u.evaluate(1.4) is first
+        assert not first.flags.writeable
+        # each segment j keeps its own generator's draw
+        expected = np.random.default_rng((9, 4, 2)).uniform(-2.0, 2.0, 1)
+        assert np.array_equal(first, expected)
+
     def test_shift(self):
         u = step_input(1.0, [0.0], [3.0])
         shifted = shift_input(u, 1.0)
@@ -181,6 +203,21 @@ class TestRegistry:
         for name in ("example1", "example2", "example3", "linear"):
             sys = build_system(name, 1.0, {})
             assert sys.delay == 1.0
+
+    @pytest.mark.parametrize("name, params", [
+        pytest.param("example1", {}, id="example1"),
+        pytest.param("example2", {}, id="example2"),
+        pytest.param("example2", {"epsilon": "0.05"}, id="example2-eps"),
+        pytest.param("example2", {"uncertainty": "delayed"},
+                     id="example2-delayed"),
+        pytest.param("example2", {"epsilon": "0.05", "uncertainty": "delayed"},
+                     id="example2-eps-delayed"),
+        pytest.param("example3", {}, id="example3"),
+        pytest.param("linear", {}, id="linear"),
+        pytest.param("linear", {"a": "2.0", "b": "-1.0"}, id="linear-ab"),
+    ])
+    def test_builtins_state_a_pointwise_formula(self, name, params):
+        assert build_system(name, 1.0, params).pointwise is not None
 
     def test_linear_params(self):
         sys = build_system("linear", 0.5, {"a": "2.0", "b": "-1.0"})
