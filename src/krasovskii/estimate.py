@@ -267,6 +267,6 @@ def write_envelope_data(fit: EnvelopeFit, trajs: Sequence[Trajectory],
             t = tr.times[sel]
             mag = np.linalg.norm(tr.values[sel], axis=1)
             env = fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t)
-            for row in zip(t, mag, env):
-                fh.write(" ".join(f"{x:.17g}" for x in row) + "\n")
+            fh.writelines("%.17g %.17g %.17g\n" % row
+                          for row in zip(t, mag, env))
             fh.write("\n")

@@ -201,34 +201,53 @@ def window(traj, t: float) -> HistoryFunction:
     if t < -tol or t > times[-1] + tol:
         raise ValueError(f"t={t} outside the trajectory domain [0, {times[-1]}]")
     t = min(max(t, 0.0), times[-1])
-    lo = t - delay
-    i0 = np.searchsorted(times, lo, side="right")
-    i1 = np.searchsorted(times, t, side="left")
+    return _window_of_rows(times, values, delay, t, times.shape[0],
+                           _interp_rows(times, values, np.array([t]))[0])
+
+
+def _window_of_rows(times, values, delay, t, stop, last) -> HistoryFunction:
+    """x_t on [-delay, 0] from the rows `values` on the increasing grid
+    `times`: phi(-delay) = x(t - delay) interpolated, then the nodes
+    strictly inside (t - delay, t) that lie before index `stop`, shifted
+    by -t, and phi(0) = last."""
     if delay == 0.0:
-        return HistoryFunction._trusted(
-            0.0, np.array([0.0]), np.vstack([_interp_row(times, values, t)]))
-    grid = np.concatenate(([-delay], times[i0:i1] - t, [0.0]))
-    vals = np.vstack([
-        _interp_row(times, values, lo),
-        values[i0:i1],
-        _interp_row(times, values, t),
-    ])
+        return HistoryFunction._trusted(0.0, np.array([0.0]), last[None, :])
+    lo = t - delay
+    i0 = int(np.searchsorted(times, lo, side="right"))
+    while times[i0] - t <= -delay:
+        # a node just past lo can round onto -delay once shifted; dropping
+        # it keeps the grid strictly increasing and phi(-delay) = x(lo)
+        i0 += 1
+    i1 = min(int(np.searchsorted(times, t, side="left")), stop)
+    grid = np.empty(i1 - i0 + 2)
+    grid[0] = -delay
+    grid[1:-1] = times[i0:i1] - t
+    grid[-1] = 0.0
+    vals = np.empty((i1 - i0 + 2, values.shape[1]))
+    vals[0] = _interp_rows(times, values, np.array([lo]))[0]
+    vals[1:-1] = values[i0:i1]
+    vals[-1] = last
     return HistoryFunction._trusted(delay, grid, vals)
 
 
-def _interp_row(times: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
+def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The piecewise-linear interpolant of the rows `values` on the
-    increasing grid `times`, at t; a node row itself (not a copy) when t
-    falls on or beyond a node at either end of its segment."""
-    idx = int(np.searchsorted(times, t, side="right")) - 1
-    if idx >= times.shape[0] - 1:
-        idx = times.shape[0] - 2
-    elif idx < 0:
-        idx = 0
+    increasing grid `times`, at each point of the 1-d array t; exactly
+    a node's row when the point falls on or beyond that node at either
+    end of its segment."""
+    idx = np.searchsorted(times, t, side="right") - 1
+    np.clip(idx, 0, times.shape[0] - 2, out=idx)
     g0 = times[idx]
     lam = (t - g0) / (times[idx + 1] - g0)
-    if lam <= 0.0:
-        return values[idx]
-    if lam >= 1.0:
-        return values[idx + 1]
-    return (1.0 - lam) * values[idx] + lam * values[idx + 1]
+    # (1 - lam) x[idx] + lam x[idx + 1], built in place: a block reads
+    # thousands of rows at once
+    out = values[idx]
+    out *= (1.0 - lam)[:, None]
+    right = values[idx + 1]
+    right *= lam[:, None]
+    out += right
+    on_left = lam <= 0.0
+    on_right = lam >= 1.0
+    out[on_left] = values[idx[on_left]]
+    out[on_right] = values[idx[on_right] + 1]
+    return out

@@ -5,6 +5,19 @@ computed piecewise-linear dense trajectory.  Requiring dt <= delay/4
 (for positive delays) keeps every delayed read inside the completed
 segment, so the scheme stays explicit.  Blow-up is a trajectory status,
 not an exception: experiments deliberately probe near finite escape.
+
+Systems with a pointwise formula f(x(t), x(t - delay), v) are stepped
+in blocks of k - 1 steps, k = delay/dt (Bellen & Zennaro, *Numerical
+Methods for Delay Differential Equations*, OUP 2003, ch. 3): every
+delayed argument a block needs, at t - delay, t + dt/2 - delay and
+t + dt - delay for each of its steps, already lies on computed rows
+when the block starts, so all of them are read in one vectorised pass.
+A zero delay runs as one block.  Blow-up is checked once per block, and
+the trajectory is cut at the first bad step.  Systems with only a
+general `field` are stepped one at a time, each RK4 stage on its own
+history.  The input is evaluated at the stage times of every step of a
+block, also past a blow-up inside it, so `InputSignal.evaluate` must be
+a pure function of t.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import histories
-from .histories import HistoryFunction, _interp_row
+from .histories import HistoryFunction, _interp_rows, _window_of_rows
 from .systems import DelaySystem, InputSignal, zero_input
 
 __all__ = [
@@ -70,7 +83,9 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
 
     Preconditions: x0.delay == sys.delay, dt > 0, dt divides both the
     delay (with dt <= delay/4 when the delay is positive) and the
-    horizon.
+    horizon.  The trajectory stops at the first step whose state is not
+    finite or has a norm above blowup_threshold; the formula and the
+    input may still be evaluated at the rest of that step's block.
     """
     if u is None:
         u = zero_input(sys.m)
@@ -100,57 +115,97 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     values = np.empty((times.shape[0], n))
     values[:neg.shape[0]] = x0.eval(neg)
     zero_idx = neg.shape[0] - 1
+    end = zero_idx + nsteps
 
+    if sys.pointwise is None:
+        # a field may read the whole history, so no row past a blow-up
+        # may enter one: blocks of one step
+        span = 1
+        run_block = _field_block
+    else:
+        span = nsteps if delay == 0.0 else k - 1
+        run_block = _pointwise_block
     status, t_escape = COMPLETED, None
-    fast = sys.pointwise is not None
-    half = 0.5 * dt
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(nsteps):
-            base = zero_idx + j
-            t = times[base]
-            y = values[base]
-            filled = base + 1
-            if fast:
-                pw = sys.pointwise
-                if delay > 0:
-                    xd1 = _interp_row(times, values, t - delay)
-                    xdm = _interp_row(times, values, t + half - delay)
-                    xd2 = _interp_row(times, values, t + dt - delay)
-                    k1 = pw(y, xd1, u.evaluate(t))
-                    k2 = pw(y + half * k1, xdm, u.evaluate(t + half))
-                    k3 = pw(y + half * k2, xdm, u.evaluate(t + half))
-                    k4 = pw(y + dt * k3, xd2, u.evaluate(t + dt))
-                else:
-                    y1 = y
-                    k1 = pw(y1, y1, u.evaluate(t))
-                    y2 = y + half * k1
-                    k2 = pw(y2, y2, u.evaluate(t + half))
-                    y3 = y + half * k2
-                    k3 = pw(y3, y3, u.evaluate(t + half))
-                    y4 = y + dt * k3
-                    k4 = pw(y4, y4, u.evaluate(t + dt))
-            else:
-                f = sys.field
-                k1 = f(_stage_history(times, values, filled, delay, t, y),
-                       u.evaluate(t))
-                k2 = f(_stage_history(times, values, filled, delay, t + half,
-                                      y + half * k1), u.evaluate(t + half))
-                k3 = f(_stage_history(times, values, filled, delay, t + half,
-                                      y + half * k2), u.evaluate(t + half))
-                k4 = f(_stage_history(times, values, filled, delay, t + dt,
-                                      y + dt * k3), u.evaluate(t + dt))
-            ynew = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(ynew)) or np.linalg.norm(ynew) > blowup_threshold:
+        for b0 in range(zero_idx, end, span):
+            m = min(span, end - b0)
+            run_block(sys, u, times, values, b0, m, dt)
+            bad = _first_bad(values[b0 + 1:b0 + 1 + m], blowup_threshold)
+            if bad is not None:
                 status = BLEW_UP
-                t_escape = float(times[base + 1])
-                times = times[:base + 1].copy()
-                values = values[:base + 1].copy()
+                t_escape = float(times[b0 + bad + 1])
+                times = times[:b0 + bad + 1].copy()
+                values = values[:b0 + bad + 1].copy()
                 break
-            values[base + 1] = ynew
 
     times.flags.writeable = False
     values.flags.writeable = False
     return Trajectory(sys, times, values, status, t_escape, x0, u, dt)
+
+
+def _pointwise_block(sys, u, times, values, b0, m, dt):
+    # RK4 steps from row b0 to row b0 + m of the formula f(x, x_delayed, v),
+    # all delayed arguments read first.  The last one, (t + dt) - delay of
+    # the last step, lies on the grid node dt before row b0's time, up to
+    # rounding; one step more and a read rounding just past its node
+    # would interpolate toward a row the block has yet to compute.
+    pw = sys.pointwise
+    delay = sys.delay
+    half = 0.5 * dt
+    tb = times[b0:b0 + m]
+    lagged = delay > 0.0
+    if lagged:
+        reads = _interp_rows(times, values, np.concatenate(
+            [tb - delay, tb + half - delay, tb + dt - delay]))
+        xd1, xdm, xd2 = reads[:m], reads[m:2 * m], reads[2 * m:]
+    y = values[b0]
+    for i, t in enumerate(tb):
+        um = u.evaluate(t + half)
+        k1 = pw(y, xd1[i] if lagged else y, u.evaluate(t))
+        y2 = y + half * k1
+        k2 = pw(y2, xdm[i] if lagged else y2, um)
+        y3 = y + half * k2
+        k3 = pw(y3, xdm[i] if lagged else y3, um)
+        y4 = y + dt * k3
+        k4 = pw(y4, xd2[i] if lagged else y4, u.evaluate(t + dt))
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        values[b0 + i + 1] = y
+
+
+def _field_block(sys, u, times, values, b0, m, dt):
+    # RK4 steps of the general field, each stage on its own history whose
+    # final node carries the stage state, bridging the (at most one step
+    # wide) gap past the filled rows
+    f = sys.field
+    delay = sys.delay
+    half = 0.5 * dt
+    for base in range(b0, b0 + m):
+        t = times[base]
+        y = values[base]
+        filled = base + 1
+        k1 = f(_window_of_rows(times, values, delay, t, filled, y),
+               u.evaluate(t))
+        k2 = f(_window_of_rows(times, values, delay, t + half, filled,
+                               y + half * k1), u.evaluate(t + half))
+        k3 = f(_window_of_rows(times, values, delay, t + half, filled,
+                               y + half * k2), u.evaluate(t + half))
+        k4 = f(_window_of_rows(times, values, delay, t + dt, filled,
+                               y + dt * k3), u.evaluate(t + dt))
+        values[base + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _first_bad(rows, threshold):
+    """Index of the first row that is not finite or whose norm exceeds
+    threshold, judged by np.linalg.norm of that row alone; None if none."""
+    norms = np.linalg.norm(rows, axis=1)
+    # the norm over a batch may round differently from the norm of one
+    # row, so only rows well clear of the threshold pass unexamined
+    clear = np.isfinite(norms) & (norms <= threshold * (1.0 - 1e-9))
+    for i in np.flatnonzero(~clear):
+        y = rows[i]
+        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > threshold:
+            return int(i)
+    return None
 
 
 def _initial_grid(x0: HistoryFunction, delay: float, dt: float) -> np.ndarray:
@@ -165,29 +220,6 @@ def _initial_grid(x0: HistoryFunction, delay: float, dt: float) -> np.ndarray:
     if extras.size == 0:
         return neg
     return np.sort(np.concatenate([neg, extras]))
-
-
-def _stage_history(times, values, filled, delay, s, ys):
-    # history on [s - delay, s]; the final node carries the stage state,
-    # bridging the (at most one step wide) gap past the filled segment
-    if delay == 0.0:
-        return HistoryFunction._trusted(0.0, np.array([0.0]), ys[None, :])
-    lo = s - delay
-    i0 = int(np.searchsorted(times, lo, side="right"))
-    while times[i0] - s <= -delay:
-        # a node just past lo can round onto -delay once shifted; dropping
-        # it keeps the grid strictly increasing and phi(-delay) = x(lo)
-        i0 += 1
-    i1 = min(int(np.searchsorted(times, s, side="left")), filled)
-    grid = np.empty(i1 - i0 + 2)
-    grid[0] = -delay
-    grid[1:-1] = times[i0:i1] - s
-    grid[-1] = 0.0
-    vals = np.empty((i1 - i0 + 2, ys.shape[0]))
-    vals[0] = _interp_row(times, values, lo)
-    vals[1:-1] = values[i0:i1]
-    vals[-1] = ys
-    return HistoryFunction._trusted(delay, grid, vals)
 
 
 def history_at(traj: Trajectory, t: float) -> HistoryFunction:

@@ -75,8 +75,10 @@ class DelaySystem:
 class InputSignal:
     """Input u(t) for t >= 0 with an exact windowed sup.
 
-    window_sup(t1, t2) returns the essential sup of |u| on [t1, t2]; it
-    is monotone under interval inclusion.
+    evaluate must be a pure function of t: the solver may call it past
+    the last step of a trajectory that blew up.  window_sup(t1, t2)
+    returns the essential sup of |u| on [t1, t2]; it is monotone under
+    interval inclusion.
     """
 
     m: int

@@ -118,6 +118,7 @@ def test_criterion_03_crossover():
               f"reversed at 4.0; ratio matches high-precision evaluation")
 
 
+@pytest.mark.slow
 def test_criterion_04_certificate_suite(example1):
     lkf = standard_lkf()
     sampler = FalsificationSampler(20260809, 2, 1, 1.0)
@@ -252,6 +253,7 @@ def test_criterion_08_solver_orders():
               f"restart drift {drift:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_09_ges_desk_scale(example1, example1_ensemble):
     assert len(example1_ensemble) == 50
     assert all(tr.status == COMPLETED for tr in example1_ensemble)

@@ -8,6 +8,7 @@ from krasovskii.histories import constant_history, random_history, zero_history
 from krasovskii.solver import (
     BLEW_UP,
     COMPLETED,
+    _initial_grid,
     export_csv,
     history_at,
     history_norm_series,
@@ -18,10 +19,83 @@ from krasovskii.systems import (
     build_system,
     make_example1,
     make_linear_baseline,
+    piecewise_noise_input,
     shift_input,
     sinusoid_input,
+    step_input,
     zero_input,
 )
+
+
+def _interp_row_reference(times, values, t):
+    # the scalar delayed read of the per-step kernel
+    idx = int(np.searchsorted(times, t, side="right")) - 1
+    if idx >= times.shape[0] - 1:
+        idx = times.shape[0] - 2
+    elif idx < 0:
+        idx = 0
+    g0 = times[idx]
+    lam = (t - g0) / (times[idx + 1] - g0)
+    if lam <= 0.0:
+        return values[idx]
+    if lam >= 1.0:
+        return values[idx + 1]
+    return (1.0 - lam) * values[idx] + lam * values[idx + 1]
+
+
+def per_step_reference(sys, x0, u, horizon, dt, blowup_threshold=1e9):
+    """The pointwise path as one RK4 step at a time: three scalar delayed
+    reads and one blow-up check per step.  Returns (times, values,
+    status, t_escape)."""
+    if u is None:
+        u = zero_input(sys.m)
+    delay = sys.delay
+    pw = sys.pointwise
+    nsteps = int(round(horizon / dt))
+    neg = _initial_grid(x0, delay, dt)
+    times = np.concatenate([neg, dt * np.arange(1, nsteps + 1)])
+    values = np.empty((times.shape[0], sys.n))
+    values[:neg.shape[0]] = x0.eval(neg)
+    zero_idx = neg.shape[0] - 1
+    half = 0.5 * dt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(nsteps):
+            base = zero_idx + j
+            t = times[base]
+            y = values[base]
+            if delay > 0:
+                xd1 = _interp_row_reference(times, values, t - delay)
+                xdm = _interp_row_reference(times, values, t + half - delay)
+                xd2 = _interp_row_reference(times, values, t + dt - delay)
+                k1 = pw(y, xd1, u.evaluate(t))
+                k2 = pw(y + half * k1, xdm, u.evaluate(t + half))
+                k3 = pw(y + half * k2, xdm, u.evaluate(t + half))
+                k4 = pw(y + dt * k3, xd2, u.evaluate(t + dt))
+            else:
+                y1 = y
+                k1 = pw(y1, y1, u.evaluate(t))
+                y2 = y + half * k1
+                k2 = pw(y2, y2, u.evaluate(t + half))
+                y3 = y + half * k2
+                k3 = pw(y3, y3, u.evaluate(t + half))
+                y4 = y + dt * k3
+                k4 = pw(y4, y4, u.evaluate(t + dt))
+            ynew = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(ynew)) or np.linalg.norm(ynew) > blowup_threshold:
+                return times[:base + 1], values[:base + 1], BLEW_UP, float(times[base + 1])
+            values[base + 1] = ynew
+    return times, values, COMPLETED, None
+
+
+def assert_matches_reference(sys, x0, u, horizon, dt, blowup_threshold=1e9):
+    traj = integrate(sys, x0, u, horizon, dt, blowup_threshold)
+    times, values, status, t_escape = per_step_reference(
+        sys, x0, u, horizon, dt, blowup_threshold)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.values, values)
+    assert traj.status == status
+    assert traj.t_escape == t_escape
+    return traj
 
 
 def cubic_growth_system():
@@ -73,6 +147,17 @@ class TestBasics:
         assert np.allclose(phi.eval(taus)[:, 0], np.exp(-(1.0 + taus)),
                            atol=1e-6)
 
+    def test_windows_have_strictly_increasing_grids(self):
+        # a node just past t - delay can round onto -delay once shifted
+        # (t = 1.18, 1.19, ... here); the window must drop it
+        sys = make_example1(1.0)
+        x0 = random_history(29, 2, 1.0, 1.0, 2)
+        traj = integrate(sys, x0, sinusoid_input(1.0, 1.0), 2.0, 0.01)
+        for t in traj.times[traj.times >= 0.0]:
+            phi = history_at(traj, t)
+            assert np.all(np.diff(phi.grid) > 0), t
+            assert phi.grid[0] == -1.0 and phi.grid[-1] == 0.0
+
     def test_window_endpoint_exact_at_grid_points(self):
         sys = make_example1(1.0)
         x0 = random_history(17, 2, 1.0, 1.0, 2)
@@ -82,6 +167,85 @@ class TestBasics:
             assert traj.times[idx] == pytest.approx(t, abs=1e-12)
             assert np.array_equal(history_at(traj, traj.times[idx]).eval(0.0),
                                   traj.values[idx])
+
+
+PARITY_SYSTEMS = [
+    pytest.param("example1", {}, id="example1"),
+    pytest.param("example2", {"epsilon": 0.05, "uncertainty": "delayed"},
+                 id="example2-delayed"),
+    pytest.param("example3", {}, id="example3"),
+    pytest.param("linear", {"a": 1.0, "b": 0.5}, id="linear"),
+]
+
+
+def parity_input(kind, seed):
+    # switch times off every step grid below
+    if kind == "zero":
+        return None
+    if kind == "step":
+        return step_input(0.537, [0.0], [0.8])
+    if kind == "sinusoid":
+        return sinusoid_input(1.0, 2.0, 0.3)
+    return piecewise_noise_input(seed, 0.5, 0.0437)
+
+
+class TestBlockParity:
+    """The block path against the per-step reference, bit for bit.
+
+    0.7, 0.2 and 0.1 are not binary fractions, so t - delay often rounds
+    off the step nodes, at 0.7 and 0.1 also just past the node one delay
+    back of a step's end; no horizon is a multiple of its delay; 2 and 8
+    modes put x0 nodes off the step grid."""
+
+    GRIDS = [(1.0, 0.01, 2.37), (0.7, 0.01, 1.53), (0.1, 0.01, 0.83),
+             (0.2, 2e-3, 0.514)]
+
+    @pytest.mark.parametrize("kind", ["zero", "step", "sinusoid", "noise"])
+    @pytest.mark.parametrize("name, params", PARITY_SYSTEMS)
+    def test_twenty_seeds(self, name, params, kind):
+        for seed in range(20):
+            delay, dt, horizon = self.GRIDS[seed % 4]
+            sys = build_system(name, delay, params)
+            x0 = random_history((41, seed), sys.n, delay, 1.0,
+                                (0, 2, 8)[(seed // 4) % 3])
+            traj = assert_matches_reference(sys, x0, parity_input(kind, seed),
+                                            horizon, dt)
+            assert traj.status == COMPLETED
+
+    @pytest.mark.parametrize("kind", ["zero", "step", "sinusoid", "noise"])
+    @pytest.mark.parametrize("name, params", PARITY_SYSTEMS)
+    def test_zero_delay(self, name, params, kind):
+        sys = build_system(name, 0.0, params)
+        for seed in range(20):
+            x0 = random_history((43, seed), sys.n, 0.0, 1.0, 0)
+            assert_matches_reference(sys, x0, parity_input(kind, seed), 0.57,
+                                     0.01)
+
+    @pytest.mark.parametrize("delay", [0.0, 0.1, 1.0])
+    def test_threshold_blowup(self, delay):
+        # exp(40 t) passes 1e9 at t = 0.52: in the first block at delay 1,
+        # in the sixth at delay 0.1
+        sys = make_linear_baseline(-40.0, 0.0, delay)
+        for threshold in (1e3, 1e6, 1e9):
+            traj = assert_matches_reference(sys, constant_history(delay, [1.0]),
+                                            None, 1.5, 0.01, threshold)
+            assert traj.status == BLEW_UP
+
+    @pytest.mark.parametrize("delay", [0.0, 0.1, 1.0])
+    def test_non_finite_blowup(self, delay):
+        # x' = x^3 + x(t - delay)^3 escapes before t = 0.125 from x0 = 2;
+        # an infinite threshold leaves only the finiteness check
+        def pointwise(x, xd, v):
+            return x ** 3 + xd ** 3
+
+        sys = DelaySystem(1, 1, delay,
+                          lambda phi, v: pointwise(phi.eval(0.0),
+                                                   phi.eval(-delay), v),
+                          "cubic-growth", pointwise)
+        for dt in (0.025, 0.01, 0.004):
+            traj = assert_matches_reference(sys, constant_history(delay, [2.0]),
+                                            None, 0.5, dt, np.inf)
+            assert traj.status == BLEW_UP
 
 
 class TestPreconditions:
