@@ -5,6 +5,15 @@ and report the worst residual of the tested inequality together with a
 witness when it is violated.  A "no violation found" verdict is
 sampling evidence, never a proof.
 
+A sampler is any object whose sample(i) returns the history and input
+vector of index i.  A check draws indices one at a time, in blocks; the
+samples of a block whose histories share a grid are stacked into
+(B, len(grid), n) values and (B, m) inputs, and their residuals are
+computed together by the batch evaluators of `functionals`.  Every
+residual is computed as it would be alone, so a verdict, its witness
+index and the skip count do not depend on the block size or on how the
+samples group.
+
 Margins are the closed-form constants attached to the two growth-route
 stability results and their supporting lemmas: the tolerable strength
 of a history term in the dissipation inequality, the derived decay and
@@ -25,13 +34,19 @@ import numpy as np
 from .functionals import (
     Functional,
     PowerGain,
+    _closed,
+    _numeric,
+    _step_schedule,
+    _sum_last,
+    _values,
+    _xQy,
     contains_maxexp,
-    driver_derivative_closed,
-    driver_derivative_numeric,
-    eval_functional,
+    # the single-history evaluators stay importable from this module
+    driver_derivative_closed,  # noqa: F401
+    driver_derivative_numeric,  # noqa: F401
+    eval_functional,  # noqa: F401
 )
-from .histories import HistoryFunction, random_history
-from .parallel import ordered_map
+from .histories import _eval_on_grid, random_history
 from .systems import DelaySystem
 
 __all__ = [
@@ -140,38 +155,116 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _sweep(check: str, residual_fn, sampler, budget: int,
+# samples drawn per block of a sweep; a block's samples are evaluated
+# together, one group per shared grid
+_BLOCK = 256
+
+
+@dataclass(frozen=True)
+class _Group:
+    """Samples of one block that share a delay and a grid: their values
+    stacked to (B, len(grid), n), their inputs to (B, m)."""
+
+    delay: float
+    grid: np.ndarray
+    values: np.ndarray
+    inputs: np.ndarray
+    histories: list
+
+    @classmethod
+    def stack(cls, draws):
+        histories = [phi for phi, _ in draws]
+        first = histories[0]
+        return cls(first.delay, first.grid,
+                   np.stack([phi.values for phi in histories]),
+                   np.stack([np.atleast_1d(np.asarray(v, dtype=float))
+                             for _, v in draws]),
+                   histories)
+
+    def at(self, tau) -> np.ndarray:
+        return _eval_on_grid(self.delay, self.grid, self.values, tau)
+
+    def sup_norm(self) -> np.ndarray:
+        return np.sqrt(np.max(_sum_last(self.values * self.values), axis=-1))
+
+    def point_norm(self) -> np.ndarray:
+        return _norm(self.at(0.0))
+
+    def input_norm(self) -> np.ndarray:
+        return _norm(self.inputs)
+
+
+def _norm(rows: np.ndarray) -> np.ndarray:
+    # the Euclidean norm of each row as np.linalg.norm computes it for
+    # one vector: the square root of a BLAS dot
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _sweep(check: str, residual, sampler, budget: int,
            tolerance: float) -> CheckReport:
+    """Draw samples 0..budget-1 with sampler.sample(i) and evaluate
+    `residual`, which maps a _Group to its residuals; a non-finite
+    residual skips its sample."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-
-    def one(i: int):
-        phi, v = sampler.sample(i)
-        try:
+    r = np.empty(budget)
+    for start in range(0, budget, _BLOCK):
+        drawn = [sampler.sample(i)
+                 for i in range(start, min(start + _BLOCK, budget))]
+        groups = {}
+        for j, (phi, _) in enumerate(drawn):
+            key = (phi.delay, phi.n, phi.grid.tobytes())
+            groups.setdefault(key, []).append(j)
+        for rows in groups.values():
+            group = _Group.stack([drawn[j] for j in rows])
             with np.errstate(over="ignore", invalid="ignore"):
-                r = residual_fn(phi, v)
-        except (FloatingPointError, OverflowError):
-            return None
-        if not np.isfinite(r):
-            return None
-        return float(r)
-
-    worst = -math.inf
-    worst_idx = None
-    skipped = 0
-    residuals = ordered_map(one, range(budget))
-    for i, r in enumerate(residuals):
-        if r is None:
-            skipped += 1
-        elif r > worst:
-            worst, worst_idx = r, i
-    if worst_idx is None:
+                r[start + np.asarray(rows)] = residual(group)
+    finite = np.isfinite(r)
+    if not finite.any():
         raise RuntimeError(f"every sample of check {check} was skipped")
+    skipped = budget - int(np.count_nonzero(finite))
+    # the first largest residual, as a strict > scan in index order finds
+    worst_idx = int(np.argmax(np.where(finite, r, -np.inf)))
+    worst = float(r[worst_idx])
     if worst > tolerance:
         witness = sampler.sample(worst_idx)
         return CheckReport(check, budget, skipped, worst, tolerance,
                            VIOLATED, witness, worst_idx)
     return CheckReport(check, budget, skipped, worst, tolerance, NO_VIOLATION)
+
+
+def _gain(gamma, s: np.ndarray) -> np.ndarray:
+    """gamma at each input norm: one call for a PowerGain, one call per
+    sample for any other callable."""
+    if isinstance(gamma, PowerGain):
+        return gamma(s)
+    return np.array([gamma(float(x)) for x in s])
+
+
+def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
+    """f(phi, v) of each sample, (B, n): one call of the pointwise
+    formula over (n, B) columns, or one general field call per sample.
+    A row is non-finite where the field blew up."""
+    if sys.pointwise is not None:
+        w = np.asarray(sys.pointwise(group.at(0.0).T, group.at(-sys.delay).T,
+                                     group.inputs.T), dtype=float)
+        if w.shape != (sys.n, group.values.shape[0]):
+            raise ValueError(f"the pointwise formula of {sys.name!r} does not "
+                             "broadcast over (n, B) columns")
+        return np.ascontiguousarray(w.T)
+    rows = np.empty((len(group.histories), sys.n))
+    for j, (phi, v) in enumerate(zip(group.histories, group.inputs)):
+        try:
+            rows[j] = sys.field(phi, v)
+        except (FloatingPointError, OverflowError):
+            rows[j] = np.nan
+    return rows
+
+
+def _unless_blown_up(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # a sample whose field blew up is skipped, whatever its residual reads
+    return np.where(np.all(np.isfinite(w), axis=-1), r, np.nan)
 
 
 def check_sandwich(V: Functional, a_lower: Optional[float], a_upper: float,
@@ -182,13 +275,14 @@ def check_sandwich(V: Functional, a_lower: Optional[float], a_upper: float,
     The lower bound is skipped when a_lower is None (the right-growth
     route needs only the upper one)."""
 
-    def residual(phi, v):
-        val = eval_functional(V, phi)
-        upper = val - a_upper * phi.sup_norm() ** rho
+    def residual(g):
+        val = _values(V, g.delay, g.grid, g.values)
+        upper = val - a_upper * g.sup_norm() ** rho
         if a_lower is None:
             return upper
-        x0 = float(np.linalg.norm(phi.eval(0.0)))
-        return max(upper, a_lower * x0 ** rho - val)
+        lower = a_lower * g.point_norm() ** rho - val
+        # Python's max(upper, lower): lower only when strictly larger
+        return np.where(lower > upper, lower, upper)
 
     return _sweep("sandwich", residual, sampler, budget, tolerance)
 
@@ -196,13 +290,14 @@ def check_sandwich(V: Functional, a_lower: Optional[float], a_upper: float,
 def _derivative_along(V: Functional, sys: DelaySystem):
     closed = not contains_maxexp(V)
 
-    def derive(phi, v):
-        w = sys.field(phi, np.atleast_1d(v))
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError("field evaluation blew up")
+    def derive(g):
+        w = _field(sys, g)
         if closed:
-            return driver_derivative_closed(V, phi, w)
-        return driver_derivative_numeric(V, phi, w)
+            d = _closed(V, g.delay, g.grid, g.values, w)
+        else:
+            d = _numeric(V, g.delay, g.grid, g.values, w,
+                         _step_schedule(g.delay))
+        return _unless_blown_up(w, d)
 
     return derive
 
@@ -214,10 +309,9 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
     D+V(phi, f(phi, v)) <= -a |phi(0)|^2 + c sup|phi|^2 + gamma(|v|)."""
     derive = _derivative_along(V, sys)
 
-    def residual(phi, v):
-        x0 = float(np.linalg.norm(phi.eval(0.0)))
-        return (derive(phi, v) + a * x0 ** 2
-                - c * phi.sup_norm() ** 2 - gamma(float(np.linalg.norm(v))))
+    def residual(g):
+        return (derive(g) + a * g.point_norm() ** 2
+                - c * g.sup_norm() ** 2 - _gain(gamma, g.input_norm()))
 
     return _sweep("pointwise-dissipation", residual, sampler, budget, tolerance)
 
@@ -225,14 +319,11 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
 def _growth_residual(sys, P, sigma, gamma, sign):
     P = np.asarray(P, dtype=float)
 
-    def residual(phi, v):
-        v = np.atleast_1d(v)
-        w = sys.field(phi, v)
-        if not np.all(np.isfinite(w)):
-            raise FloatingPointError("field evaluation blew up")
-        lhs = float(phi.eval(0.0) @ P @ w)
-        cap = sigma * (phi.sup_norm() ** 2 + gamma(float(np.linalg.norm(v))))
-        return lhs - cap if sign > 0 else -lhs - cap
+    def residual(g):
+        w = _field(sys, g)
+        lhs = _xQy(g.at(0.0), P, w)
+        cap = sigma * (g.sup_norm() ** 2 + _gain(gamma, g.input_norm()))
+        return _unless_blown_up(w, lhs - cap if sign > 0 else -lhs - cap)
 
     return residual
 

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .histories import HistoryFunction, random_history
-from .parallel import ordered_map
 from .solver import COMPLETED, Trajectory, history_norm_series, integrate
 from .systems import DelaySystem, InputSignal, constant_input, zero_input
 
@@ -68,7 +67,7 @@ def run_ensemble(sys: DelaySystem, history_sampler, input_sampler,
         u = input_sampler(i) if input_sampler is not None else None
         return integrate(sys, history_sampler(i), u, horizon, dt)
 
-    return ordered_map(one, range(count))
+    return [one(i) for i in range(count)]
 
 
 @dataclass(frozen=True)

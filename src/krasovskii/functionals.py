@@ -29,7 +29,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .histories import HistoryFunction, driver_extension
+from .histories import (
+    HistoryFunction,
+    _eval_on_grid,
+    _extend_on_grid,
+    driver_extension,  # noqa: F401  (stays importable from this module)
+)
 
 __all__ = [
     "Functional",
@@ -67,8 +72,54 @@ def _symmetric(Q) -> np.ndarray:
     return Q
 
 
-def _qform(rows: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jk,ik->i", rows, Q, rows)
+def _qform(a: np.ndarray, Q: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a' Q b (b defaults to a) along the last axis, for every leading
+    index: the grid-node and segment forms.  The terms (a_i Q_ij) b_j
+    are summed in the order of (i, j), skipping zero entries of Q, so a
+    row's value does not depend on the rows evaluated with it."""
+    b = a if b is None else b
+    total = None
+    for (i, j), q in np.ndenumerate(Q):
+        if q != 0.0:
+            term = a[..., i] * q * b[..., j]
+            total = term if total is None else total + term
+    return np.zeros(a.shape[:-1]) if total is None else total
+
+
+def _xQy(x: np.ndarray, Q: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x' Q y of each pair of rows, the point-value form: as `x @ Q @ y`
+    computes it for one pair, one BLAS dot per row and column of Q.  The
+    rows are made contiguous, so every batch runs the same dot kernel."""
+    x = np.ascontiguousarray(x)
+    xQ = np.stack([np.vecdot(x, Q[:, k]) for k in range(Q.shape[0])], axis=-1)
+    return np.vecdot(xQ, np.ascontiguousarray(y))
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """The sum along the last axis, for every leading index, in the order
+    np.sum adds one contiguous 1-d array: left to right below 8 values,
+    eight running sums up to 128, halves above.  NumPy's own reduction
+    over the last axis of a 2-d array may take another order, depending
+    on the shape; written out, a row's sum does not depend on its batch."""
+    n = a.shape[-1]
+    if n < 8:
+        total = np.zeros(a.shape[:-1])
+        for k in range(n):
+            total = total + a[..., k]
+        return total
+    if n <= 128:
+        r = a[..., :8].copy()
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r += a[..., i:i + 8]
+        total = (((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3]))
+                 + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])))
+        for k in range(stop, n):
+            total = total + a[..., k]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _sum_last(a[..., :half]) + _sum_last(a[..., half:])
 
 
 class Functional:
@@ -178,91 +229,97 @@ def contains_maxexp(V: Functional) -> bool:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# The evaluators work on a batch of histories that share one grid:
+# `values` is (B, len(grid), n) and every result is a (B,) array.  The
+# public single-history functions are batches of one.
 
 def eval_functional(V: Functional, phi: HistoryFunction) -> float:
+    return float(_values(V, phi.delay, phi.grid, phi.values[None])[0])
+
+
+def _values(V: Functional, delay: float, grid, values) -> np.ndarray:
     if isinstance(V, PointQuadratic):
-        x = phi.eval(0.0)
-        return float(x @ V.Q @ x)
+        x = _eval_on_grid(delay, grid, values, 0.0)
+        return _xQy(x, V.Q, x)
     if isinstance(V, DelayedQuadratic):
-        if V.at < -phi.delay - 1e-9 * max(1.0, phi.delay):
+        if V.at < -delay - 1e-9 * max(1.0, delay):
             raise ValueError("evaluation point precedes -delay")
-        x = phi.eval(max(V.at, -phi.delay))
-        return float(x @ V.Q @ x)
+        x = _eval_on_grid(delay, grid, values, max(V.at, -delay))
+        return _xQy(x, V.Q, x)
     if isinstance(V, IntegralQuadratic):
-        return _integral_eval(V.Q, V.weight.value, V.weight.polynomial, phi)
+        return _integral(V.Q, V.weight.value, V.weight.polynomial,
+                         delay, grid, values)
     if isinstance(V, MaxExp):
-        return _maxexp_eval(V.P, phi)
+        return _maxexp(V.P, grid, values)
     if isinstance(V, Scale):
-        return V.k * eval_functional(V.inner, phi)
+        return V.k * _values(V.inner, delay, grid, values)
     if isinstance(V, Sum):
-        return eval_functional(V.left, phi) + eval_functional(V.right, phi)
+        return (_values(V.left, delay, grid, values)
+                + _values(V.right, delay, grid, values))
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _integral_eval(Q, weight_fn, polynomial, phi: HistoryFunction) -> float:
+def _integral(Q, weight_fn, polynomial, delay, grid, values) -> np.ndarray:
     # per-segment Simpson; exact when the integrand is polynomial of
     # degree <= 3 per segment (constant weight, linear history)
-    if phi.delay == 0.0 or phi.grid.shape[0] < 2:
-        return 0.0
+    if delay == 0.0 or grid.shape[0] < 2:
+        return np.zeros(values.shape[0])
+    g = grid
     if polynomial:
-        g = phi.grid
-        vals = phi.values
-        mids = 0.5 * (vals[:-1] + vals[1:])
-        fa = weight_fn(g[:-1]) * _qform(vals[:-1], Q)
+        mids = 0.5 * (values[:, :-1] + values[:, 1:])
+        fa = weight_fn(g[:-1]) * _qform(values[:, :-1], Q)
         fm = weight_fn(0.5 * (g[:-1] + g[1:])) * _qform(mids, Q)
-        fb = weight_fn(g[1:]) * _qform(vals[1:], Q)
-        return float(np.sum(np.diff(g) / 6.0 * (fa + 4.0 * fm + fb)))
-    # refined composite Simpson on each segment
-    panels = 8
-    total = 0.0
-    g = phi.grid
-    for a, b in zip(g[:-1], g[1:]):
-        ts = np.linspace(a, b, 2 * panels + 1)
-        f = weight_fn(ts) * _qform(phi.eval(ts), Q)
-        h = (b - a) / (2 * panels)
-        total += h / 3.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2])
-                            + 2.0 * np.sum(f[2:-2:2]))
-    return float(total)
+        fb = weight_fn(g[1:]) * _qform(values[:, 1:], Q)
+        return _sum_last(np.diff(g) / 6.0 * (fa + 4.0 * fm + fb))
+    # refined composite Simpson with 8 panels on each segment, the
+    # segments summed in order
+    ts = np.linspace(g[:-1], g[1:], 17, axis=-1)
+    rows = _eval_on_grid(delay, g, values, ts.ravel())
+    f = weight_fn(ts) * _qform(rows, Q).reshape((values.shape[0],) + ts.shape)
+    odd_sum = _sum_last(f[..., 1:-1:2])
+    even_sum = _sum_last(f[..., 2:-2:2])
+    h = (g[1:] - g[:-1]) / 16
+    per_segment = h / 3.0 * (f[..., 0] + f[..., -1] + 4.0 * odd_sum
+                             + 2.0 * even_sum)
+    return np.cumsum(per_segment, axis=-1)[:, -1]
 
 
-def _maxexp_eval(P, phi: HistoryFunction) -> float:
-    g = phi.grid
-    vals = phi.values
-    node_vals = np.exp(2.0 * g) * _qform(vals, P)
-    best = float(np.max(node_vals))
+def _maxexp(P, grid, values) -> np.ndarray:
+    g = grid
+    best = np.max(np.exp(2.0 * g) * _qform(values, P), axis=-1)
     if g.shape[0] < 2:
         return best
     # exact interior maxima: on each segment the integrand is
     # exp(2 tau) (alpha t^2 + beta t + gamma); critical points solve
     # 2 alpha t^2 + 2(alpha + beta) t + (beta + 2 gamma) = 0
     L = np.diff(g)
-    u = vals[:-1]
-    d = (vals[1:] - vals[:-1]) / L[:, None]
+    u = values[:, :-1]
+    d = (values[:, 1:] - u) / L[:, None]
     alpha = _qform(d, P)
-    beta = 2.0 * np.einsum("ij,jk,ik->i", u, P, d)
+    beta = 2.0 * _qform(u, P, d)
     gam = _qform(u, P)
     A = 2.0 * alpha
     B = 2.0 * (alpha + beta)
     C = beta + 2.0 * gam
     scale = np.abs(A) + np.abs(B) + np.abs(C) + 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         disc = B * B - 4.0 * A * C
         sq = np.sqrt(np.maximum(disc, 0.0))
         quad = np.abs(A) > 1e-14 * scale
-        roots = np.full((L.shape[0], 2), np.nan)
-        roots[quad, 0] = (-B[quad] - sq[quad]) / (2.0 * A[quad])
-        roots[quad, 1] = (-B[quad] + sq[quad]) / (2.0 * A[quad])
         lin = (~quad) & (np.abs(B) > 1e-14 * scale)
-        roots[lin, 0] = -C[lin] / B[lin]
-        roots[quad & (disc < 0), :] = np.nan
-    for col in range(2):
-        t = roots[:, col]
-        ok = np.isfinite(t) & (t > 0.0) & (t < L)
-        if np.any(ok):
-            tt = t[ok]
-            val = np.exp(2.0 * (g[:-1][ok] + tt)) * (
-                alpha[ok] * tt * tt + beta[ok] * tt + gam[ok])
-            best = max(best, float(np.max(val)))
+        real = quad & ~(disc < 0)
+        roots = (np.where(real, (-B - sq) / (2.0 * A),
+                          np.where(lin, -C / B, np.nan)),
+                 np.where(real, (-B + sq) / (2.0 * A), np.nan))
+        for t in roots:
+            ok = np.isfinite(t) & (t > 0.0) & (t < L)
+            if not ok.any():
+                continue
+            val = np.exp(2.0 * (g[:-1] + t)) * (alpha * t * t + beta * t + gam)
+            peak = np.max(np.where(ok, val, -np.inf), axis=-1)
+            # Python's max(best, peak): a NaN peak leaves best
+            best = np.where(peak > best, peak, best)
     return best
 
 
@@ -271,41 +328,54 @@ def _maxexp_eval(P, phi: HistoryFunction) -> float:
 
 def driver_derivative_closed(V: Functional, phi: HistoryFunction, w) -> float:
     """Exact derivative of max-free trees on piecewise-linear histories."""
+    w = _slope_row(phi, w)
+    return float(_closed(V, phi.delay, phi.grid, phi.values[None], w[None])[0])
+
+
+def _slope_row(phi: HistoryFunction, w) -> np.ndarray:
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    if isinstance(V, PointQuadratic):
-        return float(2.0 * phi.eval(0.0) @ V.Q @ w)
+    if w.shape != (phi.n,):
+        raise ValueError(f"slope must have shape ({phi.n},)")
+    return w
+
+
+def _closed(V: Functional, delay: float, grid, values, w) -> np.ndarray:
+    """Closed-form derivative of each history of the batch along its
+    slope row of w (B, n)."""
+    if isinstance(V, PointQuadratic) or (isinstance(V, DelayedQuadratic)
+                                         and V.at == 0.0):
+        return 2.0 * _xQy(_eval_on_grid(delay, grid, values, 0.0), V.Q, w)
     if isinstance(V, DelayedQuadratic):
-        if V.at == 0.0:
-            return float(2.0 * phi.eval(0.0) @ V.Q @ w)
-        slope = _right_slope(phi, V.at)
-        return float(2.0 * phi.eval(V.at) @ V.Q @ slope)
+        slope = _right_slope(grid, values, V.at)
+        return 2.0 * _xQy(_eval_on_grid(delay, grid, values, V.at), V.Q, slope)
     if isinstance(V, IntegralQuadratic):
-        x0 = phi.eval(0.0)
-        xd = phi.eval(-phi.delay)
+        x0 = _eval_on_grid(delay, grid, values, 0.0)
+        xd = _eval_on_grid(delay, grid, values, -delay)
         wt = V.weight
-        boundary = (float(wt.value(0.0)) * float(x0 @ V.Q @ x0)
-                    - float(wt.value(-phi.delay)) * float(xd @ V.Q @ xd))
+        boundary = (float(wt.value(0.0)) * _xQy(x0, V.Q, x0)
+                    - float(wt.value(-delay)) * _xQy(xd, V.Q, xd))
         if wt.polynomial:
             return boundary
-        return boundary - _integral_eval(V.Q, wt.derivative, False, phi)
+        return boundary - _integral(V.Q, wt.derivative, False, delay, grid,
+                                    values)
     if isinstance(V, Scale):
-        return V.k * driver_derivative_closed(V.inner, phi, w)
+        return V.k * _closed(V.inner, delay, grid, values, w)
     if isinstance(V, Sum):
-        return (driver_derivative_closed(V.left, phi, w)
-                + driver_derivative_closed(V.right, phi, w))
+        return (_closed(V.left, delay, grid, values, w)
+                + _closed(V.right, delay, grid, values, w))
     if isinstance(V, MaxExp):
         raise ValueError("max-type terms have no closed-form derivative; "
                          "use driver_derivative_numeric")
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _right_slope(phi: HistoryFunction, tau: float) -> np.ndarray:
-    if phi.grid.shape[0] < 2:
-        return np.zeros(phi.n)
-    idx = int(np.searchsorted(phi.grid, tau, side="right"))
-    idx = min(max(idx, 1), phi.grid.shape[0] - 1)
-    return ((phi.values[idx] - phi.values[idx - 1])
-            / (phi.grid[idx] - phi.grid[idx - 1]))
+def _right_slope(grid, values, tau: float) -> np.ndarray:
+    if grid.shape[0] < 2:
+        return np.zeros((values.shape[0], values.shape[-1]))
+    idx = int(np.searchsorted(grid, tau, side="right"))
+    idx = min(max(idx, 1), grid.shape[0] - 1)
+    return ((values[:, idx] - values[:, idx - 1])
+            / (grid[idx] - grid[idx - 1]))
 
 
 def driver_derivative_numeric(V: Functional, phi: HistoryFunction, w,
@@ -313,18 +383,38 @@ def driver_derivative_numeric(V: Functional, phi: HistoryFunction, w,
     """max over a decreasing step schedule of the extension quotient
     (V(phi_{h,w}) - V(phi)) / h, approximating the upper limit from
     above.  Default schedule: (1e-2, 1e-3, 1e-4) * delay."""
-    if phi.delay <= 0:
+    hs = _step_schedule(phi.delay, h_schedule)
+    w = _slope_row(phi, w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("slope must be finite")
+    return float(_numeric(V, phi.delay, phi.grid, phi.values[None], w[None],
+                          hs)[0])
+
+
+def _step_schedule(delay: float, h_schedule=None) -> list[float]:
+    if delay <= 0:
         raise ValueError("numeric derivative needs a positive delay")
     if h_schedule is None:
-        h_schedule = tuple(f * phi.delay for f in DEFAULT_H_FRACTIONS)
+        h_schedule = tuple(f * delay for f in DEFAULT_H_FRACTIONS)
     hs = [float(h) for h in h_schedule]
-    if not hs or any(h <= 0 or h >= phi.delay for h in hs):
+    if not hs or any(h <= 0 or h >= delay for h in hs):
         raise ValueError("step schedule must be positive and below the delay")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("step schedule must be decreasing")
-    base = eval_functional(V, phi)
-    return max((eval_functional(V, driver_extension(phi, h, w)) - base) / h
-               for h in hs)
+    return hs
+
+
+def _numeric(V: Functional, delay: float, grid, values, w, hs) -> np.ndarray:
+    """Extension quotient of each history of the batch along its slope
+    row of w (B, n), maximised over the steps hs."""
+    base = _values(V, delay, grid, values)
+    best = None
+    for h in hs:
+        ext_grid, ext_values = _extend_on_grid(delay, grid, values, h, w)
+        q = (_values(V, delay, ext_grid, ext_values) - base) / h
+        # Python's max over the steps: a later step wins only when larger
+        best = q if best is None else np.where(q > best, q, best)
+    return best
 
 
 def v0_max(P) -> Callable[[HistoryFunction], float]:
@@ -374,11 +464,12 @@ class PowerGain:
         if self.coefficient > 0 and self.exponent <= 0:
             raise ValueError("gain exponent must be positive")
 
-    def __call__(self, s: float) -> float:
-        if s < 0:
+    def __call__(self, s):
+        """gamma(s) of a scalar, or of each entry of an array."""
+        if np.any(np.less(s, 0)):
             raise ValueError("gains are defined for s >= 0")
         if self.coefficient == 0.0:
-            return 0.0
+            return np.zeros_like(s) if isinstance(s, np.ndarray) else 0.0
         return self.coefficient * s ** self.exponent
 
     def inverse(self, y: float) -> float:

@@ -15,7 +15,9 @@ by h and continues linearly with slope w on [-h, 0].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,8 +42,8 @@ def _edge_tol(delay: float) -> float:
 class HistoryFunction:
     """Sampled curve on [-delay, 0], piecewise linear between its nodes.
 
-    Immutable after construction; instances are safe to share across
-    parallel workers.
+    Immutable after construction: the grid and values arrays are
+    read-only, and histories may share one grid.
     """
 
     delay: float
@@ -90,23 +92,7 @@ class HistoryFunction:
 
         Accepts a scalar or a 1-d array of query points.
         """
-        tau = np.asarray(tau, dtype=float)
-        scalar = tau.ndim == 0
-        t = np.atleast_1d(tau)
-        tol = _edge_tol(self.delay)
-        if np.any(t < -self.delay - tol) or np.any(t > tol):
-            raise ValueError(f"tau outside [-{self.delay}, 0]")
-        t = np.clip(t, -self.delay, 0.0)
-        if self.grid.shape[0] == 1:
-            out = np.broadcast_to(self.values[0], (t.shape[0], self.n)).copy()
-        else:
-            idx = np.clip(np.searchsorted(self.grid, t, side="right") - 1,
-                          0, self.grid.shape[0] - 2)
-            g0 = self.grid[idx]
-            span = self.grid[idx + 1] - g0
-            lam = (t - g0) / span
-            out = (1.0 - lam)[:, None] * self.values[idx] + lam[:, None] * self.values[idx + 1]
-        return out[0] if scalar else out
+        return _eval_on_grid(self.delay, self.grid, self.values, tau)
 
     def sup_norm(self) -> float:
         """sup of |phi(tau)| over [-delay, 0], exact: the Euclidean norm
@@ -135,30 +121,56 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     norm_bound = 0).  `seed` may be an int or a tuple of ints; the same
     seed always yields a bitwise-identical history.
     """
-    if norm_bound < 0:
-        raise ValueError("norm_bound must be >= 0")
+    if not delay >= 0:
+        raise ValueError("delay must be nonnegative")
+    if not 0 <= norm_bound < math.inf:
+        raise ValueError("norm_bound must be finite and >= 0")
     if modes < 0:
         raise ValueError("modes must be >= 0")
     rng = np.random.default_rng(seed)
-    const = rng.standard_normal(n)
+    # the constant, then each mode's cosine and sine amplitudes, drawn in
+    # the order of one vector at a time
+    draws = rng.standard_normal((1 + 2 * modes, n))
     if delay == 0.0:
-        values = const[None, :]
-        grid = np.array([0.0])
+        grid, values = _ZERO_GRID, draws[:1]
     else:
-        npts = max(2, 8 * modes + 1)
-        grid = np.linspace(-delay, 0.0, npts)
-        values = np.tile(const, (npts, 1))
-        for j in range(1, modes + 1):
-            amp_c = rng.standard_normal(n)
-            amp_s = rng.standard_normal(n)
-            phase = j * np.pi * grid / delay
-            values = values + np.outer(np.cos(phase), amp_c) + np.outer(np.sin(phase), amp_s)
+        grid, cos, sin = _fourier_basis(delay, modes)
+        # (term, component, node): the constant, then each mode's cosine
+        # and sine term
+        terms = np.empty((1 + 2 * modes, n, grid.shape[0]))
+        terms[0] = draws[0, :, None]
+        terms[1::2] = draws[1::2, :, None] * cos[:, None, :]
+        terms[2::2] = draws[2::2, :, None] * sin[:, None, :]
+        # summed one term after another, constant first
+        values = np.add.reduce(terms, axis=0).T.copy()
     peak = float(np.max(np.linalg.norm(values, axis=1)))
     if norm_bound == 0.0 or peak == 0.0:
         values = np.zeros_like(values)
     else:
         values = values * (norm_bound / peak)
-    return HistoryFunction(delay, grid, values)
+    values.flags.writeable = False
+    # valid by construction, and the grid is shared by every random
+    # history with the same delay and mode count
+    return HistoryFunction._trusted(delay, grid, values)
+
+
+_ZERO_GRID = np.array([0.0])
+_ZERO_GRID.flags.writeable = False
+
+
+@lru_cache(maxsize=64)
+def _fourier_basis(delay: float, modes: int):
+    """The read-only grid of the random histories with `modes` modes on
+    [-delay, 0], and cos(j pi tau / delay) and sin(j pi tau / delay) on
+    it, j = 1..modes, one mode per row."""
+    grid = np.linspace(-delay, 0.0, max(2, 8 * modes + 1))
+    if np.any(np.diff(grid) <= 0):
+        raise ValueError("delay too small for a strictly increasing grid")
+    phase = np.arange(1, modes + 1)[:, None] * np.pi * grid / delay
+    basis = (grid, np.cos(phase), np.sin(phase))
+    for array in basis:
+        array.flags.writeable = False
+    return basis
 
 
 def driver_extension(phi: HistoryFunction, h: float, w) -> HistoryFunction:
@@ -176,16 +188,47 @@ def driver_extension(phi: HistoryFunction, h: float, w) -> HistoryFunction:
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.shape != (phi.n,):
         raise ValueError(f"slope must have shape ({phi.n},)")
-    tol = _DEDUPE_REL * max(1.0, phi.delay)
-    shifted = phi.grid - h
-    keep = (shifted > -phi.delay + tol) & (shifted < -h - tol)
-    mid_grid = shifted[keep]
-    mid_vals = phi.values[keep]
-    head = phi.eval(-phi.delay + h)
-    tail_val = phi.values[-1] + h * w
-    grid = np.concatenate(([-phi.delay], mid_grid, [-h, 0.0]))
-    values = np.vstack([head, mid_vals, phi.values[-1], tail_val])
+    grid, values = _extend_on_grid(phi.delay, phi.grid, phi.values, h, w)
     return HistoryFunction(phi.delay, grid, values)
+
+
+def _eval_on_grid(delay, grid, values, tau):
+    """phi(tau) for each history of `values` (..., len(grid), n) on the
+    shared `grid`: (..., n) for a scalar tau, (..., len(tau), n) for a
+    1-d array."""
+    tau = np.asarray(tau, dtype=float)
+    t = np.atleast_1d(tau)
+    tol = _edge_tol(delay)
+    if np.any(t < -delay - tol) or np.any(t > tol):
+        raise ValueError(f"tau outside [-{delay}, 0]")
+    t = np.minimum(np.maximum(t, -delay), 0.0)
+    if grid.shape[0] == 1:
+        out = np.broadcast_to(values[..., :1, :],
+                              values.shape[:-2] + (t.shape[0], values.shape[-1]))
+        out = out.copy()
+    else:
+        idx = np.searchsorted(grid, t, side="right") - 1
+        idx = np.minimum(np.maximum(idx, 0), grid.shape[0] - 2)
+        g0 = grid[idx]
+        span = grid[idx + 1] - g0
+        lam = ((t - g0) / span)[:, None]
+        out = (1.0 - lam) * values[..., idx, :] + lam * values[..., idx + 1, :]
+    return out[..., 0, :] if tau.ndim == 0 else out
+
+
+def _extend_on_grid(delay, grid, values, h, w):
+    """The extension by the step h of each history of `values`
+    (..., len(grid), n) on the shared `grid`, with its slope row of w
+    (..., n): the new shared grid and the extended values."""
+    tol = _DEDUPE_REL * max(1.0, delay)
+    shifted = grid - h
+    keep = (shifted > -delay + tol) & (shifted < -h - tol)
+    head = _eval_on_grid(delay, grid, values, np.array([-delay + h]))
+    last = values[..., -1:, :]
+    new_grid = np.concatenate(([-delay], shifted[keep], [-h, 0.0]))
+    new_values = np.concatenate(
+        [head, values[..., keep, :], last, last + h * w[..., None, :]], axis=-2)
+    return new_grid, new_values
 
 
 def window(traj, t: float) -> HistoryFunction:

@@ -54,7 +54,9 @@ class DelaySystem:
     field: Callable[[HistoryFunction, np.ndarray], np.ndarray]
     name: str = ""
     # the formula f(x(t), x(t - delay), v) of a field that reads the
-    # history only at 0 and -delay; the solver's fast path
+    # history only at 0 and -delay; the solver's fast path.  The solver
+    # calls it with vectors, the falsification checks with (n, B) and
+    # (m, B) columns, so it must broadcast like the built-in formulas.
     pointwise: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):

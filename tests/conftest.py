@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from krasovskii.functionals import IntegralQuadratic, PointQuadratic, Sum
+
+# property tests draw the same examples on every run, keep no example
+# database and have no deadline: the tier-1 suite stays deterministic on
+# a loaded machine
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
 
 
 def standard_lkf():

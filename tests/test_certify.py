@@ -1,11 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from krasovskii import certify
 from krasovskii.certify import (
+    CheckReport,
     FalsificationSampler,
     InfeasibilityError,
+    NO_VIOLATION,
+    VIOLATED,
     check_left_growth,
     check_pointwise_dissipation,
     check_right_growth,
@@ -20,9 +27,30 @@ from krasovskii.certify import (
     history_term_constants,
     two_inequality_to_expiss,
 )
-from krasovskii.functionals import PointQuadratic, Scale, square_gain, zero_gain
+from krasovskii.functionals import (
+    DelayedQuadratic,
+    ExponentialWeight,
+    IntegralQuadratic,
+    PointQuadratic,
+    Scale,
+    combine_W,
+    contains_maxexp,
+    driver_derivative_closed,
+    driver_derivative_numeric,
+    eval_functional,
+    square_gain,
+    zero_gain,
+)
 from krasovskii.histories import constant_history
-from krasovskii.systems import DelaySystem, make_example1, make_example3
+from krasovskii.systems import (
+    DELAYED_UNCERTAINTY,
+    DelaySystem,
+    UncertaintyPair,
+    make_example1,
+    make_example2,
+    make_example3,
+    make_linear_baseline,
+)
 
 EYE = np.eye(2)
 
@@ -360,3 +388,359 @@ class TestChecks:
         rows = rep.csv_rows()
         assert rows[0][0] == "check" and rows[0][6] == "violated"
         assert "not a proof" in rep.text()
+
+
+# ---------------------------------------------------------------------------
+# the batched sweep against the per-sample loop it replaced
+
+def per_sample_reference(check, residual_fn, sampler, budget, tolerance):
+    """Reference: the sweep as a loop over single samples, each residual
+    computed on its own by residual_fn(phi, v)."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+    def one(i):
+        phi, v = sampler.sample(i)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                r = residual_fn(phi, v)
+        except (FloatingPointError, OverflowError):
+            return None
+        if not np.isfinite(r):
+            return None
+        return float(r)
+
+    worst = -math.inf
+    worst_idx = None
+    skipped = 0
+    for i, r in enumerate([one(i) for i in range(budget)]):
+        if r is None:
+            skipped += 1
+        elif r > worst:
+            worst, worst_idx = r, i
+    if worst_idx is None:
+        raise RuntimeError(f"every sample of check {check} was skipped")
+    if worst > tolerance:
+        return CheckReport(check, budget, skipped, worst, tolerance, VIOLATED,
+                           sampler.sample(worst_idx), worst_idx)
+    return CheckReport(check, budget, skipped, worst, tolerance, NO_VIOLATION)
+
+
+def reference_sandwich(V, a_lower, a_upper, rho):
+    def residual(phi, v):
+        val = eval_functional(V, phi)
+        upper = val - a_upper * phi.sup_norm() ** rho
+        if a_lower is None:
+            return upper
+        x0 = float(np.linalg.norm(phi.eval(0.0)))
+        return max(upper, a_lower * x0 ** rho - val)
+
+    return residual
+
+
+def reference_field(sys, phi, v):
+    w = sys.field(phi, np.atleast_1d(v))
+    if not np.all(np.isfinite(w)):
+        raise FloatingPointError("field evaluation blew up")
+    return w
+
+
+def reference_dissipation(sys, V, a, c, gamma):
+    closed = not contains_maxexp(V)
+
+    def residual(phi, v):
+        w = reference_field(sys, phi, v)
+        if closed:
+            d = driver_derivative_closed(V, phi, w)
+        else:
+            d = driver_derivative_numeric(V, phi, w)
+        x0 = float(np.linalg.norm(phi.eval(0.0)))
+        return (d + a * x0 ** 2 - c * phi.sup_norm() ** 2
+                - gamma(float(np.linalg.norm(v))))
+
+    return residual
+
+
+def reference_growth(sys, P, sigma, gamma, sign):
+    def residual(phi, v):
+        w = reference_field(sys, phi, v)
+        lhs = float(phi.eval(0.0) @ P @ w)
+        cap = sigma * (phi.sup_norm() ** 2 + gamma(float(np.linalg.norm(v))))
+        return lhs - cap if sign > 0 else -lhs - cap
+
+    return residual
+
+
+class MemoSampler:
+    """A FalsificationSampler whose draws are kept, so the reference and
+    the batched sweep read the very same samples without drawing twice."""
+
+    def __init__(self, seed, n, delay):
+        self.inner = FalsificationSampler(seed, n, 1, delay)
+        self.drawn = {}
+
+    def sample(self, i):
+        if i not in self.drawn:
+            self.drawn[i] = self.inner.sample(i)
+        return self.drawn[i]
+
+
+def explosive_pointwise(x, xd, v):
+    # overflows to inf at norm scale 10, and only there
+    return np.array([np.expm1(100.0 * x[0] ** 2) * x[0], 0.0 * x[1]])
+
+
+def parity_systems(delay):
+    n = 2
+    mean_first = UncertaintyPair(
+        lambda phi: float(np.mean(phi.values[:, 0])),
+        lambda phi: float(phi.eval(-0.5 * phi.delay)[1]))
+    return {
+        "example1": make_example1(delay),
+        "example2-delayed": make_example2(delay, 0.05, DELAYED_UNCERTAINTY),
+        "example3": make_example3(delay),
+        "linear": make_linear_baseline(1.0, 0.5, delay),
+        "example2-user-pair": make_example2(delay, 0.05, mean_first),
+        "explosive-pointwise": DelaySystem(
+            n, 1, delay, lambda phi, v: explosive_pointwise(
+                phi.eval(0.0), phi.eval(-delay), v), "explosive", explosive_pointwise),
+        "explosive-field": DelaySystem(
+            n, 1, delay, lambda phi, v: explosive_pointwise(
+                phi.eval(0.0), phi.eval(-delay), v), "explosive"),
+    }
+
+
+def parity_functionals(n, delay=1.0):
+    eye = np.eye(n)
+    base = PointQuadratic(eye) + IntegralQuadratic(np.diag([0.0] * (n - 1) + [2.0]))
+    return {
+        "point": PointQuadratic(np.array([[2.0, 0.3], [0.3, 1.0]])[:n, :n]),
+        "delayed": DelayedQuadratic(eye, -0.3 * delay),
+        "integral-constant": base,
+        "integral-exponential": PointQuadratic(eye) + IntegralQuadratic(
+            eye, ExponentialWeight(1.5, 0.7)),
+        "combined-W": combine_W(base, 0.02, eye),
+    }
+
+
+PARITY_SYSTEMS = ("example1", "example2-delayed", "example2-user-pair",
+                  "example3", "explosive-field", "explosive-pointwise", "linear")
+PARITY_FUNCTIONALS = ("combined-W", "delayed", "integral-constant",
+                      "integral-exponential", "point")
+PARITY_BUDGETS = (1, 35, 37, 576)
+PARITY_DELAYS = (1.0, 0.2)
+
+
+def assert_same_report(got, ref):
+    assert got.verdict == ref.verdict
+    assert got.samples == ref.samples
+    assert got.skipped == ref.skipped
+    assert got.witness_index == ref.witness_index
+    assert got.worst == pytest.approx(ref.worst, rel=1e-12, abs=0.0)
+    if ref.witness is not None:
+        assert got.witness[0] is ref.witness[0]
+
+
+def memoized(residual_fn):
+    """residual_fn with its value or exception kept per sample, so the
+    references of the nested budgets compute each residual once."""
+    seen = {}
+
+    def residual(phi, v):
+        key = id(phi)
+        if key not in seen:
+            try:
+                seen[key] = (residual_fn(phi, v), None)
+            except (FloatingPointError, OverflowError) as exc:
+                seen[key] = (None, exc)
+        value, exc = seen[key]
+        if exc is not None:
+            raise exc
+        return value
+
+    return residual
+
+
+def assert_parity(check, batched, reference, sampler, tolerance=1e-9):
+    reference = memoized(reference)
+    for budget in PARITY_BUDGETS:
+        try:
+            ref = per_sample_reference(check, reference, sampler, budget,
+                                       tolerance)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                batched(budget)
+            continue
+        assert_same_report(batched(budget), ref)
+
+
+class TestBatchedSweepParity:
+    @pytest.mark.parametrize("delay", PARITY_DELAYS)
+    @pytest.mark.parametrize("name", PARITY_FUNCTIONALS)
+    def test_sandwich(self, name, delay):
+        V = parity_functionals(2, delay)[name]
+        s = MemoSampler(31, 2, delay)
+        for a_lower, a_upper in ((1.0, 3.0), (None, 1.2)):
+            assert_parity(
+                "sandwich",
+                lambda b: check_sandwich(V, a_lower, a_upper, 2.0, s, b),
+                reference_sandwich(V, a_lower, a_upper, 2.0), s)
+
+    @pytest.mark.parametrize("delay", PARITY_DELAYS)
+    @pytest.mark.parametrize("system", PARITY_SYSTEMS)
+    def test_dissipation(self, system, delay):
+        # every functional on example1; on the other systems one closed
+        # form and the numeric quotient of the combined functional, and
+        # on the exploding fields, whose skips are the point, one
+        sys = parity_systems(delay)[system]
+        s = MemoSampler(32, sys.n, delay)
+        gain = square_gain(0.5)
+        functionals = parity_functionals(sys.n, delay)
+        keep = {"example1": functionals.keys(),
+                "linear": ("point", "combined-W"),
+                "explosive-field": ("integral-constant",),
+                "explosive-pointwise": ("integral-constant",)}.get(
+                    system, ("integral-constant", "combined-W"))
+        functionals = {k: functionals[k] for k in keep}
+        for V in functionals.values():
+            assert_parity(
+                "pointwise-dissipation",
+                lambda b: check_pointwise_dissipation(sys, V, 0.5, 0.01, gain,
+                                                      s, b),
+                reference_dissipation(sys, V, 0.5, 0.01, gain), s)
+
+    @pytest.mark.parametrize("delay", PARITY_DELAYS)
+    @pytest.mark.parametrize("system", PARITY_SYSTEMS)
+    def test_growth(self, system, delay):
+        sys = parity_systems(delay)[system]
+        s = MemoSampler(33, sys.n, delay)
+        P = np.array([[2.0, 0.3], [0.3, 1.0]])[:sys.n, :sys.n]
+        assert_parity(
+            "right-growth",
+            lambda b: check_right_growth(sys, P, 1.0, square_gain(), s, b),
+            reference_growth(sys, P, 1.0, square_gain(), +1), s)
+        assert_parity(
+            "left-growth",
+            lambda b: check_left_growth(sys, P, 3.0, zero_gain(), s, b),
+            reference_growth(sys, P, 3.0, zero_gain(), -1), s)
+
+    def test_forced_skips_are_counted(self):
+        sys = parity_systems(1.0)["explosive-pointwise"]
+        rep = check_right_growth(sys, EYE, 1.0, square_gain(),
+                                 MemoSampler(34, 2, 1.0), 576)
+        # only norm scale 10, every third stratum, overflows
+        assert 0 < rep.skipped <= 192
+
+    def test_pointwise_formula_must_broadcast(self):
+        def by_components(x, xd, v):
+            return np.array([float(x[0]) * 0.0, 0.0])
+
+        sys = DelaySystem(2, 1, 1.0, lambda phi, v: by_components(
+            phi.eval(0.0), phi.eval(-1.0), v), "scalar-only", by_components)
+        with pytest.raises((ValueError, TypeError)):
+            check_right_growth(sys, EYE, 1.0, square_gain(),
+                               sampler_for(sys), 10)
+
+
+def report_key(rep):
+    return (rep.check, rep.samples, rep.skipped, rep.worst, rep.verdict,
+            rep.witness_index)
+
+
+class TestBlockSizeIndependence:
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2 ** 32 - 1), budget=st.integers(1, 120),
+           kind=st.sampled_from(["sandwich", "dissipation", "W-dissipation",
+                                 "right-growth", "left-growth"]))
+    @example(seed=20260809, budget=120, kind="sandwich")
+    @example(seed=20260809, budget=109, kind="W-dissipation")
+    def test_reports_identical_for_any_block(self, seed, budget, kind):
+        sys = make_example1(1.0)
+        V = PointQuadratic(EYE) + IntegralQuadratic(np.diag([0.0, 2.0]))
+        s = MemoSampler(seed, 2, 1.0)
+        sweeps = {
+            "sandwich": lambda: check_sandwich(V, 1.0, 1.5, 2.0, s, budget),
+            "dissipation": lambda: check_pointwise_dissipation(
+                sys, V, 1.0, 0.0, square_gain(), s, budget),
+            "W-dissipation": lambda: check_pointwise_dissipation(
+                sys, combine_W(V, 0.02, EYE), 0.5, 0.04, square_gain(1.04),
+                s, budget),
+            "right-growth": lambda: check_right_growth(
+                sys, EYE, 0.5, square_gain(), s, budget),
+            "left-growth": lambda: check_left_growth(
+                sys, EYE, 1.0, square_gain(), s, budget),
+        }
+        reports = []
+        for size in (1, 7, 36, budget):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(certify, "_BLOCK", size)
+                reports.append(report_key(sweeps[kind]()))
+        assert all(rep == reports[0] for rep in reports)
+
+
+# ---------------------------------------------------------------------------
+# closed forms of acceptance criteria 01-02 against 50-digit evaluations
+
+def assert_close(value, oracle, rel=1e-13):
+    assert abs(value - float(oracle)) <= rel * abs(float(oracle))
+
+
+class TestMpmathOracles:
+    @pytest.fixture(autouse=True)
+    def fifty_digits(self):
+        with mpmath.workdps(50):
+            yield
+
+    @pytest.mark.parametrize("delay", [0.0, 0.5, 1.0, 2.0, 4.5])
+    def test_margin_right(self, delay):
+        a, sigma, p_m, p_M = (mpmath.mpf(0.5), mpmath.mpf(1), mpmath.mpf(1),
+                              mpmath.mpf(1))
+        decay = mpmath.exp(-2 * mpmath.mpf(delay))
+        eps = a * p_m * decay / (4 * sigma * p_M)
+        c_bar = min(2 * eps, a / (2 * p_M)) * p_m * decay
+        out = margin_right(a=0.5, sigma=1.0, P=EYE, delay=delay).outputs
+        assert_close(out["eps"], eps)
+        assert_close(out["c_bar"], c_bar)
+        assert_close(out["gamma_factor"], 1 + 2 * eps * sigma)
+        # criterion 01's closed form
+        assert_close(out["c_bar"], mpmath.exp(-4 * mpmath.mpf(delay)) / 4)
+
+    def test_margin_left_worked_values(self):
+        a_lower, a_upper, a, sigma = (mpmath.mpf(1), mpmath.mpf(3),
+                                      mpmath.mpf(0.5), mpmath.mpf(3))
+        p_m = p_M = mpmath.mpf(1)
+        delay = mpmath.mpf(1)
+        eps = p_m * a_lower ** 2 / (16 * a_upper ** 2 * sigma)
+        q = int(mpmath.ceil(p_M / (sigma * eps * eps)))
+        T = q * (delay + eps)
+        qe = q * eps
+        lam_min = mpmath.sqrt(
+            (2 * a_upper / a_lower + qe / p_M * (4 * eps * sigma * a_upper / a_lower))
+            * 2 * a_upper * p_M / (qe * p_m * a_lower))
+        out = margin_left(1.0, 3.0, 0.5, 3.0, EYE, 1.0).outputs
+        assert_close(out["eps"], eps)
+        assert out["q"] == q == 62208
+        assert_close(out["T"], T)
+        assert_close(out["c_bar"], a_lower / (2 * T))
+        assert_close(out["lam_min"], lam_min)
+
+    @pytest.mark.parametrize("c, delay", [(0.0, 1.0), (0.1, 1.0), (0.02, 2.5)])
+    def test_history_term_constants(self, c, delay):
+        a_lower, a_upper, a, rho = (mpmath.mpf(1), mpmath.mpf(3),
+                                    mpmath.mpf(0.5), mpmath.mpf(2))
+        c, d = mpmath.mpf(c), mpmath.mpf(delay)
+        growth = mpmath.exp(a * d)
+        base = c * growth / (a_lower * a)
+        eps = mpmath.mpf(0.5) * (1 / base - 1) if base > 0 else mpmath.mpf(0)
+        xi = 1 - base * (1 + eps)
+        rep = history_term_constants(1.0, 3.0, 0.5, 2.0, float(c), delay)
+        assert_close(rep.outputs["c_bar"], a_lower * a * mpmath.exp(-a * d))
+        if base > 0:
+            assert_close(rep.inputs["eps"], eps)
+        else:
+            assert rep.inputs["eps"] == 0.0
+        assert_close(rep.outputs["xi"], xi)
+        assert_close(rep.outputs["overshoot_k"],
+                     (2 * a_upper * growth / (a_lower * xi)) ** (1 / rho))
+        assert_close(rep.outputs["gain_prefactor"],
+                     (2 * growth * (1 + eps) / (a_lower * a * xi)) ** (1 / rho))

@@ -13,6 +13,32 @@ from krasovskii.histories import (
 )
 
 
+def per_mode_reference(seed, n, delay, norm_bound, modes):
+    """Reference: random_history as one draw and one sum per mode, the
+    form it had before the modes were drawn and summed in one pass."""
+    rng = np.random.default_rng(seed)
+    const = rng.standard_normal(n)
+    if delay == 0.0:
+        values = const[None, :]
+        grid = np.array([0.0])
+    else:
+        npts = max(2, 8 * modes + 1)
+        grid = np.linspace(-delay, 0.0, npts)
+        values = np.tile(const, (npts, 1))
+        for j in range(1, modes + 1):
+            amp_c = rng.standard_normal(n)
+            amp_s = rng.standard_normal(n)
+            phase = j * np.pi * grid / delay
+            values = (values + np.outer(np.cos(phase), amp_c)
+                      + np.outer(np.sin(phase), amp_s))
+    peak = float(np.max(np.linalg.norm(values, axis=1)))
+    if norm_bound == 0.0 or peak == 0.0:
+        values = np.zeros_like(values)
+    else:
+        values = values * (norm_bound / peak)
+    return HistoryFunction(delay, grid, values)
+
+
 def linear_history(delay, v_start, v_end):
     return HistoryFunction(delay, np.array([-delay, 0.0]),
                            np.array([np.atleast_1d(v_start),
@@ -137,6 +163,25 @@ class TestRandomHistory:
         a = random_history(1, 2, 1.0, 1.0, 2)
         b = random_history(2, 2, 1.0, 1.0, 2)
         assert not np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("modes", [0, 2, 8])
+    @pytest.mark.parametrize("norm_bound", [0.0, 10.0])
+    @pytest.mark.parametrize("delay", [1.0, 0.2, 0.0])
+    def test_matches_per_mode_reference(self, modes, norm_bound, delay):
+        for i in range(40):
+            for seed, n in (((20260809, i), 2), (i, 1), ((7, i, 3), 3)):
+                got = random_history(seed, n, delay, norm_bound, modes)
+                ref = per_mode_reference(seed, n, delay, norm_bound, modes)
+                assert np.array_equal(got.grid, ref.grid)
+                assert np.array_equal(got.values, ref.values)
+                assert not got.grid.flags.writeable
+                assert not got.values.flags.writeable
+
+    def test_rejects_bad_bounds(self):
+        for delay, bound in ((-1.0, 1.0), (float("nan"), 1.0),
+                             (1.0, -1.0), (1.0, float("inf"))):
+            with pytest.raises(ValueError):
+                random_history(1, 2, delay, bound, 2)
 
     def test_zero_delay(self):
         phi = random_history(3, 2, 0.0, 1.0, 5)

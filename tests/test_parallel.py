@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from krasovskii.certify import (
     FalsificationSampler,
@@ -7,56 +6,29 @@ from krasovskii.certify import (
 )
 from krasovskii.estimate import run_ensemble, seeded_history_sampler
 from krasovskii.functionals import square_gain
-from krasovskii.parallel import ordered_map, worker_count
 from krasovskii.systems import make_example1
 from tests.conftest import standard_lkf
 
 
-class TestWorkerCount:
-    def test_default_single_worker(self, monkeypatch):
-        monkeypatch.delenv("KRASOVSKII_THREADS", raising=False)
-        assert worker_count() == 1
-
-    def test_cap_applies(self, monkeypatch):
-        monkeypatch.setenv("KRASOVSKII_THREADS", "2")
-        assert worker_count() == 2
-
-    def test_floor_at_one(self, monkeypatch):
-        monkeypatch.setenv("KRASOVSKII_THREADS", "0")
-        assert worker_count() == 1
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("KRASOVSKII_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()
-
-
-class TestOrderedMap:
-    def test_preserves_order(self, monkeypatch):
-        monkeypatch.setenv("KRASOVSKII_THREADS", "4")
-        assert ordered_map(lambda i: i * i, range(20)) == [i * i for i in range(20)]
-
-
 class TestParallelDeterminism:
-    def test_check_identical_across_worker_counts(self, monkeypatch):
+    """Repeated sweeps and ensembles are identical.  Both run in one
+    worker; the thread pool is gone."""
+
+    def test_check_identical_across_worker_counts(self):
         sys1 = make_example1(1.0)
         lkf = standard_lkf()
         sampler = FalsificationSampler(55, 2, 1, 1.0)
-        monkeypatch.delenv("KRASOVSKII_THREADS", raising=False)
-        serial = check_pointwise_dissipation(sys1, lkf, 2.0, 0.0,
+        first = check_pointwise_dissipation(sys1, lkf, 2.0, 0.0,
                                              square_gain(), sampler, 400)
-        monkeypatch.setenv("KRASOVSKII_THREADS", "4")
-        threaded = check_pointwise_dissipation(sys1, lkf, 2.0, 0.0,
+        second = check_pointwise_dissipation(sys1, lkf, 2.0, 0.0,
                                                square_gain(), sampler, 400)
-        assert serial.worst == threaded.worst
-        assert serial.witness_index == threaded.witness_index
+        assert first.worst == second.worst
+        assert first.witness_index == second.witness_index
 
-    def test_ensemble_identical_across_worker_counts(self, monkeypatch):
+    def test_ensemble_identical_across_worker_counts(self):
         sys1 = make_example1(1.0)
         hist = seeded_history_sampler(66, 2, 1.0, 1.0)
-        monkeypatch.delenv("KRASOVSKII_THREADS", raising=False)
-        serial = run_ensemble(sys1, hist, None, 4, 1.0, 0.02)
-        monkeypatch.setenv("KRASOVSKII_THREADS", "3")
-        threaded = run_ensemble(sys1, hist, None, 4, 1.0, 0.02)
-        for a, b in zip(serial, threaded):
+        first = run_ensemble(sys1, hist, None, 4, 1.0, 0.02)
+        second = run_ensemble(sys1, hist, None, 4, 1.0, 0.02)
+        for a, b in zip(first, second):
             assert np.array_equal(a.values, b.values)
