@@ -5,6 +5,12 @@ section names (diff-friendly; exact grammar in the README).  Runs are
 deterministic given config + seed: output CSVs are byte-identical apart
 from one leading "# generated" timestamp comment line.
 
+A config is read in two steps: `parse_config_file` splits the file into
+raw key -> text pairs, and `load_config` parses every value once, against
+the one declaration of its key (parser, range and default), applies the
+command-line overrides and checks the hypothesis constants for coherence.
+The commands only read parsed values.
+
 Exit codes: 0 all checks passed / quantities computed, 1 a violation or
 refutation was found, 2 configuration error.
 """
@@ -13,42 +19,163 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import certify, estimate, functionals, solver, systems
+from . import certify, estimate, functionals, histories, solver, systems
 
-__all__ = ["main", "run", "parse_config_file", "ConfigError"]
+__all__ = ["main", "run", "load_config", "parse_config_file", "ConfigError"]
+
+_COMMANDS = ("simulate", "certify", "margin", "envelope", "falsify",
+             "example2-margins")
+
+# stream tags of the simulated history and noise input: generator keys
+# (seed, stream, ...) never coincide between the two
+_HISTORY, _NOISE = 0, 1
 
 
 class ConfigError(Exception):
     pass
 
 
-# ---------------------------------------------------------------------------
-# config parsing
+class Config(dict):
+    """Parsed values by key.  Reading an absent key that has no default
+    is a configuration error naming the key; `get` returns None."""
 
-_KNOWN_KEYS = {
-    "command", "seed", "budget", "horizon", "step", "out", "tolerance",
-    "system.name", "system.delay", "system.a", "system.b", "system.epsilon",
-    "system.uncertainty",
-    "constants.a_lower", "constants.a_upper", "constants.a", "constants.c",
-    "constants.rho", "constants.sigma_right", "constants.sigma_left",
-    "constants.gamma", "constants.P",
-    "history.kind", "history.bound", "history.modes", "history.value",
-    "history.seed",
-    "input.kind", "input.value", "input.t_switch", "input.before",
-    "input.after", "input.amplitude", "input.omega", "input.phase",
-    "input.switch_dt",
-    "ensemble.count", "envelope.k_cap", "contraction.horizon",
-    "example2.deltas",
+    def __missing__(self, key):
+        raise ConfigError(f"missing config field {key!r}")
+
+
+# ---------------------------------------------------------------------------
+# value parsers: text (or an already typed override) -> value, raising
+# ValueError with what the field must be
+
+def _parser(expects, convert, ok):
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise ValueError(f"must be {expects}, got {text!r}")
+        return value
+    return parse
+
+
+def _number(low=-math.inf, above=False):
+    bound = "" if low == -math.inf else f" {'>' if above else '>='} {low:g}"
+    return _parser(f"a finite number{bound}", float, lambda x: math.isfinite(x)
+                   and (x > low if above else x >= low))
+
+
+def _integer(low):
+    return _parser(f"an integer >= {low}", int, lambda k: k >= low)
+
+
+def _choice(*names):
+    return _parser(" or ".join(map(repr, names)), str, lambda s: s in names)
+
+
+def _array(expects, convert):
+    return _parser(expects, lambda s: np.array(convert(s)),
+                   lambda x: x.size > 0 and np.all(np.isfinite(x)))
+
+
+def _gain(text):
+    parts = text.split()
+    if parts == ["zero"]:
+        return functionals.zero_gain()
+    if len(parts) != 3 or parts[0] != "power":
+        raise ValueError(f"must be 'power COEF EXP' or 'zero', got {text!r}")
+    return functionals.PowerGain(*map(_number(), parts[1:]))
+
+
+_positive = _number(0, above=True)
+_vector = _array("a finite vector like '1 0'",
+                 lambda s: [float(x) for x in s.split()])
+_matrix = _array("a finite matrix like '1 0; 0 1'",
+                 lambda s: [[float(x) for x in r.split()] for r in s.split(";")])
+
+# one declaration per key: (parser, default text or None for no default)
+_KEYS = {
+    "command": (_choice(*_COMMANDS), None),
+    "seed": (_integer(0), None),
+    "budget": (_integer(1), "1000"),
+    "horizon": (_positive, None),
+    "step": (_positive, None),
+    "out": (Path, "results"),
+    "tolerance": (_number(0), "1e-9"),
+    "system.name": (str, None),
+    "system.delay": (_number(0), None),
+    "system.a": (_number(), None),
+    "system.b": (_number(), None),
+    "system.epsilon": (_number(0), None),
+    "system.uncertainty": (_choice(*systems.UNCERTAINTIES), None),
+    "constants.a_lower": (_positive, None),
+    "constants.a_upper": (_positive, None),
+    "constants.a": (_positive, None),
+    "constants.c": (_number(0), "0"),
+    "constants.rho": (_positive, "2"),
+    "constants.sigma_right": (_positive, None),
+    "constants.sigma_left": (_positive, None),
+    "constants.gamma": (_gain, "power 1 2"),
+    "constants.P": (_matrix, None),
+    "history.kind": (_choice("random", "constant"), "random"),
+    "history.bound": (_number(0), "1"),
+    "history.modes": (_integer(0), "2"),
+    "history.value": (_vector, None),
+    "history.seed": (_integer(0), None),
+    "input.kind": (_choice("zero", "constant", "step", "sinusoid", "noise"),
+                   "zero"),
+    "input.value": (_vector, None),
+    "input.t_switch": (_number(), None),
+    "input.before": (_vector, None),
+    "input.after": (_vector, None),
+    "input.amplitude": (_number(), None),
+    "input.omega": (_number(), None),
+    "input.phase": (_number(), "0"),
+    "input.switch_dt": (_positive, None),
+    "ensemble.count": (_integer(1), "50"),
+    "envelope.k_cap": (_positive, "1e3"),
+    "contraction.horizon": (_positive, None),
+    "example2.deltas": (_parser(
+        "a list of finite numbers >= 0",
+        lambda s: [float(x) for x in s.replace(",", " ").split()],
+        lambda xs: xs and all(0 <= x < math.inf for x in xs)), "0 0.5 1 2 4.5"),
 }
+# the fields of each LKF term lkf.term.<i>.<field>
+_TERM_KEYS = {
+    "kind": (_choice("point_quadratic", "delayed_quadratic",
+                     "integral_quadratic", "max_exp"), None),
+    "matrix": (_matrix, None),
+    "lag": (_number(0), None),
+    "weight": (_number(), "1"),
+    "weight_rate": (_number(), None),
+    "scale": (_number(), "1"),
+}
+_TERM = re.compile(r"lkf\.term\.(0|[1-9][0-9]*)\.")
+
+
+def _declarations(keys) -> dict:
+    """The declared keys: the fixed ones plus the fields of every LKF
+    term index among `keys`.  An undeclared key is an error."""
+    decl = dict(_KEYS)
+    for i in sorted({m[1] for m in map(_TERM.match, keys) if m}, key=int):
+        decl.update({f"lkf.term.{i}.{k}": d for k, d in _TERM_KEYS.items()})
+    for key in keys:
+        if key not in decl:
+            raise ConfigError(f"unknown config field {key!r}")
+    return decl
 
 
 def parse_config_file(path) -> dict:
+    """The raw key -> text pairs of a config file; keys are checked
+    against the declarations, values are left unparsed."""
     cfg = {}
     try:
         text = Path(path).read_text()
@@ -64,163 +191,101 @@ def parse_config_file(path) -> dict:
         if key in cfg:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key}")
         cfg[key] = value
-    for key in cfg:
-        if key not in _KNOWN_KEYS and not key.startswith("lkf.term."):
-            raise ConfigError(f"unknown config field {key!r}")
+    _declarations(cfg)
     return cfg
 
 
-def _require(cfg, key):
-    if key not in cfg:
-        raise ConfigError(f"missing config field {key!r}")
-    return cfg[key]
-
-
-def _as_float(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config field {key!r}")
-        return default
+def load_config(raw: dict, command: str | None = None, seed: int | None = None,
+                out: str | None = None, budget: int | None = None) -> Config:
+    """Parse a raw config once.  The subcommand and the --seed, --out and
+    --budget options override their keys and are parsed like them;
+    history.seed defaults to the run seed."""
+    overrides = {"command": command, "seed": seed, "out": out, "budget": budget}
+    raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+    cfg = Config()
+    for key, (parse, default) in _declarations(raw).items():
+        text = raw.get(key, default)
+        if text is not None:
+            try:
+                cfg[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"field {key!r}: {exc}") from None
+    cfg.setdefault("history.seed", cfg["seed"])
     try:
-        return float(cfg[key])
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be a number, got {cfg[key]!r}")
-
-
-def _as_int(cfg, key, default=None):
-    if key not in cfg:
-        if default is None:
-            raise ConfigError(f"missing config field {key!r}")
-        return default
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be an integer, got {cfg[key]!r}")
-
-
-def _as_matrix(cfg, key):
-    raw = _require(cfg, key)
-    try:
-        rows = [[float(x) for x in row.split()] for row in raw.split(";")]
-        return np.array(rows)
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be a matrix like '1 0; 0 1'")
-
-
-def _as_vector(cfg, key):
-    raw = _require(cfg, key)
-    try:
-        return np.array([float(x) for x in raw.split()])
-    except ValueError:
-        raise ConfigError(f"field {key!r} must be a vector like '1 0'")
-
-
-def _gain_from(cfg, key):
-    raw = cfg.get(key, "power 1 2")
-    parts = raw.split()
-    if parts == ["zero"]:
-        return functionals.zero_gain()
-    if len(parts) == 3 and parts[0] == "power":
-        try:
-            return functionals.PowerGain(float(parts[1]), float(parts[2]))
-        except ValueError as exc:
-            raise ConfigError(f"field {key!r}: {exc}")
-    raise ConfigError(f"field {key!r} must be 'power COEF EXP' or 'zero'")
+        functionals.HypothesisConstants(
+            a_upper=cfg.get("constants.a_upper"), a=cfg.get("constants.a"),
+            rho=cfg["constants.rho"], a_lower=cfg.get("constants.a_lower"),
+            c=cfg["constants.c"], P=cfg.get("constants.P"),
+            gamma=cfg["constants.gamma"])
+    except ValueError as exc:
+        raise ConfigError(f"constants.*: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
 # object builders
 
-def _system_from(cfg) -> systems.DelaySystem:
-    name = _require(cfg, "system.name")
-    delay = _as_float(cfg, "system.delay")
-    params = {}
-    for short in ("a", "b", "epsilon", "uncertainty"):
-        key = f"system.{short}"
-        if key in cfg:
-            params[short] = cfg[key]
+def _system(cfg) -> systems.DelaySystem:
+    params = {k: cfg[f"system.{k}"] for k in ("a", "b", "epsilon", "uncertainty")
+              if f"system.{k}" in cfg}
     try:
-        return systems.build_system(name, delay, params)
+        return systems.build_system(cfg["system.name"], cfg["system.delay"],
+                                    params)
     except ValueError as exc:
-        raise ConfigError(f"field 'system.name': {exc}")
+        raise ConfigError(f"field 'system.name': {exc}") from None
 
 
-def _lkf_from(cfg) -> functionals.Functional:
-    indices = sorted({int(k.split(".")[2]) for k in cfg
-                      if k.startswith("lkf.term.")})
-    if not indices:
+def _lkf(cfg) -> functionals.Functional:
+    # "lkf.term.<i>." prefixes, in index order as load_config stored them
+    prefixes = list(dict.fromkeys(m[0] for m in map(_TERM.match, cfg) if m))
+    if not prefixes:
         raise ConfigError("missing config field 'lkf.term.1.kind'")
     total = None
-    for i in indices:
-        prefix = f"lkf.term.{i}"
-        kind = _require(cfg, f"{prefix}.kind")
-        known = {f"{prefix}.{s}" for s in
-                 ("kind", "matrix", "weight", "weight_rate", "lag", "scale")}
-        for key in cfg:
-            if key.startswith(prefix + ".") and key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
-        matrix = _as_matrix(cfg, f"{prefix}.matrix")
+    for p in prefixes:
+        kind, matrix = cfg[p + "kind"], cfg[p + "matrix"]
         try:
             if kind == "point_quadratic":
                 term = functionals.PointQuadratic(matrix)
             elif kind == "delayed_quadratic":
-                lag = _as_float(cfg, f"{prefix}.lag")
-                term = functionals.DelayedQuadratic(matrix, -lag)
+                term = functionals.DelayedQuadratic(matrix, -cfg[p + "lag"])
             elif kind == "integral_quadratic":
-                c = _as_float(cfg, f"{prefix}.weight", 1.0)
-                if f"{prefix}.weight_rate" in cfg:
-                    weight = functionals.ExponentialWeight(
-                        c, _as_float(cfg, f"{prefix}.weight_rate"))
-                else:
-                    weight = functionals.ConstantWeight(c)
-                term = functionals.IntegralQuadratic(matrix, weight)
-            elif kind == "max_exp":
-                term = functionals.MaxExp(matrix)
+                c, rate = cfg[p + "weight"], cfg.get(p + "weight_rate")
+                term = functionals.IntegralQuadratic(
+                    matrix, functionals.ConstantWeight(c) if rate is None
+                    else functionals.ExponentialWeight(c, rate))
             else:
-                raise ConfigError(f"unknown LKF term kind {kind!r} "
-                                  f"in field '{prefix}.kind'")
+                term = functionals.MaxExp(matrix)
         except ValueError as exc:
-            raise ConfigError(f"field '{prefix}': {exc}")
-        scale = _as_float(cfg, f"{prefix}.scale", 1.0)
-        if scale != 1.0:
-            term = functionals.Scale(scale, term)
+            raise ConfigError(f"field '{p}matrix': {exc}") from None
+        if cfg[p + "scale"] != 1.0:
+            term = functionals.Scale(cfg[p + "scale"], term)
         total = term if total is None else functionals.Sum(total, term)
     return total
 
 
-def _history_from(cfg, sys, seed) -> "systems.HistoryFunction":
-    kind = cfg.get("history.kind", "random")
-    if kind == "constant":
-        from .histories import constant_history
-        return constant_history(sys.delay, _as_vector(cfg, "history.value"))
-    if kind == "random":
-        from .histories import random_history
-        return random_history((_as_int(cfg, "history.seed", seed), 0), sys.n,
-                              sys.delay, _as_float(cfg, "history.bound", 1.0),
-                              _as_int(cfg, "history.modes", 2))
-    raise ConfigError(f"field 'history.kind': unknown kind {kind!r}")
+def _history(cfg, sys_) -> histories.HistoryFunction:
+    if cfg["history.kind"] == "constant":
+        return histories.constant_history(sys_.delay, cfg["history.value"])
+    return histories.random_history((cfg["history.seed"], _HISTORY), sys_.n,
+                                    sys_.delay, cfg["history.bound"],
+                                    cfg["history.modes"])
 
 
-def _input_from(cfg, sys) -> systems.InputSignal:
-    kind = cfg.get("input.kind", "zero")
+def _input(cfg, sys_) -> systems.InputSignal:
+    kind = cfg["input.kind"]
     if kind == "zero":
-        return systems.zero_input(sys.m)
+        return systems.zero_input(sys_.m)
     if kind == "constant":
-        return systems.constant_input(_as_vector(cfg, "input.value"))
+        return systems.constant_input(cfg["input.value"])
     if kind == "step":
-        return systems.step_input(_as_float(cfg, "input.t_switch"),
-                                  _as_vector(cfg, "input.before"),
-                                  _as_vector(cfg, "input.after"))
+        return systems.step_input(cfg["input.t_switch"], cfg["input.before"],
+                                  cfg["input.after"])
     if kind == "sinusoid":
-        return systems.sinusoid_input(_as_float(cfg, "input.amplitude"),
-                                      _as_float(cfg, "input.omega"),
-                                      _as_float(cfg, "input.phase", 0.0))
-    if kind == "noise":
-        return systems.piecewise_noise_input(
-            _as_int(cfg, "history.seed", _as_int(cfg, "seed")),
-            _as_float(cfg, "input.amplitude"),
-            _as_float(cfg, "input.switch_dt"), sys.m)
-    raise ConfigError(f"field 'input.kind': unknown kind {kind!r}")
+        return systems.sinusoid_input(cfg["input.amplitude"],
+                                      cfg["input.omega"], cfg["input.phase"])
+    return systems.piecewise_noise_input(
+        (cfg["seed"], _NOISE), cfg["input.amplitude"], cfg["input.switch_dt"],
+        sys_.m)
 
 
 # ---------------------------------------------------------------------------
@@ -242,122 +307,78 @@ def _say(quiet, *parts):
 # ---------------------------------------------------------------------------
 # commands
 
-def _validated_constants(cfg, gamma) -> None:
-    # coherence checks (a_lower <= a_upper, positivity, spd P, gamma(0)=0)
-    # shared with the library type
-    if "constants.a_upper" not in cfg and "constants.a" not in cfg:
-        return
-    try:
-        functionals.HypothesisConstants(
-            a_upper=_as_float(cfg, "constants.a_upper", 1.0),
-            a=_as_float(cfg, "constants.a", 1.0),
-            rho=_as_float(cfg, "constants.rho", 2.0),
-            a_lower=(_as_float(cfg, "constants.a_lower")
-                     if "constants.a_lower" in cfg else None),
-            c=_as_float(cfg, "constants.c", 0.0),
-            P=_as_matrix(cfg, "constants.P") if "constants.P" in cfg else None,
-            gamma=gamma)
-    except ValueError as exc:
-        raise ConfigError(f"constants.*: {exc}")
-
-
-def _cmd_certify(cfg, sys_, seed, budget, outdir, quiet) -> int:
-    sampler = certify.FalsificationSampler(seed, sys_.n, sys_.m, sys_.delay)
-    tolerance = _as_float(cfg, "tolerance", 1e-9)
-    rows = []
+def _cmd_certify(cfg, quiet) -> int:
+    sys_ = _system(cfg)
+    sampler = certify.FalsificationSampler(cfg["seed"], sys_.n, sys_.m,
+                                           sys_.delay)
+    sweep = (sampler, cfg["budget"], cfg["tolerance"])
+    a_upper, a = cfg.get("constants.a_upper"), cfg.get("constants.a")
+    gamma = cfg["constants.gamma"]
+    V = _lkf(cfg) if a_upper is not None or a is not None else None
     reports = []
-    needs_lkf = "constants.a_upper" in cfg or "constants.a" in cfg
-    V = _lkf_from(cfg) if needs_lkf else None
-    gamma = _gain_from(cfg, "constants.gamma")
-    _validated_constants(cfg, gamma)
-    if "constants.a_upper" in cfg:
-        a_lower = (_as_float(cfg, "constants.a_lower")
-                   if "constants.a_lower" in cfg else None)
+    if a_upper is not None:
         reports.append(certify.check_sandwich(
-            V, a_lower, _as_float(cfg, "constants.a_upper"),
-            _as_float(cfg, "constants.rho", 2.0), sampler, budget, tolerance))
-    if "constants.a" in cfg:
+            V, cfg.get("constants.a_lower"), a_upper, cfg["constants.rho"],
+            *sweep))
+    if a is not None:
         reports.append(certify.check_pointwise_dissipation(
-            sys_, V, _as_float(cfg, "constants.a"),
-            _as_float(cfg, "constants.c", 0.0), gamma, sampler, budget,
-            tolerance))
-    if "constants.sigma_right" in cfg:
-        reports.append(certify.check_right_growth(
-            sys_, _as_matrix(cfg, "constants.P"),
-            _as_float(cfg, "constants.sigma_right"), gamma, sampler, budget,
-            tolerance))
-    if "constants.sigma_left" in cfg:
-        reports.append(certify.check_left_growth(
-            sys_, _as_matrix(cfg, "constants.P"),
-            _as_float(cfg, "constants.sigma_left"), gamma, sampler, budget,
-            tolerance))
+            sys_, V, a, cfg["constants.c"], gamma, *sweep))
+    for key, check in (("constants.sigma_right", certify.check_right_growth),
+                       ("constants.sigma_left", certify.check_left_growth)):
+        if key in cfg:
+            reports.append(check(sys_, cfg["constants.P"], cfg[key], gamma,
+                                 *sweep))
     if not reports:
         raise ConfigError("no check is configured: provide constants.a_upper, "
                           "constants.a, constants.sigma_right or "
                           "constants.sigma_left")
-    violated = False
+    rows = []
     for rep in reports:
         rows.extend(rep.csv_rows())
-        violated = violated or rep.violated
         _say(quiet, rep.text())
-    _write_report(outdir, "report.csv", rows)
-    return 1 if violated else 0
+    _write_report(cfg["out"], "report.csv", rows)
+    return 1 if any(rep.violated for rep in reports) else 0
 
 
-def _cmd_margin(cfg, seed, outdir, quiet) -> int:
+def _cmd_margin(cfg, quiet) -> int:
     rows = []
-    emitted = False
 
     def emit(report):
-        nonlocal emitted
-        emitted = True
         rows.extend(report.csv_rows())
         _say(quiet, report.text())
 
-    have = lambda *keys: all(f"constants.{k}" in cfg for k in keys)
-    if have("a_lower", "a"):
-        delay = _as_float(cfg, "system.delay")
-        c_bar = certify.margin_history_term(_as_float(cfg, "constants.a_lower"),
-                                        _as_float(cfg, "constants.a"), delay)
-        if have("a_upper") and _as_float(cfg, "constants.c", 0.0) < c_bar:
+    a_lower, a_upper, a, sigma_right, sigma_left, P = (
+        cfg.get(f"constants.{k}")
+        for k in ("a_lower", "a_upper", "a", "sigma_right", "sigma_left", "P"))
+    c = cfg["constants.c"]
+    if a_lower is not None and a is not None:
+        delay = cfg["system.delay"]
+        c_bar = certify.margin_history_term(a_lower, a, delay)
+        if a_upper is not None and c < c_bar:
             emit(certify.history_term_constants(
-                _as_float(cfg, "constants.a_lower"),
-                _as_float(cfg, "constants.a_upper"),
-                _as_float(cfg, "constants.a"),
-                _as_float(cfg, "constants.rho", 2.0),
-                _as_float(cfg, "constants.c", 0.0), delay))
+                a_lower, a_upper, a, cfg["constants.rho"], c, delay))
         else:
             rows.append(["margin", "history-term", "out", "c_bar",
                          f"{c_bar:.17g}"])
-            emitted = True
             _say(quiet, f"margin [history-term] c_bar = {c_bar:.17g}")
-    if have("a", "sigma_right", "P"):
-        emit(certify.margin_right(
-            _as_float(cfg, "constants.a"),
-            _as_float(cfg, "constants.sigma_right"),
-            _as_matrix(cfg, "constants.P"), _as_float(cfg, "system.delay"),
-            a_upper=(_as_float(cfg, "constants.a_upper")
-                     if "constants.a_upper" in cfg else None),
-            c=_as_float(cfg, "constants.c", 0.0)))
-    if have("a_lower", "a_upper", "a", "sigma_left", "P"):
-        emit(certify.margin_left(
-            _as_float(cfg, "constants.a_lower"),
-            _as_float(cfg, "constants.a_upper"),
-            _as_float(cfg, "constants.a"),
-            _as_float(cfg, "constants.sigma_left"),
-            _as_matrix(cfg, "constants.P"), _as_float(cfg, "system.delay")))
-    if not emitted:
+    if all(v is not None for v in (a, sigma_right, P)):
+        emit(certify.margin_right(a, sigma_right, P, cfg["system.delay"],
+                                  a_upper=a_upper, c=c))
+    if all(v is not None for v in (a_lower, a_upper, a, sigma_left, P)):
+        emit(certify.margin_left(a_lower, a_upper, a, sigma_left, P,
+                                 cfg["system.delay"]))
+    if not rows:
         raise ConfigError("no margin is computable from the provided "
                           "constants.* fields")
-    _write_report(outdir, "report.csv", rows)
+    _write_report(cfg["out"], "report.csv", rows)
     return 0
 
 
-def _cmd_simulate(cfg, sys_, seed, outdir, quiet) -> int:
-    x0 = _history_from(cfg, sys_, seed)
-    u = _input_from(cfg, sys_)
-    traj = solver.integrate(sys_, x0, u, _as_float(cfg, "horizon"),
-                            _as_float(cfg, "step"))
+def _cmd_simulate(cfg, quiet) -> int:
+    sys_ = _system(cfg)
+    traj = solver.integrate(sys_, _history(cfg, sys_), _input(cfg, sys_),
+                            cfg["horizon"], cfg["step"])
+    outdir = cfg["out"]
     outdir.mkdir(parents=True, exist_ok=True)
     solver.export_csv(traj, outdir / "trajectories.csv")
     rows = [["simulate", traj.status,
@@ -368,19 +389,17 @@ def _cmd_simulate(cfg, sys_, seed, outdir, quiet) -> int:
     return 0
 
 
-def _cmd_envelope(cfg, sys_, seed, outdir, quiet) -> int:
-    count = _as_int(cfg, "ensemble.count", 50)
-    horizon = _as_float(cfg, "horizon")
-    dt = _as_float(cfg, "step")
+def _cmd_envelope(cfg, quiet) -> int:
+    sys_ = _system(cfg)
+    count, dt, outdir = cfg["ensemble.count"], cfg["step"], cfg["out"]
     outdir.mkdir(parents=True, exist_ok=True)
     sampler = estimate.seeded_history_sampler(
-        (_as_int(cfg, "history.seed", seed),), sys_.n, sys_.delay,
-        _as_float(cfg, "history.bound", 1.0))
-    trajs = estimate.run_ensemble(sys_, sampler, None, count, horizon, dt)
+        (cfg["history.seed"],), sys_.n, sys_.delay, cfg["history.bound"])
+    trajs = estimate.run_ensemble(sys_, sampler, None, count, cfg["horizon"], dt)
     rows = []
     code = 0
     try:
-        fit = estimate.fit_envelope(trajs, _as_float(cfg, "envelope.k_cap", 1e3))
+        fit = estimate.fit_envelope(trajs, cfg["envelope.k_cap"])
         rows += [["envelope", "k", f"{fit.k:.17g}"],
                  ["envelope", "eta", f"{fit.eta:.17g}"],
                  ["envelope", "slack", f"{fit.slack:.17g}"],
@@ -394,8 +413,8 @@ def _cmd_envelope(cfg, sys_, seed, outdir, quiet) -> int:
         code = 1
     if "contraction.horizon" in cfg:
         fit2 = estimate.empirical_two_inequality(
-            sys_, _as_float(cfg, "contraction.horizon"), min(count, 10), dt,
-            seed=seed, mu0=0.0)
+            sys_, cfg["contraction.horizon"], min(count, 10), dt,
+            seed=cfg["seed"], mu0=0.0)
         rows += [["contraction", "ell", f"{fit2.ell:.17g}"],
                  ["contraction", "lam", f"{fit2.lam:.17g}"],
                  ["contraction", "holds", str(fit2.contraction)]]
@@ -406,9 +425,9 @@ def _cmd_envelope(cfg, sys_, seed, outdir, quiet) -> int:
     return code
 
 
-def _cmd_example2(cfg, deltas, outdir, quiet) -> int:
+def _cmd_example2(cfg, quiet) -> int:
     rows = []
-    for delta in deltas:
+    for delta in cfg["example2.deltas"]:
         m = certify.robustness_margin_example2(delta)
         rows.append(["example2", f"{delta:.17g}", f"{m.eps1:.17g}",
                      f"{m.eps2_closed_form:.17g}", f"{m.eps2_margin:.17g}",
@@ -416,43 +435,21 @@ def _cmd_example2(cfg, deltas, outdir, quiet) -> int:
         _say(quiet, f"delta={delta:g}: eps1={m.eps1:.6g} "
                     f"eps2_closed_form={m.eps2_closed_form:.6g} "
                     f"eps2_margin={m.eps2_margin:.6g} crossover={m.crossover}")
-    _write_report(outdir, "report.csv", rows)
+    _write_report(cfg["out"], "report.csv", rows)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 
-def run(cfg: dict, command: str | None = None, seed: int | None = None,
-        out: str | None = None, budget: int | None = None,
-        quiet: bool = False) -> int:
-    command = command or cfg.get("command")
-    if not command:
-        raise ConfigError("missing config field 'command' (and no subcommand)")
-    if seed is None:
-        seed = _as_int(cfg, "seed")
-    outdir = Path(out if out is not None else cfg.get("out", "results"))
-    if command in ("certify", "falsify"):
-        sys_ = _system_from(cfg)
-        if budget is None:
-            budget = _as_int(cfg, "budget", 1000)
-        return _cmd_certify(cfg, sys_, seed, budget, outdir, quiet)
-    if command == "margin":
-        return _cmd_margin(cfg, seed, outdir, quiet)
-    if command == "simulate":
-        return _cmd_simulate(cfg, _system_from(cfg), seed, outdir, quiet)
-    if command == "envelope":
-        return _cmd_envelope(cfg, _system_from(cfg), seed, outdir, quiet)
-    if command == "example2-margins":
-        raw = cfg.get("example2.deltas", "0 0.5 1 2 4.5")
-        try:
-            deltas = [float(x) for x in raw.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError("field 'example2.deltas' must be a list of numbers")
-        if not deltas:
-            raise ConfigError("field 'example2.deltas' must not be empty")
-        return _cmd_example2(cfg, deltas, outdir, quiet)
-    raise ConfigError(f"unknown command {command!r}")
+_RUN = {"simulate": _cmd_simulate, "certify": _cmd_certify,
+        "falsify": _cmd_certify, "margin": _cmd_margin,
+        "envelope": _cmd_envelope, "example2-margins": _cmd_example2}
+
+
+def run(cfg: Config, quiet: bool = False) -> int:
+    """Run a loaded config's command and return its exit code."""
+    return _RUN[cfg["command"]](cfg, quiet)
 
 
 def main(argv=None) -> int:
@@ -461,8 +458,7 @@ def main(argv=None) -> int:
         description="Simulation, certification and envelope fitting for "
                     "time-delay systems.")
     sub = parser.add_subparsers(dest="subcommand")
-    for name in ("simulate", "certify", "margin", "envelope", "falsify",
-                 "example2-margins"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=None)
@@ -474,9 +470,10 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = parse_config_file(args.config)
-        return run(cfg, command=args.subcommand, seed=args.seed, out=args.out,
-                   budget=args.budget, quiet=args.quiet)
+        cfg = load_config(parse_config_file(args.config),
+                          command=args.subcommand, seed=args.seed,
+                          out=args.out, budget=args.budget)
+        return run(cfg, quiet=args.quiet)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

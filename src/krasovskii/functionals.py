@@ -491,14 +491,15 @@ class HypothesisConstants:
     """Constants of one dissipation hypothesis set.
 
     a_lower/a_upper squeeze the functional between a_lower |phi(0)|^rho
-    and a_upper sup|phi|^rho (a_lower may be absent), `a` is the
-    point-wise dissipation rate, `c` the strength of the history term,
-    `sigma` the growth constant for the matrix P, and `gamma` the input
-    gain (PowerGain or any callable vanishing at zero).
+    and a_upper sup|phi|^rho, `a` is the point-wise dissipation rate, `c`
+    the strength of the history term, `sigma` the growth constant for the
+    matrix P, and `gamma` the input gain (PowerGain or any callable
+    vanishing at zero).  Any constant but rho and c may be absent (None),
+    as when only the growth hypotheses are stated.
     """
 
-    a_upper: float
-    a: float
+    a_upper: Optional[float] = None
+    a: Optional[float] = None
     rho: float = 2.0
     a_lower: Optional[float] = None
     c: float = 0.0
@@ -507,17 +508,16 @@ class HypothesisConstants:
     gamma: object = None
 
     def __post_init__(self):
-        if self.a_upper <= 0 or self.a <= 0 or self.rho <= 0:
-            raise ValueError("a_upper, a and rho must be positive")
-        if self.a_lower is not None:
-            if self.a_lower <= 0:
-                raise ValueError("a_lower must be positive when present")
-            if self.a_lower > self.a_upper:
-                raise ValueError("the squeeze forces a_lower <= a_upper")
-        if self.c < 0:
+        for name in ("a_upper", "a", "a_lower", "sigma"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive when present")
+        if not self.rho > 0:
+            raise ValueError("rho must be positive")
+        if None not in (self.a_lower, self.a_upper) and self.a_lower > self.a_upper:
+            raise ValueError("the squeeze forces a_lower <= a_upper")
+        if not self.c >= 0:
             raise ValueError("c must be >= 0")
-        if self.sigma is not None and self.sigma <= 0:
-            raise ValueError("sigma must be positive when present")
         if self.P is not None:
             P = _symmetric(self.P)
             if np.min(np.linalg.eigvalsh(P)) <= 0:

@@ -41,6 +41,7 @@ __all__ = [
     "piecewise_noise_input",
     "shift_input",
     "build_system",
+    "UNCERTAINTIES",
 ]
 
 
@@ -290,6 +291,10 @@ def shift_input(u: InputSignal, offset: float) -> InputSignal:
 # ---------------------------------------------------------------------------
 # registry used by the CLI
 
+# example2's built-in bounded uncertainty pairs, by parameter value
+UNCERTAINTIES = {"delayed": DELAYED_UNCERTAINTY}
+
+
 def build_system(name: str, delay: float, params: dict | None = None) -> DelaySystem:
     params = dict(params or {})
     if name == "example1":
@@ -298,9 +303,11 @@ def build_system(name: str, delay: float, params: dict | None = None) -> DelaySy
         return make_example1(delay)
     if name == "example2":
         eps = float(params.pop("epsilon", 0.0))
-        d = None
-        if params.pop("uncertainty", "") == "delayed":
-            d = DELAYED_UNCERTAINTY
+        d = params.pop("uncertainty", None)
+        if d is not None and d not in UNCERTAINTIES:
+            raise ValueError(f"unknown example2 uncertainty {d!r}; "
+                             f"built-in: {', '.join(UNCERTAINTIES)}")
+        d = UNCERTAINTIES.get(d)
         if params:
             raise ValueError(f"unknown example2 parameter(s): {sorted(params)}")
         return make_example2(delay, eps, d)

@@ -2,8 +2,10 @@ import csv
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from krasovskii import cli
 from krasovskii.cli import ConfigError, main, parse_config_file, run
 
 EXAMPLE1_CERTIFY = """
@@ -26,6 +28,38 @@ constants.sigma_left = 3.0
 constants.gamma = power 1 2
 constants.P = 1 0; 0 1
 """
+
+
+GROWTH_CERTIFY = """
+seed = 5
+budget = 200
+system.name = example1
+system.delay = 1.0
+constants.sigma_right = 0.1
+constants.P = 1 0; 0 1
+"""
+
+NOISE_SIMULATE = """
+horizon = 2.0
+step = 0.01
+system.name = linear
+system.delay = 0.5
+history.kind = constant
+history.value = 0
+input.kind = noise
+input.amplitude = 1.0
+input.switch_dt = 0.1
+"""
+
+
+def edit(text, **changes):
+    """`text` with the given keys (dots written as __) set, or removed
+    when the value is None."""
+    keys = {k.replace("__", "."): v for k, v in changes.items()}
+    lines = [ln for ln in text.strip().splitlines()
+             if ln.split("=")[0].strip() not in keys]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in keys.items()
+                               if v is not None]) + "\n"
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -124,6 +158,91 @@ class TestExitCodes:
         rows = read_report(out)
         assert rows[0][1] == "left-growth" and rows[0][6] == "violated"
         assert rows[0][8] != ""  # witness sup norm recorded
+
+
+class TestRejectedAtLoad:
+    """Bad values exit 2 with a message that names the field, before any
+    computation."""
+
+    @pytest.mark.parametrize("command, text, named", [
+        pytest.param("certify", edit(GROWTH_CERTIFY, tolerance="nan"),
+                     "'tolerance'", id="tolerance-nan"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, system__delay="inf"),
+                     "'system.delay'", id="delay-inf"),
+        pytest.param("simulate", edit(NOISE_SIMULATE, seed=1, horizon="inf"),
+                     "'horizon'", id="horizon-inf"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__P="1 0; 0 -1"),
+                     "P must be positive definite", id="P-indefinite"),
+        pytest.param("certify", edit(GROWTH_CERTIFY,
+                                     constants__sigma_right="-1"),
+                     "'constants.sigma_right'", id="sigma-negative"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, system__name="example2",
+                                     system__uncertainty="delayd"),
+                     "'system.uncertainty'", id="uncertainty-typo"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, system__name="example2",
+                                     system__epsilon="abc"),
+                     "'system.epsilon'", id="epsilon-not-a-number"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, system__delay="nan"),
+                     "'system.delay'", id="delay-nan"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="0.5",
+                                     lkf__term__x__kind="point_quadratic"),
+                     "'lkf.term.x.kind'", id="term-index-not-an-integer"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="0.5",
+                                     lkf__term__1="point_quadratic",
+                                     lkf__term__1__kind="point_quadratic",
+                                     lkf__term__1__matrix="1 0; 0 1"),
+                     "'lkf.term.1'", id="term-without-field"),
+    ])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, text,
+                                      named):
+        cfg = write_config(tmp_path, text)
+        code = main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o"), "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_no_traceback(self, tmp_path):
+        cfg = write_config(tmp_path, edit(GROWTH_CERTIFY, system__delay="inf"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "krasovskii.cli", "certify", "--config",
+             str(cfg), "--out", str(tmp_path / "o"), "--quiet"],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "'system.delay'" in proc.stderr
+
+
+class TestSeeds:
+    def test_seed_option_moves_the_noise(self, tmp_path):
+        # no seed key: --seed alone must drive the noise input
+        cfg = write_config(tmp_path, NOISE_SIMULATE)
+        runs = []
+        for i, seed in enumerate(("3", "9", "3")):
+            out = tmp_path / f"o{i}"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--quiet", "--seed", seed]) == 0
+            runs.append((out / "trajectories.csv").read_bytes())
+        assert runs[0] != runs[1]
+        assert runs[0] == runs[2]
+
+    def test_history_and_noise_streams_are_separate(self, tmp_path):
+        raw = parse_config_file(write_config(tmp_path, edit(
+            NOISE_SIMULATE, history__kind="random", history__value=None)))
+        system = cli._system(cli.load_config(raw, seed=0))
+        for seed in range(200):
+            cfg = cli.load_config(raw, command="simulate", seed=seed)
+            noise = cli._input(cfg, system).evaluate(0.0)
+            shared = np.random.default_rng((seed, 0)).uniform(-1.0, 1.0, 1)
+            assert not np.array_equal(noise, shared)
+            # the history's own seed moves the history, not the noise
+            other = cli.load_config({**raw, "history.seed": str(seed + 1)},
+                                    command="simulate", seed=seed)
+            assert np.array_equal(cli._input(other, system).evaluate(0.0),
+                                  noise)
+            assert not np.array_equal(cli._history(other, system).values,
+                                      cli._history(cfg, system).values)
 
 
 class TestCommands:

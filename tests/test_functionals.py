@@ -295,6 +295,15 @@ class TestHypothesisConstants:
         with pytest.raises(ValueError, match="positive definite"):
             HypothesisConstants(a_upper=1.0, a=0.5, P=np.diag([1.0, -1.0]))
 
+    def test_growth_only_constants_checked(self):
+        HypothesisConstants(sigma=1.0, P=np.eye(2))
+        with pytest.raises(ValueError, match="positive definite"):
+            HypothesisConstants(sigma=1.0, P=np.diag([1.0, -1.0]))
+        with pytest.raises(ValueError, match="sigma"):
+            HypothesisConstants(sigma=-1.0)
+        with pytest.raises(ValueError, match="^a must be positive"):
+            HypothesisConstants(a=np.nan)
+
     def test_eigen_extremes(self):
         hc = HypothesisConstants(a_upper=3.0, a=0.5, P=np.diag([2.0, 5.0]))
         assert hc.p_m == 2.0 and hc.p_M == 5.0

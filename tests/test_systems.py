@@ -227,6 +227,10 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown system"):
             build_system("vanderpol", 1.0, {})
 
+    def test_unknown_uncertainty(self):
+        with pytest.raises(ValueError, match="uncertainty 'delayd'"):
+            build_system("example2", 1.0, {"uncertainty": "delayd"})
+
     def test_unknown_param(self):
         with pytest.raises(ValueError, match="unknown linear parameter"):
             build_system("linear", 1.0, {"q": "2"})
