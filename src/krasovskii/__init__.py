@@ -34,7 +34,6 @@ from .systems import (
 from .solver import (
     Trajectory,
     export_csv,
-    history_at,
     history_norm_series,
     integrate,
 )

@@ -5,14 +5,19 @@ and report the worst residual of the tested inequality together with a
 witness when it is violated.  A "no violation found" verdict is
 sampling evidence, never a proof.
 
-A sampler is any object whose sample(i) returns the history and input
-vector of index i.  A check draws indices one at a time, in blocks; the
-samples of a block whose histories share a grid are stacked into
-(B, len(grid), n) values and (B, m) inputs, and their residuals are
-computed together by the batch evaluators of `functionals`.  Every
-residual is computed as it would be alone, so a verdict, its witness
-index and the skip count do not depend on the block size or on how the
-samples group.
+A sweep draws its samples in blocks and evaluates them in groups: the
+samples of a block whose histories share a grid, stacked into
+(B, len(grid), n) values and (B, m) inputs, whose residuals are
+computed together by the batch evaluators of `functionals`.
+`FalsificationSampler.groups(start, stop)` draws a block straight into
+its groups, one Fourier kernel call per mode class.  Any other sampler
+needs only sample(i), returning the history and input vector of index
+i; a sweep draws it one index at a time and groups the samples by grid,
+the one adaptor.  The stream keys are the same either way, (seed, i)
+for a history and (seed, i, 1) for an input, and
+FalsificationSampler.sample(i) is groups(i, i + 1).  Every residual is
+computed as it would be alone, so a verdict, its witness index and the
+skip count do not depend on the block size or on how the samples group.
 
 Margins are the closed-form constants attached to the two growth-route
 stability results and their supporting lemmas: the tolerable strength
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -46,7 +52,13 @@ from .functionals import (
     driver_derivative_numeric,  # noqa: F401
     eval_functional,  # noqa: F401
 )
-from .histories import _eval_on_grid, random_history
+from .histories import (
+    HistoryFunction,
+    _eval_on_grid,
+    _fourier_histories,
+    _norm,
+    random_history,  # noqa: F401  (still importable from this module)
+)
 from .systems import DelaySystem
 
 __all__ = [
@@ -74,6 +86,7 @@ EVIDENCE_NOTE = "sampling evidence, not a proof"
 NORM_SCALES = (0.1, 1.0, 10.0)
 INPUT_SCALES = (0.0, 0.1, 1.0, 10.0)
 MODE_CHOICES = (0, 2, 8)
+_STRATA = len(NORM_SCALES) * len(INPUT_SCALES) * len(MODE_CHOICES)
 
 VIOLATED = "violated"
 NO_VIOLATION = "no-violation-found"
@@ -89,8 +102,9 @@ class FalsificationSampler:
 
     Sample i is drawn from stratum i mod 36 of the product
     norm scale x input scale x Fourier-mode count, with an independent
-    substream per index, so verdicts are reproducible and independent of
-    how samples are distributed over workers.
+    substream per index: its history from the key (seed, i), its input
+    from (seed, i, 1).  Verdicts are therefore reproducible and
+    independent of how the samples are grouped or distributed.
     """
 
     seed: int
@@ -98,17 +112,41 @@ class FalsificationSampler:
     m: int
     delay: float
 
+    def groups(self, start: int, stop: int) -> list:
+        """Samples start..stop-1, stacked into one _Group per grid.
+
+        A sample's mode count, and so its grid, follows from its index,
+        so each mode class is drawn straight into its stacked arrays.  At
+        zero delay a history is its constant alone, whatever its mode
+        count, and every sample falls in one class."""
+        classes = {}
+        for i in range(start, stop):
+            strata = i % _STRATA
+            norm_scale = NORM_SCALES[strata % len(NORM_SCALES)]
+            strata //= len(NORM_SCALES)
+            input_scale = INPUT_SCALES[strata % len(INPUT_SCALES)]
+            modes = MODE_CHOICES[strata // len(INPUT_SCALES)]
+            classes.setdefault(modes if self.delay else 0, []).append(
+                (i, norm_scale, input_scale))
+        out = []
+        for modes, members in classes.items():
+            index, norm_scale, input_scale = map(np.array, zip(*members))
+            draws = np.empty((index.shape[0], 1 + 2 * modes, self.n))
+            inputs = np.empty((index.shape[0], self.m))
+            for b, i in enumerate(index.tolist()):
+                np.random.default_rng((self.seed, i)).standard_normal(
+                    out=draws[b])
+                np.random.default_rng((self.seed, i, 1)).standard_normal(
+                    out=inputs[b])
+            inputs *= input_scale[:, None]
+            grid, values = _fourier_histories(draws, self.delay, norm_scale)
+            out.append(_Group(self.delay, grid, values, inputs, index))
+        return out
+
     def sample(self, i: int):
-        strata = i % (len(NORM_SCALES) * len(INPUT_SCALES) * len(MODE_CHOICES))
-        norm_scale = NORM_SCALES[strata % len(NORM_SCALES)]
-        strata //= len(NORM_SCALES)
-        input_scale = INPUT_SCALES[strata % len(INPUT_SCALES)]
-        modes = MODE_CHOICES[strata // len(INPUT_SCALES)]
-        phi = random_history((self.seed, i), self.n, self.delay,
-                             norm_scale, modes)
-        rng = np.random.default_rng((self.seed, i, 1))
-        v = input_scale * rng.standard_normal(self.m)
-        return phi, v
+        """Sample i alone: its history and its input vector."""
+        (group,) = self.groups(i, i + 1)
+        return group.histories[0], group.inputs[0]
 
 
 @dataclass(frozen=True)
@@ -163,23 +201,31 @@ _BLOCK = 256
 @dataclass(frozen=True)
 class _Group:
     """Samples of one block that share a delay and a grid: their values
-    stacked to (B, len(grid), n), their inputs to (B, m)."""
+    stacked to (B, len(grid), n), read-only, their inputs to (B, m), and
+    their sample indices."""
 
     delay: float
     grid: np.ndarray
     values: np.ndarray
     inputs: np.ndarray
-    histories: list
+    indices: np.ndarray
 
     @classmethod
     def stack(cls, draws):
-        histories = [phi for phi, _ in draws]
-        first = histories[0]
-        return cls(first.delay, first.grid,
-                   np.stack([phi.values for phi in histories]),
+        """The group of (index, history, input) triples on one grid."""
+        first = draws[0][1]
+        values = np.stack([phi.values for _, phi, _ in draws])
+        values.flags.writeable = False
+        return cls(first.delay, first.grid, values,
                    np.stack([np.atleast_1d(np.asarray(v, dtype=float))
-                             for _, v in draws]),
-                   histories)
+                             for _, _, v in draws]),
+                   np.array([i for i, _, _ in draws]))
+
+    @cached_property
+    def histories(self) -> list:
+        """One HistoryFunction per sample, on read-only row views."""
+        return [HistoryFunction._trusted(self.delay, self.grid, row)
+                for row in self.values]
 
     def at(self, tau) -> np.ndarray:
         return _eval_on_grid(self.delay, self.grid, self.values, tau)
@@ -194,32 +240,33 @@ class _Group:
         return _norm(self.inputs)
 
 
-def _norm(rows: np.ndarray) -> np.ndarray:
-    # the Euclidean norm of each row as np.linalg.norm computes it for
-    # one vector: the square root of a BLAS dot
-    rows = np.ascontiguousarray(rows)
-    return np.sqrt(np.vecdot(rows, rows))
+def _groups_of_samples(sampler, start: int, stop: int) -> list:
+    """The adaptor for a sampler with only sample(i): samples
+    start..stop-1 drawn one at a time, grouped by grid."""
+    drawn = {}
+    for i in range(start, stop):
+        phi, v = sampler.sample(i)
+        key = (phi.delay, phi.n, phi.grid.tobytes())
+        drawn.setdefault(key, []).append((i, phi, v))
+    return [_Group.stack(draws) for draws in drawn.values()]
 
 
 def _sweep(check: str, residual, sampler, budget: int,
            tolerance: float) -> CheckReport:
-    """Draw samples 0..budget-1 with sampler.sample(i) and evaluate
-    `residual`, which maps a _Group to its residuals; a non-finite
-    residual skips its sample."""
+    """Draw samples 0..budget-1 in blocks, with sampler.groups(start,
+    stop) when the sampler has it and through sampler.sample(i)
+    otherwise, and evaluate `residual`, which maps a _Group to its
+    residuals; a non-finite residual skips its sample."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    draw = getattr(sampler, "groups", None)
+    if draw is None:
+        draw = partial(_groups_of_samples, sampler)
     r = np.empty(budget)
     for start in range(0, budget, _BLOCK):
-        drawn = [sampler.sample(i)
-                 for i in range(start, min(start + _BLOCK, budget))]
-        groups = {}
-        for j, (phi, _) in enumerate(drawn):
-            key = (phi.delay, phi.n, phi.grid.tobytes())
-            groups.setdefault(key, []).append(j)
-        for rows in groups.values():
-            group = _Group.stack([drawn[j] for j in rows])
+        for group in draw(start, min(start + _BLOCK, budget)):
             with np.errstate(over="ignore", invalid="ignore"):
-                r[start + np.asarray(rows)] = residual(group)
+                r[group.indices] = residual(group)
     finite = np.isfinite(r)
     if not finite.any():
         raise RuntimeError(f"every sample of check {check} was skipped")
@@ -253,7 +300,7 @@ def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
             raise ValueError(f"the pointwise formula of {sys.name!r} does not "
                              "broadcast over (n, B) columns")
         return np.ascontiguousarray(w.T)
-    rows = np.empty((len(group.histories), sys.n))
+    rows = np.empty((group.values.shape[0], sys.n))
     for j, (phi, v) in enumerate(zip(group.histories, group.inputs)):
         try:
             rows[j] = sys.field(phi, v)

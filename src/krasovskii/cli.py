@@ -226,13 +226,16 @@ def load_config(raw: dict, command: str | None = None, seed: int | None = None,
 # object builders
 
 def _system(cfg) -> systems.DelaySystem:
+    name = cfg["system.name"]
     params = {k: cfg[f"system.{k}"] for k in ("a", "b", "epsilon", "uncertainty")
               if f"system.{k}" in cfg}
+    # a parameter the named system does not take is the offending field
+    unknown = [k for k in params if k not in systems.PARAMETERS.get(name, params)]
     try:
-        return systems.build_system(cfg["system.name"], cfg["system.delay"],
-                                    params)
+        return systems.build_system(name, cfg["system.delay"], params)
     except ValueError as exc:
-        raise ConfigError(f"field 'system.name': {exc}") from None
+        field = f"system.{unknown[0]}" if unknown else "system.name"
+        raise ConfigError(f"field {field!r}: {exc}") from None
 
 
 def _lkf(cfg) -> functionals.Functional:

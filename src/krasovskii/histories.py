@@ -121,8 +121,6 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     norm_bound = 0).  `seed` may be an int or a tuple of ints; the same
     seed always yields a bitwise-identical history.
     """
-    if not delay >= 0:
-        raise ValueError("delay must be nonnegative")
     if not 0 <= norm_bound < math.inf:
         raise ValueError("norm_bound must be finite and >= 0")
     if modes < 0:
@@ -130,29 +128,50 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     rng = np.random.default_rng(seed)
     # the constant, then each mode's cosine and sine amplitudes, drawn in
     # the order of one vector at a time
-    draws = rng.standard_normal((1 + 2 * modes, n))
-    if delay == 0.0:
-        grid, values = _ZERO_GRID, draws[:1]
-    else:
-        grid, cos, sin = _fourier_basis(delay, modes)
-        # (term, component, node): the constant, then each mode's cosine
-        # and sine term
-        terms = np.empty((1 + 2 * modes, n, grid.shape[0]))
-        terms[0] = draws[0, :, None]
-        terms[1::2] = draws[1::2, :, None] * cos[:, None, :]
-        terms[2::2] = draws[2::2, :, None] * sin[:, None, :]
-        # summed one term after another, constant first
-        values = np.add.reduce(terms, axis=0).T.copy()
-    peak = float(np.max(np.linalg.norm(values, axis=1)))
-    if norm_bound == 0.0 or peak == 0.0:
-        values = np.zeros_like(values)
-    else:
-        values = values * (norm_bound / peak)
-    values.flags.writeable = False
+    draws = rng.standard_normal((1, 1 + 2 * modes, n))
+    grid, values = _fourier_histories(draws, delay, np.array([norm_bound]))
     # valid by construction, and the grid is shared by every random
     # history with the same delay and mode count
-    return HistoryFunction._trusted(delay, grid, values)
+    return HistoryFunction._trusted(delay, grid, values[0])
 
+
+def _fourier_histories(draws: np.ndarray, delay: float, norm_bounds: np.ndarray):
+    """The shared grid and the read-only values (B, len(grid), n) of the
+    random histories with the amplitudes `draws` (B, 1 + 2 modes, n):
+    row 0 the constant, then each mode's cosine and sine amplitudes.
+    History b is rescaled so its sup norm equals norm_bounds[b], or is
+    zero when that bound or its peak is.  At zero delay a history is its
+    constant alone.
+
+    Each history's terms are added one after another, constant first,
+    so its values do not depend on the batch it is drawn in.
+    """
+    if not delay >= 0:
+        raise ValueError("delay must be nonnegative")
+    batch, rows, n = draws.shape
+    if delay == 0.0:
+        grid, values = _ZERO_GRID, draws[:, :1].copy()
+    else:
+        grid, basis = _fourier_basis(delay, (rows - 1) // 2)
+        values = np.empty((batch, grid.shape[0], n))
+        # the terms (term, history, component, node) of a few histories
+        # at a time, so a large batch holds no more than _TERMS at once
+        step = max(1, _TERMS // (basis.size * n))
+        for lo in range(0, batch, step):
+            terms = (draws[lo:lo + step].transpose(1, 0, 2)[..., None]
+                     * basis[:, None, None, :])
+            values[lo:lo + step] = np.add.reduce(terms, axis=0).transpose(0, 2, 1)
+    # the largest of the node norms, as np.linalg.norm computes them
+    peak = np.sqrt(np.add.reduce(values * values, axis=-1).max(axis=-1))
+    zero = (norm_bounds == 0.0) | (peak == 0.0)
+    values *= (norm_bounds / np.where(zero, 1.0, peak))[:, None, None]
+    values[zero] = 0.0
+    values.flags.writeable = False
+    return grid, values
+
+
+# Fourier terms held at once by _fourier_histories: 256 KiB
+_TERMS = 1 << 15
 
 _ZERO_GRID = np.array([0.0])
 _ZERO_GRID.flags.writeable = False
@@ -161,16 +180,18 @@ _ZERO_GRID.flags.writeable = False
 @lru_cache(maxsize=64)
 def _fourier_basis(delay: float, modes: int):
     """The read-only grid of the random histories with `modes` modes on
-    [-delay, 0], and cos(j pi tau / delay) and sin(j pi tau / delay) on
-    it, j = 1..modes, one mode per row."""
+    [-delay, 0], and the basis on it, one term per row: 1, then
+    cos(j pi tau / delay) and sin(j pi tau / delay) for j = 1..modes."""
     grid = np.linspace(-delay, 0.0, max(2, 8 * modes + 1))
     if np.any(np.diff(grid) <= 0):
         raise ValueError("delay too small for a strictly increasing grid")
     phase = np.arange(1, modes + 1)[:, None] * np.pi * grid / delay
-    basis = (grid, np.cos(phase), np.sin(phase))
-    for array in basis:
-        array.flags.writeable = False
-    return basis
+    basis = np.ones((1 + 2 * modes, grid.shape[0]))
+    basis[1::2] = np.cos(phase)
+    basis[2::2] = np.sin(phase)
+    grid.flags.writeable = False
+    basis.flags.writeable = False
+    return grid, basis
 
 
 def driver_extension(phi: HistoryFunction, h: float, w) -> HistoryFunction:
@@ -271,6 +292,13 @@ def _window_of_rows(times, values, delay, t, stop, last) -> HistoryFunction:
     vals[1:-1] = values[i0:i1]
     vals[-1] = last
     return HistoryFunction._trusted(delay, grid, vals)
+
+
+def _norm(rows: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row as np.linalg.norm computes it for
+    one vector: the square root of a BLAS dot."""
+    rows = np.ascontiguousarray(rows)
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -23,20 +23,17 @@ a pure function of t.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import histories
-from .histories import HistoryFunction, _interp_rows, _window_of_rows
+from .histories import HistoryFunction, _interp_rows, _norm, _window_of_rows
 from .systems import DelaySystem, InputSignal, zero_input
 
 __all__ = [
     "Trajectory",
     "integrate",
-    "history_at",
     "history_norm_series",
     "export_csv",
 ]
@@ -222,41 +219,38 @@ def _initial_grid(x0: HistoryFunction, delay: float, dt: float) -> np.ndarray:
     return np.sort(np.concatenate([neg, extras]))
 
 
-def history_at(traj: Trajectory, t: float) -> HistoryFunction:
-    """The state x_t of the trajectory, as a history on [-delay, 0]."""
-    return histories.window(traj, t)
-
-
 def history_norm_series(traj: Trajectory):
     """(times, sup-norms): for each grid time t >= 0, the sup of |x|
-    over [t - delay, t] of the piecewise-linear dense output."""
+    over [t - delay, t] of the piecewise-linear dense output: the largest
+    node norm in the window, or the norm at its interpolated left edge."""
     times = traj.times
-    mag = np.linalg.norm(traj.values, axis=1)
-    delay = traj.delay
+    values = traj.values
     out_idx = np.nonzero(times >= -1e-15)[0]
-    norms = np.empty(out_idx.shape[0])
-    dq: deque[int] = deque()
-    left = 0
-    pos = 0
-    for i in range(times.shape[0]):
-        while dq and mag[dq[-1]] <= mag[i]:
-            dq.pop()
-        dq.append(i)
-        if pos < out_idx.shape[0] and i == out_idx[pos]:
-            lo = times[i] - delay
-            while times[left] < lo:
-                left += 1
-            while dq[0] < left:
-                dq.popleft()
-            peak = mag[dq[0]]
-            if left > 0 and times[left] > lo:
-                g0 = times[left - 1]
-                lam = (lo - g0) / (times[left] - g0)
-                edge = (1.0 - lam) * traj.values[left - 1] + lam * traj.values[left]
-                peak = max(peak, float(np.linalg.norm(edge)))
-            norms[pos] = peak
-            pos += 1
+    lo = times[out_idx] - traj.delay
+    left = np.searchsorted(times, lo, side="left")
+    norms = _window_max(np.linalg.norm(values, axis=1), left, out_idx)
+    cut = np.flatnonzero((left > 0) & (times[left] > lo))
+    if cut.size:
+        a, b = left[cut] - 1, left[cut]
+        g0 = times[a]
+        lam = ((lo[cut] - g0) / (times[b] - g0))[:, None]
+        edge = _norm((1.0 - lam) * values[a] + lam * values[b])
+        norms[cut] = np.maximum(norms[cut], edge)
     return times[out_idx], norms
+
+
+def _window_max(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(a[lo[k]:hi[k] + 1]) for each k, lo <= hi: each window is
+    covered by two spans of 2^j entries, whose maxima are built by
+    doubling j (a sparse table, one level at a time)."""
+    level = np.frexp(hi - lo + 1)[1] - 1
+    out = np.empty(lo.shape[0])
+    table = a
+    for j in range(int(level.max()) + 1):
+        k = np.flatnonzero(level == j)
+        out[k] = np.maximum(table[lo[k]], table[hi[k] + 1 - (1 << j)])
+        table = np.maximum(table[:-(1 << j)], table[1 << j:])
+    return out
 
 
 def export_csv(traj: Trajectory, path) -> None:

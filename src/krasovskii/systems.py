@@ -41,6 +41,7 @@ __all__ = [
     "piecewise_noise_input",
     "shift_input",
     "build_system",
+    "PARAMETERS",
     "UNCERTAINTIES",
 ]
 
@@ -295,30 +296,28 @@ def shift_input(u: InputSignal, offset: float) -> InputSignal:
 UNCERTAINTIES = {"delayed": DELAYED_UNCERTAINTY}
 
 
+# the parameters each built-in system takes
+PARAMETERS = {"example1": (), "example2": ("epsilon", "uncertainty"),
+              "example3": (), "linear": ("a", "b")}
+
+
 def build_system(name: str, delay: float, params: dict | None = None) -> DelaySystem:
-    params = dict(params or {})
+    params = params or {}
+    if name not in PARAMETERS:
+        raise ValueError(f"unknown system {name!r}")
+    unknown = sorted(set(params) - set(PARAMETERS[name]))
+    if unknown:
+        raise ValueError(f"unknown {name} parameter(s): {unknown}")
     if name == "example1":
-        if params:
-            raise ValueError(f"unknown example1 parameter(s): {sorted(params)}")
         return make_example1(delay)
     if name == "example2":
-        eps = float(params.pop("epsilon", 0.0))
-        d = params.pop("uncertainty", None)
+        d = params.get("uncertainty")
         if d is not None and d not in UNCERTAINTIES:
             raise ValueError(f"unknown example2 uncertainty {d!r}; "
                              f"built-in: {', '.join(UNCERTAINTIES)}")
-        d = UNCERTAINTIES.get(d)
-        if params:
-            raise ValueError(f"unknown example2 parameter(s): {sorted(params)}")
-        return make_example2(delay, eps, d)
+        return make_example2(delay, float(params.get("epsilon", 0.0)),
+                             UNCERTAINTIES.get(d))
     if name == "example3":
-        if params:
-            raise ValueError(f"unknown example3 parameter(s): {sorted(params)}")
         return make_example3(delay)
-    if name == "linear":
-        a = float(params.pop("a", 1.0))
-        b = float(params.pop("b", 0.0))
-        if params:
-            raise ValueError(f"unknown linear parameter(s): {sorted(params)}")
-        return make_linear_baseline(a, b, delay)
-    raise ValueError(f"unknown system {name!r}")
+    return make_linear_baseline(float(params.get("a", 1.0)),
+                                float(params.get("b", 0.0)), delay)

@@ -36,8 +36,8 @@ from krasovskii.functionals import (
     square_gain,
     zero_gain,
 )
-from krasovskii.histories import constant_history, random_history
-from krasovskii.solver import COMPLETED, history_at, integrate
+from krasovskii.histories import constant_history, random_history, window
+from krasovskii.solver import COMPLETED, integrate
 from krasovskii.systems import (
     constant_input,
     make_example1,
@@ -245,7 +245,7 @@ def test_criterion_08_solver_orders():
     dt = 0.01
     straight = integrate(sys1, x0, u, 2.0, dt)
     first = integrate(sys1, x0, u, 1.0, dt)
-    restart = integrate(sys1, history_at(first, 1.0), shift_input(u, 1.0),
+    restart = integrate(sys1, window(first, 1.0), shift_input(u, 1.0),
                         1.0, dt)
     drift = float(np.linalg.norm(restart.values[-1] - straight.values[-1]))
     assert drift <= 10.0 * dt ** 4

@@ -3,14 +3,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krasovskii import certify
 from krasovskii.certify import (
     CheckReport,
     FalsificationSampler,
+    INPUT_SCALES,
     InfeasibilityError,
+    MODE_CHOICES,
+    NORM_SCALES,
     NO_VIOLATION,
     VIOLATED,
     check_left_growth,
@@ -41,7 +44,7 @@ from krasovskii.functionals import (
     square_gain,
     zero_gain,
 )
-from krasovskii.histories import constant_history
+from krasovskii.histories import constant_history, random_history
 from krasovskii.systems import (
     DELAYED_UNCERTAINTY,
     DelaySystem,
@@ -359,12 +362,14 @@ class TestChecks:
                               + square_gain()(float(np.linalg.norm(v))))
 
     def test_determinism(self, lkf):
+        # the same sampler swept again, or a fresh one with the same seed,
+        # gives the same report
         sys = make_example1(1.0)
-        a = check_pointwise_dissipation(sys, lkf, 2.0, 0.0, square_gain(),
-                                        sampler_for(sys, 99), 600)
-        b = check_pointwise_dissipation(sys, lkf, 2.0, 0.0, square_gain(),
-                                        sampler_for(sys, 99), 600)
-        assert a.worst == b.worst and a.witness_index == b.witness_index
+        sampler = sampler_for(sys, 99)
+        reports = [check_pointwise_dissipation(sys, lkf, 2.0, 0.0,
+                                               square_gain(), s, 600)
+                   for s in (sampler, sampler, sampler_for(sys, 99))]
+        assert len({report_key(rep) for rep in reports}) == 1
 
     def test_blowups_are_skipped_and_counted(self):
         def explosive(phi, v):
@@ -676,6 +681,86 @@ class TestBlockSizeIndependence:
                 mp.setattr(certify, "_BLOCK", size)
                 reports.append(report_key(sweeps[kind]()))
         assert all(rep == reports[0] for rep in reports)
+
+
+# ---------------------------------------------------------------------------
+# batched draws against lone draws
+
+def reference_sample(sampler, i):
+    """Reference: sample i drawn on its own, one random_history and one
+    input draw, as the sampler drew it before its draws were batched."""
+    strata = i % (len(NORM_SCALES) * len(INPUT_SCALES) * len(MODE_CHOICES))
+    norm_scale = NORM_SCALES[strata % len(NORM_SCALES)]
+    strata //= len(NORM_SCALES)
+    input_scale = INPUT_SCALES[strata % len(INPUT_SCALES)]
+    modes = MODE_CHOICES[strata // len(INPUT_SCALES)]
+    phi = random_history((sampler.seed, i), sampler.n, sampler.delay,
+                         norm_scale, modes)
+    rng = np.random.default_rng((sampler.seed, i, 1))
+    return phi, input_scale * rng.standard_normal(sampler.m)
+
+
+class TestBatchedDraws:
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 9),
+           m=st.integers(0, 3),
+           delay=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(1e-3, 50.0),
+           start=st.integers(0, 10 ** 9), length=st.integers(1, 80))
+    @example(seed=20260809, n=2, m=1, delay=1.0, start=0, length=80)
+    def test_groups_equal_lone_samples(self, seed, n, m, delay, start,
+                                       length):
+        sampler = FalsificationSampler(seed, n, m, delay)
+        drawn = []
+        for g in sampler.groups(start, start + length):
+            assert not g.values.flags.writeable
+            for j, i in enumerate(g.indices.tolist()):
+                phi, v = reference_sample(sampler, i)
+                got_phi, got_v = sampler.sample(i)
+                for grid, values, inputs in ((g.grid, g.values[j], g.inputs[j]),
+                                             (got_phi.grid, got_phi.values,
+                                              got_v)):
+                    assert grid.tobytes() == phi.grid.tobytes()
+                    assert values.shape == phi.values.shape
+                    assert values.tobytes() == phi.values.tobytes()
+                    assert inputs.tobytes() == v.tobytes()
+                drawn.append(i)
+        assert sorted(drawn) == list(range(start, start + length))
+
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2 ** 32 - 1), budget=st.integers(1, 300),
+           delay=st.sampled_from([0.0, 0.2, 1.0]),
+           kind=st.sampled_from(["sandwich", "dissipation", "W-dissipation",
+                                 "right-growth", "field-left-growth"]))
+    @example(seed=20260809, budget=300, delay=1.0, kind="right-growth")
+    @example(seed=7, budget=300, delay=0.2, kind="field-left-growth")
+    @example(seed=7, budget=100, delay=0.0, kind="dissipation")
+    def test_sweep_same_through_the_adaptor(self, seed, budget, delay, kind):
+        # the numeric MaxExp derivative needs a positive delay
+        assume(delay > 0.0 or kind != "W-dissipation")
+        sys = make_example1(delay)
+        V = PointQuadratic(EYE) + IntegralQuadratic(np.diag([0.0, 2.0]))
+        field_only = parity_systems(delay)["example2-user-pair"]
+        sweeps = {
+            "sandwich": lambda s: check_sandwich(V, 1.0, 1.5, 2.0, s, budget),
+            "dissipation": lambda s: check_pointwise_dissipation(
+                sys, V, 1.0, 0.0, square_gain(), s, budget),
+            "W-dissipation": lambda s: check_pointwise_dissipation(
+                sys, combine_W(V, 0.02, EYE), 0.5, 0.04, square_gain(1.04),
+                s, budget),
+            "right-growth": lambda s: check_right_growth(
+                sys, EYE, 0.5, square_gain(), s, budget),
+            "field-left-growth": lambda s: check_left_growth(
+                field_only, EYE, 1.0, square_gain(), s, budget),
+        }
+        batched = sweeps[kind](FalsificationSampler(seed, 2, 1, delay))
+        # MemoSampler has only sample(i), so its sweep takes the adaptor
+        adapted = sweeps[kind](MemoSampler(seed, 2, delay))
+        assert report_key(batched) == report_key(adapted)
+        assert np.float64(batched.worst).tobytes() == \
+            np.float64(adapted.worst).tobytes()
+        if batched.witness is not None:
+            assert (batched.witness[0].values.tobytes()
+                    == adapted.witness[0].values.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,8 @@ class TestRejectedAtLoad:
                      "'system.epsilon'", id="epsilon-not-a-number"),
         pytest.param("certify", edit(GROWTH_CERTIFY, system__delay="nan"),
                      "'system.delay'", id="delay-nan"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, system__a="1"),
+                     "'system.a'", id="parameter-the-system-does-not-take"),
         pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="0.5",
                                      lkf__term__x__kind="point_quadratic"),
                      "'lkf.term.x.kind'", id="term-index-not-an-integer"),

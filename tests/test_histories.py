@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from krasovskii.histories import (
     HistoryFunction,
@@ -101,6 +103,29 @@ class TestSupNorm:
         b = random_history(22, 2, 1.0, 5.0, 4)
         both = dataclasses.replace(a, values=a.values + b.values)
         assert both.sup_norm() <= a.sup_norm() + b.sup_norm() + 1e-12
+
+
+    @settings(max_examples=60)
+    @given(delay=st.floats(1e-3, 100.0), n=st.integers(1, 4),
+           widths=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=12),
+           data=st.data())
+    def test_exact_on_piecewise_linear(self, delay, n, widths, data):
+        # the sup norm is a node norm, and no point between nodes exceeds it
+        cum = np.cumsum(widths)
+        grid = np.concatenate(([-delay], delay * (cum[:-1] / cum[-1] - 1.0),
+                               [0.0]))
+        assume(np.all(np.diff(grid) > 0))
+        values = np.array(data.draw(st.lists(
+            st.floats(-1e3, 1e3), min_size=grid.size * n,
+            max_size=grid.size * n))).reshape(grid.size, n)
+        phi = HistoryFunction(delay, grid, values)
+        sup = phi.sup_norm()
+        at_nodes = np.linalg.norm(phi.eval(grid), axis=1)
+        assert sup == np.max(at_nodes)
+        lam = np.linspace(0.0, 1.0, 33)
+        taus = (grid[:-1, None] * (1.0 - lam) + grid[1:, None] * lam).ravel()
+        between = np.linalg.norm(phi.eval(np.clip(taus, -delay, 0.0)), axis=1)
+        assert np.all(between <= sup * (1.0 + 1e-12))
 
 
 class TestDriverExtension:

@@ -1,16 +1,21 @@
 import csv
 import dataclasses
+from collections import deque
 
 import numpy as np
 import pytest
 
-from krasovskii.histories import constant_history, random_history, zero_history
+from krasovskii.histories import (
+    constant_history,
+    random_history,
+    window,
+    zero_history,
+)
 from krasovskii.solver import (
     BLEW_UP,
     COMPLETED,
     _initial_grid,
     export_csv,
-    history_at,
     history_norm_series,
     integrate,
 )
@@ -136,13 +141,13 @@ class TestBasics:
         x0 = random_history(13, 2, 1.0, 1.0, 3)
         sys = make_example1(1.0)
         traj = integrate(sys, x0, None, 0.5, 0.01)
-        phi = history_at(traj, 0.0)
+        phi = window(traj, 0.0)
         assert np.allclose(phi.eval(x0.grid), x0.values, rtol=0, atol=1e-14)
 
     def test_window_of_decay_solution(self):
         sys = make_linear_baseline(1.0, 0.0, 1.0)
         traj = integrate(sys, constant_history(1.0, [1.0]), None, 2.0, 1e-3)
-        phi = history_at(traj, 1.0)
+        phi = window(traj, 1.0)
         taus = np.linspace(-1.0, 0.0, 11)
         assert np.allclose(phi.eval(taus)[:, 0], np.exp(-(1.0 + taus)),
                            atol=1e-6)
@@ -154,7 +159,7 @@ class TestBasics:
         x0 = random_history(29, 2, 1.0, 1.0, 2)
         traj = integrate(sys, x0, sinusoid_input(1.0, 1.0), 2.0, 0.01)
         for t in traj.times[traj.times >= 0.0]:
-            phi = history_at(traj, t)
+            phi = window(traj, t)
             assert np.all(np.diff(phi.grid) > 0), t
             assert phi.grid[0] == -1.0 and phi.grid[-1] == 0.0
 
@@ -165,7 +170,7 @@ class TestBasics:
         for t in (0.25, 0.5, 1.0):
             idx = int(np.searchsorted(traj.times, t))
             assert traj.times[idx] == pytest.approx(t, abs=1e-12)
-            assert np.array_equal(history_at(traj, traj.times[idx]).eval(0.0),
+            assert np.array_equal(window(traj, traj.times[idx]).eval(0.0),
                                   traj.values[idx])
 
 
@@ -288,7 +293,7 @@ class TestAccuracy:
         dt = 0.01
         straight = integrate(sys, x0, u, 2.0, dt)
         first = integrate(sys, x0, u, 1.0, dt)
-        restart = integrate(sys, history_at(first, 1.0), shift_input(u, 1.0),
+        restart = integrate(sys, window(first, 1.0), shift_input(u, 1.0),
                             1.0, dt)
         assert np.linalg.norm(restart.values[-1] - straight.values[-1]) <= 10 * dt ** 4 + 1e-9
 
@@ -318,7 +323,67 @@ class TestAccuracy:
         assert np.array_equal(a.values, b.values)
 
 
+def norm_series_reference(traj):
+    """Reference: the window maxima of history_norm_series as a loop over
+    the nodes, with a deque of candidate maxima, and the interpolated
+    left-edge term as np.linalg.norm of one vector."""
+    times = traj.times
+    mag = np.linalg.norm(traj.values, axis=1)
+    out_idx = np.nonzero(times >= -1e-15)[0]
+    norms = np.empty(out_idx.shape[0])
+    dq = deque()
+    left = 0
+    pos = 0
+    for i in range(times.shape[0]):
+        while dq and mag[dq[-1]] <= mag[i]:
+            dq.pop()
+        dq.append(i)
+        if pos < out_idx.shape[0] and i == out_idx[pos]:
+            lo = times[i] - traj.delay
+            while times[left] < lo:
+                left += 1
+            while dq[0] < left:
+                dq.popleft()
+            peak = mag[dq[0]]
+            if left > 0 and times[left] > lo:
+                g0 = times[left - 1]
+                lam = (lo - g0) / (times[left] - g0)
+                edge = (1.0 - lam) * traj.values[left - 1] + lam * traj.values[left]
+                peak = max(peak, float(np.linalg.norm(edge)))
+            norms[pos] = peak
+            pos += 1
+    return times[out_idx], norms
+
+
+def assert_same_norm_series(traj):
+    t_out, norms = history_norm_series(traj)
+    t_ref, n_ref = norm_series_reference(traj)
+    assert t_out.tobytes() == t_ref.tobytes()
+    assert norms.tobytes() == n_ref.tobytes()
+
+
 class TestNormSeries:
+    @pytest.mark.parametrize("delay, dt, horizon",
+                             TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)])
+    def test_matches_loop_reference(self, delay, dt, horizon):
+        # 2 and 8 modes put x0 nodes off the step grid, so the windows
+        # over the initial segment vary in length
+        for case in PARITY_SYSTEMS:
+            name, params = case.values
+            sys = build_system(name, delay, params)
+            for seed in range(6):
+                x0 = random_history((47, seed), sys.n, delay, 1.0,
+                                    (0, 2, 8)[seed % 3])
+                assert_same_norm_series(integrate(
+                    sys, x0, parity_input("sinusoid", seed), horizon, dt))
+
+    @pytest.mark.parametrize("delay", [0.0, 0.1, 1.0])
+    def test_blown_up_matches_loop_reference(self, delay):
+        sys = make_linear_baseline(-40.0, 0.0, delay)
+        traj = integrate(sys, constant_history(delay, [1.0]), None, 1.5, 0.01)
+        assert traj.status == BLEW_UP
+        assert_same_norm_series(traj)
+
     def test_against_brute_force(self):
         sys = make_example1(1.0)
         x0 = random_history(37, 2, 1.0, 1.0, 4)
