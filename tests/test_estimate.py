@@ -62,6 +62,17 @@ class TestRunEnsemble:
         for ta, tb in zip(a, b):
             assert np.array_equal(ta.values, tb.values)
 
+    def test_repeated_ensemble_identical(self):
+        # one history sampler run twice, and a fresh one with the same
+        # seed, give the same trajectories
+        sys1 = make_example1(1.0)
+        hist = seeded_history_sampler(66, 2, 1.0, 1.0)
+        runs = [run_ensemble(sys1, h, None, 4, 1.0, 0.02)
+                for h in (hist, hist, seeded_history_sampler(66, 2, 1.0, 1.0))]
+        for trajs in runs[1:]:
+            for a, b in zip(runs[0], trajs):
+                assert np.array_equal(a.values, b.values)
+
     def test_blowups_reported_not_fatal(self):
         cubic = DelaySystem(1, 1, 0.0,
                             lambda phi, v: phi.eval(0.0) ** 3, "cubic")
