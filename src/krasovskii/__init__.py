@@ -52,7 +52,6 @@ from .functionals import (
     driver_derivative_numeric,
     eval_functional,
     square_gain,
-    v0_max,
     zero_gain,
 )
 from .certify import (

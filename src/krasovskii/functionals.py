@@ -10,22 +10,22 @@ blocks of the history phi:
     Scale(k, F), Sum(F, G)
 
 Trees compose with + and scalar *.  Two derivative evaluators are
-provided: a closed form (exact on piecewise-linear histories, max-free
-trees only) and a finite-step quotient along the two-branch extension,
-maximised over a decreasing step schedule to approximate the upper
-limit from above.
+provided: the closed form, exact on piecewise-linear histories for every
+tree, and a finite-step quotient along the two-branch extension,
+maximised over a given decreasing step schedule, which cross-checks it.
 
 The max-type term is evaluated exactly on piecewise-linear histories:
 on each segment exp(2 tau) times a quadratic is maximised through its
-critical points, which avoids any oversampling error.  This matters for
-the branch inequalities of the max-term derivative, where a sampled max
-would pollute small-step difference quotients.
+critical points, which avoids any oversampling error.  The same segment
+maxima give its closed-form derivative, which follows the argmax set
+(see driver_derivative_closed), and keep small-step difference
+quotients free of sampling error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,16 +49,12 @@ __all__ = [
     "eval_functional",
     "driver_derivative_closed",
     "driver_derivative_numeric",
-    "v0_max",
     "combine_W",
-    "contains_maxexp",
     "PowerGain",
     "square_gain",
     "zero_gain",
     "HypothesisConstants",
 ]
-
-DEFAULT_H_FRACTIONS = (1e-2, 1e-3, 1e-4)
 
 
 def _symmetric(Q) -> np.ndarray:
@@ -217,16 +213,6 @@ class Sum(Functional):
     right: Functional
 
 
-def contains_maxexp(V: Functional) -> bool:
-    if isinstance(V, MaxExp):
-        return True
-    if isinstance(V, Scale):
-        return contains_maxexp(V.inner)
-    if isinstance(V, Sum):
-        return contains_maxexp(V.left) or contains_maxexp(V.right)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 #
@@ -251,7 +237,7 @@ def _values(V: Functional, delay: float, grid, values) -> np.ndarray:
         return _integral(V.Q, V.weight.value, V.weight.polynomial,
                          delay, grid, values)
     if isinstance(V, MaxExp):
-        return _maxexp(V.P, grid, values)
+        return _maxexp(V.P, grid, values)[0]
     if isinstance(V, Scale):
         return V.k * _values(V.inner, delay, grid, values)
     if isinstance(V, Sum):
@@ -285,11 +271,15 @@ def _integral(Q, weight_fn, polynomial, delay, grid, values) -> np.ndarray:
     return np.cumsum(per_segment, axis=-1)[:, -1]
 
 
-def _maxexp(P, grid, values) -> np.ndarray:
+def _maxexp(P, grid, values):
+    """M = max over tau of f(tau) = exp(2 tau) phi(tau)' P phi(tau) for
+    each history, exact on piecewise-linear histories: (M, f at the
+    nodes (B, len(grid)), rest), where rest is the maximum of f over
+    the window without its node -delay (-inf at zero delay).  A
+    non-finite node makes M non-finite; a NaN segment peak is ignored."""
     g = grid
-    best = np.max(np.exp(2.0 * g) * _qform(values, P), axis=-1)
-    if g.shape[0] < 2:
-        return best
+    f = np.exp(2.0 * g) * _qform(values, P)
+    rest = np.max(f[:, 1:], axis=-1, initial=-np.inf)
     # exact interior maxima: on each segment the integrand is
     # exp(2 tau) (alpha t^2 + beta t + gamma); critical points solve
     # 2 alpha t^2 + 2(alpha + beta) t + (beta + 2 gamma) = 0
@@ -318,16 +308,31 @@ def _maxexp(P, grid, values) -> np.ndarray:
                 continue
             val = np.exp(2.0 * (g[:-1] + t)) * (alpha * t * t + beta * t + gam)
             peak = np.max(np.where(ok, val, -np.inf), axis=-1)
-            # Python's max(best, peak): a NaN peak leaves best
-            best = np.where(peak > best, peak, best)
-    return best
+            # Python's max(rest, peak): a NaN peak leaves rest
+            rest = np.where(peak > rest, peak, rest)
+    return np.maximum(f[:, 0], rest), f, rest
 
 
 # ---------------------------------------------------------------------------
 # derivatives
 
 def driver_derivative_closed(V: Functional, phi: HistoryFunction, w) -> float:
-    """Exact derivative of max-free trees on piecewise-linear histories."""
+    """The upper right-hand (Driver) derivative of V at phi along the
+    extension with slope w, exact on piecewise-linear histories for every
+    tree.
+
+    The max-type term M = max over tau of f(tau) = exp(2 tau)
+    phi(tau)' P phi(tau), with argmax set A, has
+        D+M = -2 M + max over tau in A of d(tau), where
+        d = 0 at a point or node inside (-delay, 0),
+        d(-delay) = f'(-delay+) = exp(-2 delay) (2 u'Pu + 2 u'Ps), with
+            u = phi(-delay) and s the slope of the first segment,
+        d(0) = max(0, 2 M + 2 phi(0)' P w).
+    Ties: a candidate whose f lies within 1e-9 |M| of M counts as a
+    maximiser, so near-ties are active and the value is never below the
+    exact one.  At zero delay the window is the node 0, M is the point
+    term phi(0)' P phi(0), and its derivative is 2 phi(0)' P w.
+    """
     w = _slope_row(phi, w)
     return float(_closed(V, phi.delay, phi.grid, phi.values[None], w[None])[0])
 
@@ -364,9 +369,25 @@ def _closed(V: Functional, delay: float, grid, values, w) -> np.ndarray:
         return (_closed(V.left, delay, grid, values, w)
                 + _closed(V.right, delay, grid, values, w))
     if isinstance(V, MaxExp):
-        raise ValueError("max-type terms have no closed-form derivative; "
-                         "use driver_derivative_numeric")
+        point = 2.0 * _xQy(_eval_on_grid(delay, grid, values, 0.0), V.P, w)
+        if grid.shape[0] < 2:
+            return point
+        return _maxexp_closed(V.P, grid, values, point)
     raise TypeError(f"not a functional term: {V!r}")
+
+
+def _maxexp_closed(P, grid, values, point) -> np.ndarray:
+    """D+M of MaxExp(P) at a positive delay, by the rule and tie rule of
+    driver_derivative_closed; `point` is 2 phi(0)' P w."""
+    M, f, rest = _maxexp(P, grid, values)
+    tie = M - 1e-9 * np.abs(M)
+    d_start = 2.0 * f[:, 0] + 2.0 * np.exp(2.0 * grid[0]) * _qform(
+        values[:, 0], P, _right_slope(grid, values, grid[0]))
+    d = np.where(rest >= tie, 0.0, -np.inf)
+    d = np.where(f[:, 0] >= tie, np.maximum(d, d_start), d)
+    # rest includes the node 0, so d >= 0 already where f(0) ties
+    d = np.where(f[:, -1] >= tie, np.maximum(d, 2.0 * M + point), d)
+    return d - 2.0 * M
 
 
 def _right_slope(grid, values, tau: float) -> np.ndarray:
@@ -379,10 +400,11 @@ def _right_slope(grid, values, tau: float) -> np.ndarray:
 
 
 def driver_derivative_numeric(V: Functional, phi: HistoryFunction, w,
-                              h_schedule=None) -> float:
-    """max over a decreasing step schedule of the extension quotient
-    (V(phi_{h,w}) - V(phi)) / h, approximating the upper limit from
-    above.  Default schedule: (1e-2, 1e-3, 1e-4) * delay."""
+                              h_schedule) -> float:
+    """max over the decreasing step schedule h_schedule of the extension
+    quotient (V(phi_{h,w}) - V(phi)) / h, approximating the upper limit
+    from above: the cross-check of driver_derivative_closed.  Its error
+    grows with h, so the steps must be small."""
     hs = _step_schedule(phi.delay, h_schedule)
     w = _slope_row(phi, w)
     if not np.all(np.isfinite(w)):
@@ -391,11 +413,9 @@ def driver_derivative_numeric(V: Functional, phi: HistoryFunction, w,
                           hs)[0])
 
 
-def _step_schedule(delay: float, h_schedule=None) -> list[float]:
+def _step_schedule(delay: float, h_schedule) -> list[float]:
     if delay <= 0:
         raise ValueError("numeric derivative needs a positive delay")
-    if h_schedule is None:
-        h_schedule = tuple(f * delay for f in DEFAULT_H_FRACTIONS)
     hs = [float(h) for h in h_schedule]
     if not hs or any(h <= 0 or h >= delay for h in hs):
         raise ValueError("step schedule must be positive and below the delay")
@@ -415,28 +435,6 @@ def _numeric(V: Functional, delay: float, grid, values, w, hs) -> np.ndarray:
         # Python's max over the steps: a later step wins only when larger
         best = q if best is None else np.where(q > best, q, best)
     return best
-
-
-def v0_max(P) -> Callable[[HistoryFunction], float]:
-    """The coercive max-type functional as a plain callable.
-
-    In debug mode every call asserts the two-sided squeeze
-    exp(-2 delay) p_m sup|phi|^2 <= value <= p_M sup|phi|^2.
-    """
-    term = MaxExp(P)
-    eigs = np.linalg.eigvalsh(term.P)
-    p_m, p_M = float(eigs[0]), float(eigs[-1])
-
-    def evaluate(phi: HistoryFunction) -> float:
-        val = eval_functional(term, phi)
-        if __debug__:
-            s2 = phi.sup_norm() ** 2
-            slack = 1e-9 * (1.0 + abs(val) + s2)
-            assert np.exp(-2.0 * phi.delay) * p_m * s2 <= val + slack
-            assert val <= p_M * s2 + slack
-        return val
-
-    return evaluate
 
 
 def combine_W(V: Functional, eps: float, P) -> Functional:

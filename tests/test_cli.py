@@ -1,4 +1,5 @@
 import csv
+import math
 import subprocess
 import sys
 
@@ -27,6 +28,28 @@ constants.sigma_right = 1.0
 constants.sigma_left = 3.0
 constants.gamma = power 1 2
 constants.P = 1 0; 0 1
+"""
+
+# the right-growth route's W = V + eps MaxExp(I), eps = e^-2 / 8 from
+# margin_right(0.5, 1, I, 1): rate 0.5, history strength 2 eps, gain
+# (1 + 2 eps) s^2
+W_EPS = math.exp(-2.0) / 8.0
+W_CERTIFY = f"""
+command = certify
+seed = 20260809
+budget = 3600
+system.name = example1
+system.delay = 1.0
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1 0; 0 1
+lkf.term.2.kind = integral_quadratic
+lkf.term.2.matrix = 0 0; 0 2
+lkf.term.3.kind = max_exp
+lkf.term.3.matrix = 1 0; 0 1
+lkf.term.3.scale = {W_EPS!r}
+constants.a = 0.5
+constants.c = {2.0 * W_EPS!r}
+constants.gamma = power {1.0 + 2.0 * W_EPS!r} 2
 """
 
 
@@ -139,6 +162,17 @@ class TestExitCodes:
         assert checks == ["sandwich", "pointwise-dissipation", "right-growth",
                           "left-growth"]
         assert all(r[6] == "no-violation-found" for r in rows)
+
+    @pytest.mark.parametrize("delay", ["1.0", "0"])
+    def test_certify_max_exp_dissipation_passes(self, tmp_path, delay):
+        cfg = write_config(tmp_path, edit(W_CERTIFY, system__delay=delay))
+        out = tmp_path / "out"
+        code = main(["certify", "--config", str(cfg), "--out", str(out),
+                     "--quiet"])
+        assert code == 0
+        rows = read_report(out)
+        assert [r[1] for r in rows] == ["pointwise-dissipation"]
+        assert rows[0][6] == "no-violation-found"
 
     def test_falsify_example3_left_growth_exits_1(self, tmp_path):
         cfg = write_config(tmp_path, """

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from krasovskii import functionals
 from krasovskii.functionals import (
     ConstantWeight,
     DelayedQuadratic,
@@ -13,12 +16,10 @@ from krasovskii.functionals import (
     Scale,
     Sum,
     combine_W,
-    contains_maxexp,
     driver_derivative_closed,
     driver_derivative_numeric,
     eval_functional,
     square_gain,
-    v0_max,
     zero_gain,
 )
 from krasovskii.histories import (
@@ -29,6 +30,25 @@ from krasovskii.histories import (
     zero_history,
 )
 from krasovskii.systems import make_example1
+
+
+def v0_max(P):
+    """The coercive max-type functional as a plain callable.  Every call
+    asserts the two-sided squeeze
+    exp(-2 delay) p_m sup|phi|^2 <= value <= p_M sup|phi|^2."""
+    term = MaxExp(P)
+    eigs = np.linalg.eigvalsh(term.P)
+    p_m, p_M = float(eigs[0]), float(eigs[-1])
+
+    def evaluate(phi):
+        val = eval_functional(term, phi)
+        s2 = phi.sup_norm() ** 2
+        slack = 1e-9 * (1.0 + abs(val) + s2)
+        assert np.exp(-2.0 * phi.delay) * p_m * s2 <= val + slack
+        assert val <= p_M * s2 + slack
+        return val
+
+    return evaluate
 
 
 def hand_derivative(phi, v):
@@ -160,11 +180,103 @@ class TestClosedDerivative:
         numeric = driver_derivative_numeric(V, phi, w, (1e-5, 1e-6))
         assert closed == pytest.approx(numeric, abs=1e-3)
 
-    def test_maxexp_unsupported(self):
-        with pytest.raises(ValueError, match="numeric"):
-            driver_derivative_closed(MaxExp(np.eye(2)),
-                                     constant_history(1.0, [1.0, 0.0]),
-                                     np.zeros(2))
+
+
+def random_spd(rng, n=2):
+    A = rng.standard_normal((n, n))
+    return A @ A.T + 0.5 * np.eye(n)
+
+
+class TestMaxExpDerivative:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2 ** 32 - 1), modes=st.integers(0, 8),
+           scale=st.floats(0.01, 10.0), w_scale=st.floats(0.01, 1e3),
+           tilt=st.floats(0.0, 3.0),
+           delay=st.sampled_from([1.0]) | st.floats(0.1, 3.0))
+    @example(seed=0, modes=2, scale=10.0, w_scale=1e3, tilt=0.0, delay=1.0)
+    def test_matches_the_quotient(self, seed, modes, scale, w_scale, tilt,
+                                  delay):
+        rng = np.random.default_rng(seed)
+        P = random_spd(rng)
+        phi = random_history((seed, 1), 2, delay, scale, modes)
+        # nodes weighted by exp(-tilt (tau + delay)): a larger tilt moves
+        # the maximum towards -delay, so every branch of the rule is hit
+        phi = HistoryFunction(delay, phi.grid, phi.values * np.exp(
+            -tilt * (phi.grid + delay))[:, None])
+        w = w_scale * rng.standard_normal(2)
+        M, f, rest = functionals._maxexp(P, phi.grid, phi.values[None])
+        M, f_start, f_end, rest = M[0], f[0, 0], f[0, -1], rest[0]
+        # away from ties: f(-delay) apart from the maximum over the rest
+        # of the window, and f(0) either that maximum or apart from it
+        # (the rest includes the node 0)
+        assume(abs(f_start - rest) > 1e-6 * M)
+        assume(not 0.0 < rest - f_end <= 1e-6 * M)
+        term = MaxExp(P)
+        h = 1e-8 * delay
+        closed = driver_derivative_closed(term, phi, w)
+        quotient = driver_derivative_numeric(term, phi, w, (h,))
+        # the quotient's error: h w'Pw from the extension's curvature,
+        # rounding of order 1e-16 M / h
+        tol = 1e-6 * (1.0 + abs(quotient) + M) + 2.0 * h * float(w @ P @ w)
+        assert abs(closed - quotient) <= tol
+
+    def test_maximum_at_minus_delay_alone(self):
+        # phi falls from 3 to -0.5 on [-1, 0]: exp(2 tau) phi^2 peaks at
+        # -1 alone, where f' = e^{-2} (2*9 + 2*3*(-3.5)) = -3 e^{-2}, so
+        # D+M = -2 M + f'(-1+) = -21 e^{-2}
+        phi = HistoryFunction(1.0, np.array([-1.0, 0.0]),
+                              np.array([[3.0], [-0.5]]))
+        w = np.array([5.0])
+        closed = driver_derivative_closed(MaxExp(np.eye(1)), phi, w)
+        assert closed == pytest.approx(-21.0 * np.exp(-2.0), rel=1e-14)
+        quotient = driver_derivative_numeric(MaxExp(np.eye(1)), phi, w,
+                                             (1e-8,))
+        assert quotient == pytest.approx(closed, rel=1e-6)
+
+    def test_zero_delay_is_the_point_term(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3):
+            P = random_spd(rng, n)
+            values = rng.standard_normal((7, 1, n))
+            w = rng.standard_normal((7, n))
+            grid = np.zeros(1)
+            assert np.array_equal(
+                functionals._closed(MaxExp(P), 0.0, grid, values, w),
+                functionals._closed(PointQuadratic(P), 0.0, grid, values, w))
+
+
+def term_kinds(delay):
+    P = np.array([[2.0, 0.3], [0.3, 1.0]])
+    return {
+        "point": PointQuadratic(P),
+        "delayed": DelayedQuadratic(P, -0.3 * delay),
+        "integral-constant": IntegralQuadratic(P, ConstantWeight(2.0)),
+        "integral-exponential": IntegralQuadratic(
+            P, ExponentialWeight(1.5, 0.7)),
+        "max": MaxExp(P),
+        "tree": Sum(Scale(0.5, PointQuadratic(P)), IntegralQuadratic(P))
+        + Scale(2.0, MaxExp(P)),
+    }
+
+
+class TestHomogeneity:
+    # k is a power of two, so scaling a history by k scales every
+    # product and sum by k^2 exactly: the identities hold bit for bit
+    @pytest.mark.parametrize("kind", sorted(term_kinds(1.0)))
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 32 - 1), modes=st.integers(0, 8),
+           scale=st.floats(0.01, 10.0), j=st.integers(-10, 10),
+           delay=st.sampled_from([0.0, 0.2, 1.0]) | st.floats(0.05, 5.0))
+    def test_quadratic_in_the_history(self, kind, seed, modes, scale, j,
+                                      delay):
+        V = term_kinds(delay)[kind]
+        k = 2.0 ** j
+        phi = random_history((seed, 1), 2, delay, scale, modes)
+        w = scale * np.random.default_rng(seed).standard_normal(2)
+        scaled = HistoryFunction(delay, phi.grid, k * phi.values)
+        assert eval_functional(V, scaled) == k * k * eval_functional(V, phi)
+        assert (driver_derivative_closed(V, scaled, k * w)
+                == k * k * driver_derivative_closed(V, phi, w))
 
 
 class TestNumericDerivative:
@@ -236,11 +348,6 @@ class TestCombined:
             val = eval_functional(W, phi)
             assert eps * np.exp(-2.0 * delay) * s2 <= val + 1e-9 * (1 + s2)
             assert val <= (3.0 + eps) * s2 + 1e-9 * (1 + s2)
-
-    def test_contains_maxexp(self, lkf):
-        assert not contains_maxexp(lkf)
-        assert contains_maxexp(combine_W(lkf, 0.1, np.eye(2)))
-        assert contains_maxexp(Scale(2.0, MaxExp(np.eye(2))))
 
 
 class TestLemma1Branches:
