@@ -19,6 +19,13 @@ FalsificationSampler.sample(i) is groups(i, i + 1).  Every residual is
 computed as it would be alone, so a verdict, its witness index and the
 skip count do not depend on the block size or on how the samples group.
 
+Each stream is NumPy's `Generator(PCG64(key))` stream for its key, the
+one its default constructor builds from that key, bit for bit.  It is
+drawn through one process-wide generator reseeded for each key (see
+`histories`): a block's keys are hashed together and no generator is
+built per sample.  That generator is not thread-safe, so sweeps must not
+run in threads of one process at once.
+
 Margins are the closed-form constants attached to the two growth-route
 stability results and their supporting lemmas: the tolerable strength
 of a history term in the dissipation inequality, the derived decay and
@@ -53,6 +60,7 @@ from .histories import (
     HistoryFunction,
     _eval_on_grid,
     _fourier_histories,
+    _keyed_generators,
     _norm,
     random_history,  # noqa: F401  (still importable from this module)
 )
@@ -102,6 +110,10 @@ class FalsificationSampler:
     substream per index: its history from the key (seed, i), its input
     from (seed, i, 1).  Verdicts are therefore reproducible and
     independent of how the samples are grouped or distributed.
+
+    A substream is NumPy's `Generator(PCG64(key))` stream for its key,
+    bit for bit, drawn through one process-wide generator reseeded for
+    each key, which is not thread-safe: draw from one thread at a time.
     """
 
     seed: int
@@ -115,7 +127,8 @@ class FalsificationSampler:
         A sample's mode count, and so its grid, follows from its index,
         so each mode class is drawn straight into its stacked arrays.  At
         zero delay a history is its constant alone, whatever its mode
-        count, and every sample falls in one class."""
+        count, and every sample falls in one class.  The block's history
+        keys and its input keys are hashed in one call each."""
         classes = {}
         for i in range(start, stop):
             strata = i % _STRATA
@@ -125,16 +138,23 @@ class FalsificationSampler:
             modes = MODE_CHOICES[strata // len(INPUT_SCALES)]
             classes.setdefault(modes if self.delay else 0, []).append(
                 (i, norm_scale, input_scale))
-        out = []
+        stacks = []
+        # each sample's draw row and input row, in index order
+        draw_rows, input_rows = [None] * (stop - start), [None] * (stop - start)
         for modes, members in classes.items():
             index, norm_scale, input_scale = map(np.array, zip(*members))
             draws = np.empty((index.shape[0], 1 + 2 * modes, self.n))
             inputs = np.empty((index.shape[0], self.m))
             for b, i in enumerate(index.tolist()):
-                np.random.default_rng((self.seed, i)).standard_normal(
-                    out=draws[b])
-                np.random.default_rng((self.seed, i, 1)).standard_normal(
-                    out=inputs[b])
+                draw_rows[i - start], input_rows[i - start] = draws[b], inputs[b]
+            stacks.append((index, norm_scale, input_scale, draws, inputs))
+        indices = range(start, stop)
+        for rows, tag in ((draw_rows, ()), (input_rows, (1,))):
+            keys = [(self.seed, i, *tag) for i in indices]
+            for row, rng in zip(rows, _keyed_generators(keys)):
+                rng.standard_normal(out=row)
+        out = []
+        for index, norm_scale, input_scale, draws, inputs in stacks:
             inputs *= input_scale[:, None]
             grid, values = _fourier_histories(draws, self.delay, norm_scale)
             out.append(_Group(self.delay, grid, values, inputs, index))

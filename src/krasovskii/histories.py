@@ -11,13 +11,24 @@ The module also provides the two-branch extension used to form upper
 right-hand derivatives of functionals along solutions: for a step
 h in [0, delay) and a direction w, the extended history shifts phi left
 by h and continues linearly with slope w on [-h, 0].
+
+Every random stream of the package is, bit for bit, the stream of
+NumPy's `Generator(PCG64(key))` for its seed key (the generator NumPy's
+default constructor builds from that key), drawn through
+`_keyed_generators`: one process-wide generator reseeded for each key
+in turn, so a stream costs no generator construction.  That generator
+is shared by the whole process and is not thread-safe.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -121,11 +132,18 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     norm_bound = 0).  `seed` may be an int or a tuple of ints; the same
     seed always yields a bitwise-identical history.
     """
+    (rng,) = _keyed_generators([seed])
+    return _drawn_history(rng, n, delay, norm_bound, modes)
+
+
+def _drawn_history(rng, n: int, delay: float, norm_bound: float,
+                   modes: int) -> HistoryFunction:
+    """The random history of random_history, drawn from the generator
+    `rng` (so many keys can be hashed in one _keyed_generators call)."""
     if not 0 <= norm_bound < math.inf:
         raise ValueError("norm_bound must be finite and >= 0")
     if modes < 0:
         raise ValueError("modes must be >= 0")
-    rng = np.random.default_rng(seed)
     # the constant, then each mode's cosine and sine amplitudes, drawn in
     # the order of one vector at a time
     draws = rng.standard_normal((1, 1 + 2 * modes, n))
@@ -133,6 +151,143 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     # valid by construction, and the grid is shared by every random
     # history with the same delay and mode count
     return HistoryFunction._trusted(delay, grid, values[0])
+
+
+def _keyed_generators(keys):
+    """For each key of `keys`, in order, the generator that draws the
+    stream of np.random.Generator(np.random.PCG64(key)), bit for bit.
+
+    Every key is an int or a sequence of ints, each nonnegative, as
+    SeedSequence takes it; a negative one raises ValueError.  All keys
+    are hashed on this call, then one lazily built, process-wide
+    generator is reseeded for each key as the iterator reaches it: draw
+    from each generator before taking the next, and share none of them
+    between threads.
+    """
+    states = _seed_states(keys)
+    generator = _shared_generator()
+    bits = generator.bit_generator
+
+    def reseeded():
+        for state, inc in states:
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield generator
+
+    return reseeded()
+
+
+@lru_cache(maxsize=1)
+def _shared_generator():
+    # built on first use: importing numpy.random costs a fresh process
+    # about 16 ms
+    return np.random.Generator(np.random.PCG64(0))
+
+
+# numpy.random.SeedSequence's hash: a pool of four 32-bit words, the
+# multipliers of its hashmix and mix steps; PCG64's 128-bit multiplier
+_POOL = 4
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@lru_cache(maxsize=16)
+def _hash_constants(init: int, mult: int, count: int) -> tuple:
+    """The (xor, multiplier) pairs of `count` successive hashmix steps
+    whose hash constant starts at `init` and is multiplied by `mult`."""
+    out = []
+    for _ in range(count):
+        xor, init = init, init * mult & _MASK32
+        out.append((xor, init))
+    return tuple(out)
+
+
+# computed once, at import: the constants of every key of up to four
+# words, and of its seed state
+_hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _key_words(key) -> list:
+    """The 32-bit words SeedSequence reads from a key: each value's
+    words least significant first, and one word for a 0."""
+    words = []
+    for value in (key,) if isinstance(key, Integral) else key:
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError(f"seed key {key!r}: expected nonnegative integers")
+        words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
+    return words
+
+
+def _lanes(words) -> int:
+    """One int holding each word in its own 64-bit lane, the first lowest."""
+    return int.from_bytes(array("Q", words), sys.byteorder)
+
+
+def _seed_states(keys) -> list:
+    """The (state, inc) that np.random.PCG64(key) starts from, for each
+    key.
+
+    SeedSequence hashes the key's words into a pool of four words: each
+    pool word is its key word (0 past the key's end) hashed, then every
+    pool word is mixed into every other, then each word past the fourth
+    is mixed into all four.  The pool hashes into four 64-bit words,
+    PCG64's initstate and initseq, high word first, and PCG64 steps
+    its LCG from them.  The hash runs on all keys at once: word j of
+    every key sits in a 64-bit lane of one int, so one int operation
+    does a step for the whole batch.  A product of two 32-bit words
+    fills its lane and carries into no other, and every step masks its
+    lanes back to 32 bits, so each lane computes SeedSequence's uint32
+    arithmetic exactly.
+    """
+    words = [_key_words(key) for key in keys]
+    width = max([_POOL, *map(len, words)])
+    ones = _lanes([1] * len(words))
+    mask = _MASK32 * ones
+    borrow = mask + ones
+
+    def hashmix(value, constants):
+        xor, mult = constants
+        value = (value ^ xor * ones) * mult & mask
+        return value ^ (value >> 16 & mask)
+
+    def mix(x, y):
+        # (MIX_L x - MIX_R y) mod 2^32, borrowing 2^32 in every lane
+        value = (x * _MIX_L & mask) + borrow - (y * _MIX_R & mask) & mask
+        return value ^ (value >> 16 & mask)
+
+    columns = [_lanes(column) for column in
+               zip(*(w + [0] * (width - len(w)) for w in words))]
+    constants = iter(_hash_constants(_INIT_A, _MULT_A, _POOL * width))
+    pool = [hashmix(columns[j], next(constants)) for j in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], next(constants)))
+    for src in range(_POOL, width):
+        # the keys with a word at src mix it in; the others keep their pool
+        live = _lanes([_MASK32 if len(w) > src else 0 for w in words])
+        for dst in range(_POOL):
+            mixed = mix(pool[dst], hashmix(columns[src], next(constants)))
+            pool[dst] ^= (mixed ^ pool[dst]) & live
+    state = [hashmix(pool[j % _POOL], c) for j, c in enumerate(_STATE_CONSTANTS)]
+    # each 64-bit word is a pair of hashed words, the first the low half
+    seed_words = [memoryview((state[j] | state[j + 1] << 32).to_bytes(
+        8 * len(words), sys.byteorder)).cast("Q").tolist() for j in (0, 2, 4, 6)]
+    out = []
+    for state_high, state_low, seq_high, seq_low in zip(*seed_words):
+        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
+        start = (state_high << 64 | state_low) + inc
+        out.append(((start * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
 
 
 def _fourier_histories(draws: np.ndarray, delay: float, norm_bounds: np.ndarray):

@@ -24,7 +24,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .histories import HistoryFunction, random_history, zero_history
+from .histories import (
+    HistoryFunction,
+    _drawn_history,
+    _keyed_generators,
+    zero_history,
+)
 
 __all__ = [
     "DelaySystem",
@@ -105,9 +110,11 @@ class UncertaintyPair:
         """
         bounds = (0.1, 1.0, 10.0)
         mode_choices = (0, 2, 8)
-        for i in range(probes):
-            phi = random_history((911, i), n, delay,
-                                 bounds[i % 3], mode_choices[(i // 3) % 3])
+        # probe i is random_history((911, i), ...), all keys hashed at once
+        keys = [(911, i) for i in range(probes)]
+        for i, rng in enumerate(_keyed_generators(keys)):
+            phi = _drawn_history(rng, n, delay, bounds[i % 3],
+                                 mode_choices[(i // 3) % 3])
             cap = phi.sup_norm() * (1.0 + 1e-9) + 1e-15
             for tag, d in (("d1", self.d1), ("d2", self.d2)):
                 if abs(float(d(phi))) > cap:
@@ -257,14 +264,14 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
                           m: int = 1) -> InputSignal:
     """Seeded piecewise-constant noise, uniform in [-amplitude, amplitude].
 
-    Each segment's value is drawn once, from its own generator, and kept
-    as a read-only array."""
+    Each segment's value is drawn once, from its own stream (the seed key
+    followed by the segment index), and kept as a read-only array."""
     if switch_dt <= 0:
         raise ValueError("switch_dt must be positive")
 
     @lru_cache(maxsize=None)
     def _segment(j: int) -> np.ndarray:
-        rng = np.random.default_rng((seed, j) if np.isscalar(seed) else (*seed, j))
+        (rng,) = _keyed_generators([(seed, j) if np.isscalar(seed) else (*seed, j)])
         value = rng.uniform(-amplitude, amplitude, m)
         value.flags.writeable = False
         return value

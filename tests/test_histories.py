@@ -1,12 +1,15 @@
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krasovskii.histories import (
     HistoryFunction,
+    _keyed_generators,
     constant_history,
     driver_extension,
     random_history,
@@ -212,6 +215,47 @@ class TestRandomHistory:
         phi = random_history(3, 2, 0.0, 1.0, 5)
         assert phi.grid.shape == (1,)
         assert phi.sup_norm() == pytest.approx(1.0)
+
+
+# key values: the word boundaries SeedSequence splits at, and any value
+# up to 2^128 (five words)
+KEY_VALUES = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128]),
+                       st.integers(0, 2**128))
+
+
+class TestKeyedGenerators:
+    @settings(max_examples=60)
+    @given(keys=st.lists(st.lists(KEY_VALUES, min_size=1, max_size=6)
+                         .map(tuple), min_size=1, max_size=12))
+    @example(keys=[(0,), (2**32 - 1,), (2**32,), (2**64,), (7, 2**64, 0),
+                   (1, 2, 3, 4, 5, 2**128), (2**32 - 1, 2**32, 2**64, 0, 9)])
+    def test_streams_equal_default_rng(self, keys):
+        for key, rng in zip(keys, _keyed_generators(keys), strict=True):
+            ref = np.random.default_rng(key)
+            for draw in (lambda g: g.standard_normal(5),
+                         lambda g: g.uniform(-2.0, 2.0, 3)):
+                assert draw(rng).tobytes() == draw(ref).tobytes()
+
+    def test_int_key_is_its_one_tuple(self):
+        for key in (0, 5, 2**40):
+            (rng,) = _keyed_generators([key])
+            assert (rng.standard_normal(4).tobytes()
+                    == np.random.default_rng(key).standard_normal(4).tobytes())
+
+    def test_negative_key_raises_like_default_rng(self):
+        for key in ((1, -1), -3):
+            with pytest.raises(ValueError):
+                np.random.default_rng(key)
+            with pytest.raises(ValueError):
+                _keyed_generators([(2, 3), key])
+
+    def test_import_loads_no_numpy_random(self):
+        # the generator is built on first draw: numpy.random alone costs
+        # a fresh interpreter about 16 ms
+        code = ("import sys, krasovskii; "
+                "krasovskii.FalsificationSampler(1, 2, 1, 1.0); "
+                "sys.exit('numpy.random' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestWindowDuckTyped:
