@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -229,7 +227,12 @@ def _key_words(key) -> list:
 
 def _lanes(words) -> int:
     """One int holding each word in its own 64-bit lane, the first lowest."""
-    return int.from_bytes(array("Q", words), sys.byteorder)
+    return int.from_bytes(np.array(words, dtype="<u8").tobytes(), "little")
+
+
+def _unlanes(value: int, count: int) -> list:
+    """The `count` 64-bit lanes of `value`, the first lowest."""
+    return np.frombuffer(value.to_bytes(8 * count, "little"), dtype="<u8").tolist()
 
 
 def _seed_states(keys) -> list:
@@ -249,7 +252,9 @@ def _seed_states(keys) -> list:
     arithmetic exactly.
     """
     words = [_key_words(key) for key in keys]
-    width = max([_POOL, *map(len, words)])
+    if not words:
+        return []
+    width = max(_POOL, *map(len, words))
     ones = _lanes([1] * len(words))
     mask = _MASK32 * ones
     borrow = mask + ones
@@ -280,8 +285,8 @@ def _seed_states(keys) -> list:
             pool[dst] ^= (mixed ^ pool[dst]) & live
     state = [hashmix(pool[j % _POOL], c) for j, c in enumerate(_STATE_CONSTANTS)]
     # each 64-bit word is a pair of hashed words, the first the low half
-    seed_words = [memoryview((state[j] | state[j + 1] << 32).to_bytes(
-        8 * len(words), sys.byteorder)).cast("Q").tolist() for j in (0, 2, 4, 6)]
+    seed_words = [_unlanes(state[j] | state[j + 1] << 32, len(words))
+                  for j in (0, 2, 4, 6)]
     out = []
     for state_high, state_low, seq_high, seq_low in zip(*seed_words):
         inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
