@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral
@@ -227,12 +228,12 @@ def _key_words(key) -> list:
 
 def _lanes(words) -> int:
     """One int holding each word in its own 64-bit lane, the first lowest."""
-    return int.from_bytes(np.array(words, dtype="<u8").tobytes(), "little")
+    return int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little")
 
 
 def _unlanes(value: int, count: int) -> list:
     """The `count` 64-bit lanes of `value`, the first lowest."""
-    return np.frombuffer(value.to_bytes(8 * count, "little"), dtype="<u8").tolist()
+    return struct.unpack(f"<{count}Q", value.to_bytes(8 * count, "little"))
 
 
 def _seed_states(keys) -> list:
