@@ -138,17 +138,15 @@ class FalsificationSampler:
             modes = MODE_CHOICES[strata // len(INPUT_SCALES)]
             classes.setdefault(modes if self.delay else 0, []).append(
                 (i, norm_scale, input_scale))
-        stacks = []
-        # each sample's draw row and input row, in index order
-        draw_rows, input_rows = [None] * (stop - start), [None] * (stop - start)
+        stacks, indices, draw_rows, input_rows = [], [], [], []
         for modes, members in classes.items():
             index, norm_scale, input_scale = map(np.array, zip(*members))
             draws = np.empty((index.shape[0], 1 + 2 * modes, self.n))
             inputs = np.empty((index.shape[0], self.m))
-            for b, i in enumerate(index.tolist()):
-                draw_rows[i - start], input_rows[i - start] = draws[b], inputs[b]
+            indices += index.tolist()
+            draw_rows += list(draws)
+            input_rows += list(inputs)
             stacks.append((index, norm_scale, input_scale, draws, inputs))
-        indices = range(start, stop)
         for rows, tag in ((draw_rows, ()), (input_rows, (1,))):
             keys = [(self.seed, i, *tag) for i in indices]
             for row, rng in zip(rows, _keyed_generators(keys)):
