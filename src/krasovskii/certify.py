@@ -57,6 +57,8 @@ from .functionals import (
     eval_functional,  # noqa: F401
 )
 from .histories import (
+    MODE_CHOICES,
+    NORM_SCALES,
     HistoryFunction,
     _eval_on_grid,
     _fourier_histories,
@@ -88,10 +90,11 @@ __all__ = [
 
 EVIDENCE_NOTE = "sampling evidence, not a proof"
 
-NORM_SCALES = (0.1, 1.0, 10.0)
 INPUT_SCALES = (0.0, 0.1, 1.0, 10.0)
-MODE_CHOICES = (0, 2, 8)
 _STRATA = len(NORM_SCALES) * len(INPUT_SCALES) * len(MODE_CHOICES)
+
+# history_term_constants' eps: this fraction of the way to its boundary
+_HISTORY_TERM_SLACK = 0.5
 
 VIOLATED = "violated"
 NO_VIOLATION = "no-violation-found"
@@ -462,22 +465,19 @@ def margin_history_term(a_lower: float, a: float, delay: float) -> float:
 
 
 def history_term_constants(a_lower: float, a_upper: float, a: float, rho: float,
-                       c: float, delay: float,
-                       slack: float = 0.5) -> MarginReport:
+                           c: float, delay: float) -> MarginReport:
     """Computable companions of the history-term route: the headroom
     xi = 1 - c e^{a delay}(1 + eps)/(a_lower a), the overshoot constant
     and the gain prefactor.  The decay rate itself is not constructive
     and is estimated empirically elsewhere.
 
-    eps is placed a `slack` fraction of the way to the feasibility
-    boundary (eps = 0 when c = 0)."""
+    eps is placed halfway to the feasibility boundary (eps = 0 when
+    c = 0)."""
     c_bar = margin_history_term(a_lower, a, delay)
     if not 0 <= c < c_bar:
         raise InfeasibilityError(f"c={c} must lie in [0, c_bar={c_bar})")
-    if not 0 < slack < 1:
-        raise ValueError("slack must lie in (0, 1)")
     base = c * math.exp(a * delay) / (a_lower * a)
-    eps = slack * (1.0 / base - 1.0) if base > 0 else 0.0
+    eps = _HISTORY_TERM_SLACK * (1.0 / base - 1.0) if base > 0 else 0.0
     xi = 1.0 - base * (1.0 + eps)
     k = (2.0 * a_upper * math.exp(a * delay) / (a_lower * xi)) ** (1.0 / rho)
     gain_prefactor = (2.0 * math.exp(a * delay) * (1.0 + eps)

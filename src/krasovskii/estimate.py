@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .histories import HistoryFunction, random_history
+from .histories import MODE_CHOICES, HistoryFunction, random_history, zero_history
 from .solver import COMPLETED, Trajectory, history_norm_series, integrate
 from .systems import DelaySystem, InputSignal, constant_input, zero_input
 
@@ -34,6 +34,12 @@ __all__ = [
     "write_envelope_data",
 ]
 
+# fit_envelope's candidate rates; fit_iss_gain's random histories per
+# amplitude and its tail's share of the horizon
+_ETA_GRID = np.logspace(-3, 1, 200)
+_GAIN_HISTORIES = 4
+_TAIL_FRACTION = 0.25
+
 
 class FitFailure(RuntimeError):
     """No admissible envelope at this overshoot cap: evidence against
@@ -45,13 +51,13 @@ def _seed_key(seed, *extra) -> tuple:
     return base + tuple(int(e) for e in extra)
 
 
-def seeded_history_sampler(seed, n: int, delay: float, norm_bound: float,
-                           mode_choices: Sequence[int] = (0, 2, 8)):
-    """index -> reproducible random history, cycling roughness."""
+def seeded_history_sampler(seed, n: int, delay: float, norm_bound: float):
+    """index -> reproducible random history: history i is drawn from the
+    key (seed..., i) with MODE_CHOICES[i % 3] modes."""
 
     def sample(i: int) -> HistoryFunction:
         return random_history(_seed_key(seed, i), n, delay, norm_bound,
-                              mode_choices[i % len(mode_choices)])
+                              MODE_CHOICES[i % len(MODE_CHOICES)])
 
     return sample
 
@@ -89,13 +95,12 @@ class EnvelopeFit:
             raise ValueError("fit must satisfy k >= 1, eta > 0, slack >= 0")
 
 
-def fit_envelope(trajs: Sequence[Trajectory], k_cap: float = 1e3,
-                 eta_grid: Optional[np.ndarray] = None) -> EnvelopeFit:
+def fit_envelope(trajs: Sequence[Trajectory], k_cap: float = 1e3) -> EnvelopeFit:
     """Largest grid rate whose exact overshoot stays below k_cap.
 
     Requires completed trajectories with nonzero initial histories and
-    (the intended use) zero input.  The rate grid defaults to 200
-    log-spaced points in [1e-3, 10].
+    (the intended use) zero input.  The rate grid is 200 log-spaced
+    points in [1e-3, 10].
     """
     if not trajs:
         raise ValueError("need at least one trajectory")
@@ -104,15 +109,13 @@ def fit_envelope(trajs: Sequence[Trajectory], k_cap: float = 1e3,
             raise ValueError("envelope fits need completed trajectories")
         if tr.x0.sup_norm() == 0.0:
             raise ValueError("initial histories must be nonzero")
-    if eta_grid is None:
-        eta_grid = np.logspace(-3, 1, 200)
     pairs = []
     for tr in trajs:
         sel = tr.times >= 0.0
         pairs.append((tr.times[sel],
                       np.linalg.norm(tr.values[sel], axis=1) / tr.x0.sup_norm()))
     best = None
-    for eta in eta_grid:
+    for eta in _ETA_GRID:
         k_eta = max(float(np.max(ratio * np.exp(eta * t))) for t, ratio in pairs)
         if k_eta <= k_cap:
             best = (float(eta), k_eta)
@@ -145,19 +148,16 @@ class GainFit:
 
 
 def fit_iss_gain(sys: DelaySystem, amplitudes: Sequence[float], horizon: float,
-                 dt: float, tail_fraction: float = 0.25,
-                 histories_per_amplitude: int = 4, history_bound: float = 1.0,
+                 dt: float, history_bound: float = 1.0,
                  seed: int = 2024) -> GainFit:
-    """Constant-input ensembles from zero and random histories; for each
-    amplitude record the tail sup of |x| over the last tail_fraction of
-    the horizon."""
-    if not 0 < tail_fraction < 1:
-        raise ValueError("tail_fraction must lie in (0, 1)")
+    """Constant-input ensembles from the zero history and four random
+    histories; for each amplitude record the tail sup of |x| over the
+    last quarter of the horizon."""
     if any(s < 0 for s in amplitudes):
         raise ValueError("amplitudes must be nonnegative")
     tails = {}
     excluded = []
-    cut = horizon * (1.0 - tail_fraction)
+    cut = horizon * (1.0 - _TAIL_FRACTION)
     for s in amplitudes:
         direction = np.zeros(sys.m)
         direction[0] = 1.0
@@ -166,13 +166,10 @@ def fit_iss_gain(sys: DelaySystem, amplitudes: Sequence[float], horizon: float,
                                       sys.n, sys.delay, history_bound)
 
         def sample(i, hist=hist):
-            if i == 0:
-                return random_history(_seed_key(seed, 0), sys.n, sys.delay,
-                                      0.0, 0)
-            return hist(i)
+            return hist(i) if i else zero_history(sys.delay, sys.n)
 
         trajs = run_ensemble(sys, sample, lambda i, u=u: u,
-                             histories_per_amplitude + 1, horizon, dt)
+                             _GAIN_HISTORIES + 1, horizon, dt)
         if any(tr.status != COMPLETED for tr in trajs):
             excluded.append(float(s))
             continue
@@ -184,7 +181,7 @@ def fit_iss_gain(sys: DelaySystem, amplitudes: Sequence[float], horizon: float,
         tails[float(s)] = worst
     positive = [(s, tail) for s, tail in tails.items() if s > 0]
     mu0 = max((tail / s for s, tail in positive), default=0.0)
-    return GainFit(mu0, tail_fraction, tails, tuple(excluded))
+    return GainFit(mu0, _TAIL_FRACTION, tails, tuple(excluded))
 
 
 @dataclass(frozen=True)
@@ -209,11 +206,10 @@ class TwoInequalityFit:
 
 def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
                              dt: float, seed: int = 77,
-                             history_bound: float = 1.0,
                              input_amplitudes: Sequence[float] = (0.0,),
                              mu0: Optional[float] = None) -> TwoInequalityFit:
     """Estimate the overshoot ell and end-of-horizon contraction lam
-    over seeded ensembles.
+    over seeded ensembles from random histories of sup norm 1.
 
     mu0 defaults to a constant-input gain fit over the positive
     amplitudes; pass mu0=0 for input-free studies.
@@ -224,8 +220,7 @@ def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
         positive = [s for s in input_amplitudes if s > 0]
         mu0 = (fit_iss_gain(sys, positive, horizon, dt, seed=seed).mu0
                if positive else 0.0)
-    hist = seeded_history_sampler(_seed_key(seed, 0), sys.n, sys.delay,
-                                  history_bound)
+    hist = seeded_history_sampler(_seed_key(seed, 0), sys.n, sys.delay, 1.0)
 
     def input_for(i: int) -> InputSignal:
         s = input_amplitudes[i % len(input_amplitudes)]

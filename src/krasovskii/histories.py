@@ -3,9 +3,9 @@
 A history is a curve phi on [-delay, 0] with values in R^n, stored as
 samples on a strictly increasing grid and interpolated piecewise
 linearly between them, the one rule every exact computation of the
-package assumes.  The sup norm is the supremum of the Euclidean norm
-|phi(tau)| over the window; it is attained at a grid node, so it is
-computed exactly.
+package assumes, computed by the one kernel `_interp_rows`.  The sup
+norm is the supremum of the Euclidean norm |phi(tau)| over the window;
+it is attained at a grid node, so it is computed exactly.
 
 The module also provides the two-branch extension used to form upper
 right-hand derivatives of functionals along solutions: for a step
@@ -17,7 +17,9 @@ NumPy's `Generator(PCG64(key))` for its seed key (the generator NumPy's
 default constructor builds from that key), drawn through
 `_keyed_generators`: one process-wide generator reseeded for each key
 in turn, so a stream costs no generator construction.  That generator
-is shared by the whole process and is not thread-safe.
+is shared by the whole process and is not thread-safe.  Every seeded
+family of random histories draws from the one strata table,
+NORM_SCALES x MODE_CHOICES.
 """
 
 from __future__ import annotations
@@ -33,6 +35,11 @@ import numpy as np
 
 _DEDUPE_REL = 1e-12
 _EDGE_REL = 1e-9
+
+# the strata of every seeded family of random histories (the sampler,
+# the validate probes, seeded_history_sampler): sup norms and mode counts
+NORM_SCALES = (0.1, 1.0, 10.0)
+MODE_CHOICES = (0, 2, 8)
 
 __all__ = [
     "HistoryFunction",
@@ -131,18 +138,11 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     norm_bound = 0).  `seed` may be an int or a tuple of ints; the same
     seed always yields a bitwise-identical history.
     """
-    (rng,) = _keyed_generators([seed])
-    return _drawn_history(rng, n, delay, norm_bound, modes)
-
-
-def _drawn_history(rng, n: int, delay: float, norm_bound: float,
-                   modes: int) -> HistoryFunction:
-    """The random history of random_history, drawn from the generator
-    `rng` (so many keys can be hashed in one _keyed_generators call)."""
     if not 0 <= norm_bound < math.inf:
         raise ValueError("norm_bound must be finite and >= 0")
     if modes < 0:
         raise ValueError("modes must be >= 0")
+    (rng,) = _keyed_generators([seed])
     # the constant, then each mode's cosine and sine amplitudes, drawn in
     # the order of one vector at a time
     draws = rng.standard_normal((1, 1 + 2 * modes, n))
@@ -385,16 +385,9 @@ def _eval_on_grid(delay, grid, values, tau):
         raise ValueError(f"tau outside [-{delay}, 0]")
     t = np.minimum(np.maximum(t, -delay), 0.0)
     if grid.shape[0] == 1:
-        out = np.broadcast_to(values[..., :1, :],
-                              values.shape[:-2] + (t.shape[0], values.shape[-1]))
-        out = out.copy()
+        out = values[..., np.zeros(t.shape[0], dtype=np.intp), :]
     else:
-        idx = np.searchsorted(grid, t, side="right") - 1
-        idx = np.minimum(np.maximum(idx, 0), grid.shape[0] - 2)
-        g0 = grid[idx]
-        span = grid[idx + 1] - g0
-        lam = ((t - g0) / span)[:, None]
-        out = (1.0 - lam) * values[..., idx, :] + lam * values[..., idx + 1, :]
+        out = _interp_rows(grid, values, t)
     return out[..., 0, :] if tau.ndim == 0 else out
 
 
@@ -463,23 +456,15 @@ def _norm(rows: np.ndarray) -> np.ndarray:
 
 
 def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The piecewise-linear interpolant of the rows `values` on the
-    increasing grid `times`, at each point of the 1-d array t; exactly
-    a node's row when the point falls on or beyond that node at either
-    end of its segment."""
+    """The piecewise-linear interpolant of the rows of `values`
+    (..., len(times), n) on the increasing grid `times`, at each point of
+    the 1-d array t: (..., len(t), n).  The package's one interpolation
+    rule, (1 - lam) x_j + lam x_j+1 on the segment that holds the point,
+    with no node special case: a read at a node may turn a -0.0 entry
+    into +0.0, and a non-finite neighbouring row into nan."""
     idx = np.searchsorted(times, t, side="right") - 1
-    np.clip(idx, 0, times.shape[0] - 2, out=idx)
+    # np.clip costs several times as much on the short arrays of a sweep
+    idx = np.minimum(np.maximum(idx, 0), times.shape[0] - 2)
     g0 = times[idx]
-    lam = (t - g0) / (times[idx + 1] - g0)
-    # (1 - lam) x[idx] + lam x[idx + 1], built in place: a block reads
-    # thousands of rows at once
-    out = values[idx]
-    out *= (1.0 - lam)[:, None]
-    right = values[idx + 1]
-    right *= lam[:, None]
-    out += right
-    on_left = lam <= 0.0
-    on_right = lam >= 1.0
-    out[on_left] = values[idx[on_left]]
-    out[on_right] = values[idx[on_right] + 1]
-    return out
+    lam = ((t - g0) / (times[idx + 1] - g0))[:, None]
+    return (1.0 - lam) * values[..., idx, :] + lam * values[..., idx + 1, :]

@@ -1,10 +1,11 @@
 """Method-of-steps integration of delay systems with dense output.
 
 Fixed-step classical RK4; delayed arguments are read from the already
-computed piecewise-linear dense trajectory.  Requiring dt <= delay/4
-(for positive delays) keeps every delayed read inside the completed
-segment, so the scheme stays explicit.  Blow-up is a trajectory status,
-not an exception: experiments deliberately probe near finite escape.
+computed piecewise-linear dense trajectory by the one interpolant of
+`histories`.  Requiring dt <= delay/4 (for positive delays) keeps every
+delayed read inside the completed segment, so the scheme stays explicit.
+Blow-up is a trajectory status, not an exception: experiments
+deliberately probe near finite escape.
 
 Systems with a pointwise formula f(x(t), x(t - delay), v) are stepped
 in blocks of k - 1 steps, k = delay/dt (Bellen & Zennaro, *Numerical
@@ -13,11 +14,12 @@ delayed argument a block needs, at t - delay, t + dt/2 - delay and
 t + dt - delay for each of its steps, already lies on computed rows
 when the block starts, so all of them are read in one vectorised pass.
 A zero delay runs as one block.  Blow-up is checked once per block, and
-the trajectory is cut at the first bad step.  Systems with only a
-general `field` are stepped one at a time, each RK4 stage on its own
-history.  The input is evaluated at the stage times of every step of a
-block, also past a blow-up inside it, so `InputSignal.evaluate` must be
-a pure function of t.
+the trajectory is cut at the first bad step: a state that is not finite
+or whose norm (np.linalg.norm of that state alone) exceeds the
+threshold.  Systems with only a general `field` are stepped one at a
+time, each RK4 stage on its own history.  The input is evaluated at the
+stage times of every step of a block, also past a blow-up inside it, so
+`InputSignal.evaluate` must be a pure function of t.
 """
 
 from __future__ import annotations
@@ -192,17 +194,11 @@ def _field_block(sys, u, times, values, b0, m, dt):
 
 
 def _first_bad(rows, threshold):
-    """Index of the first row that is not finite or whose norm exceeds
-    threshold, judged by np.linalg.norm of that row alone; None if none."""
-    norms = np.linalg.norm(rows, axis=1)
-    # the norm over a batch may round differently from the norm of one
-    # row, so only rows well clear of the threshold pass unexamined
-    clear = np.isfinite(norms) & (norms <= threshold * (1.0 - 1e-9))
-    for i in np.flatnonzero(~clear):
-        y = rows[i]
-        if not np.all(np.isfinite(y)) or np.linalg.norm(y) > threshold:
-            return int(i)
-    return None
+    """Index of the first row that is not finite or whose norm, as
+    np.linalg.norm computes it for that row alone, exceeds threshold;
+    None if none."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | (_norm(rows) > threshold))
+    return int(bad[0]) if bad.size else None
 
 
 def _initial_grid(x0: HistoryFunction, delay: float, dt: float) -> np.ndarray:
@@ -230,12 +226,7 @@ def history_norm_series(traj: Trajectory):
     left = np.searchsorted(times, lo, side="left")
     norms = _window_max(np.linalg.norm(values, axis=1), left, out_idx)
     cut = np.flatnonzero((left > 0) & (times[left] > lo))
-    if cut.size:
-        a, b = left[cut] - 1, left[cut]
-        g0 = times[a]
-        lam = ((lo[cut] - g0) / (times[b] - g0))[:, None]
-        edge = _norm((1.0 - lam) * values[a] + lam * values[b])
-        norms[cut] = np.maximum(norms[cut], edge)
+    norms[cut] = np.maximum(norms[cut], _norm(_interp_rows(times, values, lo[cut])))
     return times[out_idx], norms
 
 

@@ -25,9 +25,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .histories import (
+    MODE_CHOICES,
+    NORM_SCALES,
     HistoryFunction,
-    _drawn_history,
     _keyed_generators,
+    random_history,
     zero_history,
 )
 
@@ -103,18 +105,15 @@ class UncertaintyPair:
     d1: Callable[[HistoryFunction], float]
     d2: Callable[[HistoryFunction], float]
 
-    def validate(self, n: int, delay: float, probes: int = 100) -> None:
-        """Probe |d_i(phi)| <= sup|phi| on seeded random histories.
-
-        A contract check, not a proof.
-        """
-        bounds = (0.1, 1.0, 10.0)
-        mode_choices = (0, 2, 8)
-        # probe i is random_history((911, i), ...), all keys hashed at once
-        keys = [(911, i) for i in range(probes)]
-        for i, rng in enumerate(_keyed_generators(keys)):
-            phi = _drawn_history(rng, n, delay, bounds[i % 3],
-                                 mode_choices[(i // 3) % 3])
+    def validate(self, n: int, delay: float) -> None:
+        """Probe |d_i(phi)| <= sup|phi| on seeded random histories, a
+        contract check, not a proof.  Probe i, for i < 100, is
+        random_history((911, i), n, delay, NORM_SCALES[i % 3],
+        MODE_CHOICES[(i // 3) % 3]); the ValueError names the first
+        probe that fails."""
+        for i in range(100):
+            phi = random_history((911, i), n, delay, NORM_SCALES[i % 3],
+                                 MODE_CHOICES[(i // 3) % 3])
             cap = phi.sup_norm() * (1.0 + 1e-9) + 1e-15
             for tag, d in (("d1", self.d1), ("d2", self.d2)):
                 if abs(float(d(phi))) > cap:

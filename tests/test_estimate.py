@@ -164,11 +164,6 @@ class TestFitIssGain:
         assert 50.0 in fit.excluded
         assert 0.01 in fit.tails
 
-    def test_tail_fraction_validation(self):
-        sys = make_linear_baseline(1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            fit_iss_gain(sys, [1.0], 10.0, 0.01, tail_fraction=1.5)
-
 
 class TestEmpiricalTwoInequality:
     def test_linear_baseline_contraction_constant_history(self):

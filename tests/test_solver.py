@@ -1,11 +1,15 @@
 import csv
 import dataclasses
+import math
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from krasovskii.histories import (
+    _interp_rows,
     constant_history,
     random_history,
     window,
@@ -14,6 +18,7 @@ from krasovskii.histories import (
 from krasovskii.solver import (
     BLEW_UP,
     COMPLETED,
+    _first_bad,
     _initial_grid,
     export_csv,
     history_norm_series,
@@ -251,6 +256,77 @@ class TestBlockParity:
             traj = assert_matches_reference(sys, constant_history(delay, [2.0]),
                                             None, 0.5, dt, np.inf)
             assert traj.status == BLEW_UP
+
+
+def first_bad_reference(rows, threshold):
+    for i, row in enumerate(rows):
+        if not np.all(np.isfinite(row)) or np.linalg.norm(row) > threshold:
+            return i
+    return None
+
+
+@st.composite
+def blowup_rows(draw):
+    """(rows, threshold): rows mixing nan, +-inf, 1e200, ordinary values
+    and norms within a few ulps of 1e9, against 1e9 or inf."""
+    n = draw(st.integers(1, 4))
+    special = st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200,
+                               0.0, -0.0])
+    ordinary = st.floats(-1e10, 1e10)
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["special", "ordinary", "near"]))
+        if kind == "near":
+            row = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n,
+                                         max_size=n)))
+            row *= 1e9 / np.linalg.norm(row)
+            for _ in range(draw(st.integers(0, 4))):
+                row = np.nextafter(row, draw(st.sampled_from([0.0, math.inf])))
+        else:
+            row = np.array(draw(st.lists(
+                special | ordinary if kind == "special" else ordinary,
+                min_size=n, max_size=n)))
+        rows.append(row)
+    return np.array(rows), draw(st.sampled_from([1e9, math.inf]))
+
+
+@st.composite
+def interp_cases(draw):
+    """(times, values (B, L, n), points): a strictly increasing grid,
+    finite rows, and random in-range points followed by every node."""
+    steps = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12))
+    times = draw(st.floats(-10.0, 10.0)) + np.concatenate(([0.0], np.cumsum(steps)))
+    batch, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    values = np.array(draw(st.lists(
+        st.floats(-1e300, 1e300), min_size=batch * times.shape[0] * n,
+        max_size=batch * times.shape[0] * n))).reshape(batch, -1, n)
+    inside = draw(st.lists(st.floats(float(times[0]), float(times[-1])),
+                           max_size=10))
+    return times, values, np.concatenate((inside, times))
+
+
+class TestKernelEquivalence:
+    @settings(max_examples=300)
+    @given(blowup_rows())
+    # rows whose norm over a batch, np.linalg.norm(rows, axis=1), lies on
+    # the other side of 1e9 from the norm of the row alone
+    @example((np.array([[3.0, 4.0], [234177992.15863955, 972193739.9451553]]), 1e9))
+    @example((np.array([[605875570.4250425, 795559421.515533]]), 1e9))
+    def test_first_bad_is_the_row_loop(self, case):
+        rows, threshold = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _first_bad(rows, threshold) == first_bad_reference(rows, threshold)
+
+    @settings(max_examples=200)
+    @given(interp_cases())
+    def test_interp_rows_is_the_scalar_read(self, case):
+        times, values, points = case
+        out = _interp_rows(times, values, points)
+        assert out.shape == (values.shape[0], points.shape[0], values.shape[2])
+        for b in range(values.shape[0]):
+            for j, t in enumerate(points):
+                assert np.array_equal(
+                    out[b, j], _interp_row_reference(times, values[b], t))
 
 
 class TestPreconditions:

@@ -95,6 +95,34 @@ class TestExample2:
             v = np.array([float(i) / 7.0])
             assert np.array_equal(builtin.field(phi, v), user.field(phi, v))
 
+    def test_validate_probe_family(self):
+        # a pair bounded except on 8-mode histories (65 nodes) of sup norm
+        # 10: validate names the first such probe, and every probe up to
+        # it is random_history((911, i), ...) of its stratum
+        delay = 0.5
+        seen = []
+
+        def rough_and_large(phi):
+            return phi.grid.shape[0] == 65 and phi.sup_norm() > 5.0
+
+        def d1(phi):
+            seen.append(phi)
+            return 2.0 * phi.sup_norm() if rough_and_large(phi) else 0.0
+
+        expected = []
+        for i in range(100):
+            expected.append(random_history((911, i), 2, delay,
+                                           (0.1, 1.0, 10.0)[i % 3],
+                                           (0, 2, 8)[(i // 3) % 3]))
+            if rough_and_large(expected[-1]):
+                break
+        with pytest.raises(ValueError, match=rf"d1 .* on probe {i}$"):
+            UncertaintyPair(d1, lambda phi: 0.0).validate(2, delay)
+        assert len(seen) == len(expected)
+        for got, want in zip(seen, expected):
+            assert np.array_equal(got.grid, want.grid)
+            assert np.array_equal(got.values, want.values)
+
     def test_unbounded_uncertainty_rejected(self):
         bad = UncertaintyPair(lambda phi: 2.0 * phi.sup_norm() + 1.0,
                               lambda phi: 0.0)

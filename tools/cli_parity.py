@@ -1,0 +1,387 @@
+"""Byte-parity check of the command-line interface against another tree.
+
+    python tools/cli_parity.py --against DIR
+
+Runs one fixed set of configs, covering every subcommand, once with the
+`krasovskii` package of this source tree and once with that of the tree
+at DIR (its package in DIR/src), each run in a fresh directory with
+PYTHONPATH=<tree>/src.  Compares the exit codes, stdout, stderr and
+every output file byte for byte, after dropping each file's
+"# generated" timestamp line.  Prints one line per config; exits 0 when
+every run matches and 1 when any differs, naming each difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CRITERION_13 = """
+command = certify
+seed = 404
+budget = 1500
+system.name = example1
+system.delay = 1.0
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1 0; 0 1
+lkf.term.2.kind = integral_quadratic
+lkf.term.2.matrix = 0 0; 0 2
+constants.a_lower = 1.0
+constants.a_upper = 3.0
+constants.a = 0.5
+constants.rho = 2
+constants.sigma_right = 1.0
+constants.sigma_left = 3.0
+constants.gamma = power 1 2
+constants.P = 1 0; 0 1
+"""
+
+EXAMPLE1 = """
+command = certify
+seed = 11
+budget = 1500
+system.name = example1
+system.delay = 1.0
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1 0; 0 1
+lkf.term.2.kind = integral_quadratic
+lkf.term.2.matrix = 0 0; 0 2
+constants.a_lower = 1.0
+constants.a_upper = 3.0
+constants.a = 0.5
+constants.c = 0.0
+constants.rho = 2
+constants.sigma_right = 1.0
+constants.sigma_left = 3.0
+constants.gamma = power 1 2
+constants.P = 1 0; 0 1
+"""
+
+# the right-growth route's W = V + eps MaxExp(I) on example1, with
+# eps = e^-2 / 8 from margin_right(0.5, 1, I, 1)
+W_EPS = math.exp(-2.0) / 8.0
+W_CERTIFY = f"""
+command = certify
+seed = 20260809
+budget = 3600
+system.name = example1
+system.delay = {{delay}}
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1 0; 0 1
+lkf.term.2.kind = integral_quadratic
+lkf.term.2.matrix = 0 0; 0 2
+lkf.term.3.kind = max_exp
+lkf.term.3.matrix = 1 0; 0 1
+lkf.term.3.scale = {W_EPS!r}
+constants.a = 0.5
+constants.c = {2.0 * W_EPS!r}
+constants.gamma = power {1.0 + 2.0 * W_EPS!r} 2
+"""
+
+TIGHTENED = """
+command = certify
+seed = 13
+budget = 2000
+system.name = example1
+system.delay = 1.0
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1 0; 0 1
+lkf.term.2.kind = integral_quadratic
+lkf.term.2.matrix = 0 0; 0 2
+lkf.term.2.weight_rate = 0.5
+lkf.term.3.kind = delayed_quadratic
+lkf.term.3.matrix = 0.1 0; 0 0.1
+lkf.term.3.lag = 0.5
+lkf.term.4.kind = max_exp
+lkf.term.4.matrix = 1 0; 0 1
+lkf.term.4.scale = 0.02
+constants.a = 1.5
+constants.gamma = power 1 2
+"""
+
+FALSIFY_EXAMPLE3 = """
+command = falsify
+seed = 5
+budget = 2000
+system.name = example3
+system.delay = 1.0
+constants.sigma_left = 3.0
+constants.gamma = power 1 2
+constants.P = 1 0; 0 1
+"""
+
+EXAMPLE2_TERMS = """
+command = certify
+seed = 3
+budget = 1200
+system.name = example2
+system.delay = 0.5
+system.epsilon = 0.1
+system.uncertainty = delayed
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1 0; 0 1
+lkf.term.2.kind = delayed_quadratic
+lkf.term.2.matrix = 0.5 0; 0 0.5
+lkf.term.2.lag = 0.25
+lkf.term.3.kind = integral_quadratic
+lkf.term.3.matrix = 1 0; 0 1
+lkf.term.3.weight_rate = 1.0
+lkf.term.4.kind = max_exp
+lkf.term.4.matrix = 1 0; 0 1
+lkf.term.4.scale = 0.05
+constants.a_lower = 1.0
+constants.a_upper = 4.0
+constants.a = 0.5
+constants.gamma = zero
+"""
+
+LINEAR_ZERO_DELAY = """
+command = certify
+seed = 21
+budget = 1000
+system.name = linear
+system.delay = 0
+system.a = 1.0
+system.b = 0.5
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1
+lkf.term.2.kind = max_exp
+lkf.term.2.matrix = 1
+lkf.term.2.scale = 0.1
+constants.a_lower = 1.0
+constants.a_upper = 1.2
+constants.a = 0.5
+constants.sigma_right = 2.0
+constants.sigma_left = 2.0
+constants.gamma = power 1 2
+constants.P = 1
+"""
+
+MARGIN = """
+command = margin
+seed = 1
+system.name = example1
+system.delay = 1.0
+constants.a_lower = 1.0
+constants.a_upper = 3.0
+constants.a = 0.5
+constants.c = {c}
+constants.sigma_right = 1.0
+constants.sigma_left = 3.0
+constants.P = 1 0; 0 1
+"""
+
+SIMULATE_EXAMPLE1 = """
+command = simulate
+seed = 4
+horizon = 3.0
+step = 0.01
+system.name = example1
+system.delay = 1.0
+history.bound = 2.0
+history.modes = 8
+input.kind = sinusoid
+input.amplitude = 0.5
+input.omega = 3.0
+input.phase = 0.2
+"""
+
+SIMULATE_EXAMPLE2_NOISE = """
+command = simulate
+seed = 6
+horizon = 2.0
+step = 0.005
+system.name = example2
+system.delay = 0.5
+system.epsilon = 0.05
+system.uncertainty = delayed
+input.kind = noise
+input.amplitude = 0.3
+input.switch_dt = 0.0437
+"""
+
+SIMULATE_LINEAR_NOISE = """
+command = simulate
+seed = 1
+horizon = 2.0
+step = 0.01
+system.name = linear
+system.delay = 0.5
+history.kind = constant
+history.value = 0
+input.kind = noise
+input.amplitude = 1.0
+input.switch_dt = 0.1
+"""
+
+SIMULATE_ZERO_DELAY = """
+command = simulate
+seed = 10
+horizon = 1.0
+step = 0.01
+system.name = example1
+system.delay = 0
+history.bound = 1.5
+history.modes = 8
+input.kind = step
+input.t_switch = 0.3
+input.before = 0
+input.after = 1
+"""
+
+# x' = 10 x + x(t - 0.5) passes the blow-up threshold 1e9 near t = 2
+SIMULATE_BLOWUP = """
+command = simulate
+seed = 8
+horizon = 5.0
+step = 0.01
+system.name = linear
+system.delay = 0.5
+system.a = -10
+system.b = 1
+history.kind = constant
+history.value = 1
+"""
+
+ENVELOPE_LINEAR = """
+command = envelope
+seed = 3
+horizon = 10.0
+step = 0.05
+ensemble.count = 4
+system.name = linear
+system.delay = 0.5
+system.a = 1.0
+history.bound = 1.0
+contraction.horizon = 10.0
+"""
+
+ENVELOPE_EXAMPLE1 = """
+command = envelope
+seed = 12
+horizon = 4.0
+step = 0.01
+ensemble.count = 6
+system.name = example1
+system.delay = 1.0
+history.bound = 0.5
+contraction.horizon = 4.0
+"""
+
+EXAMPLE2_MARGINS = """
+command = example2-margins
+seed = 1
+example2.deltas = 0 0.5 1 2 4.5
+"""
+
+# name -> (subcommand, config text, further arguments)
+CONFIGS = {
+    "criterion-13": ("certify", CRITERION_13, ()),
+    "criterion-13-seeded": ("certify", CRITERION_13,
+                            ("--seed", "20260809", "--budget", "3000")),
+    "example1": ("certify", EXAMPLE1, ()),
+    "example1-seeded": ("certify", EXAMPLE1, ("--seed", "7", "--budget", "500")),
+    "example1-tightened": ("certify", TIGHTENED, ()),
+    "W-delay-1": ("certify", W_CERTIFY.format(delay="1.0"), ()),
+    "W-delay-0": ("certify", W_CERTIFY.format(delay="0"), ()),
+    "falsify-example3": ("falsify", FALSIFY_EXAMPLE3, ()),
+    "example2-four-terms": ("certify", EXAMPLE2_TERMS, ()),
+    "linear-zero-delay": ("certify", LINEAR_ZERO_DELAY, ()),
+    "margin": ("margin", MARGIN.format(c=0.0), ()),
+    "margin-history-term": ("margin", MARGIN.format(c=0.1), ()),
+    "simulate-example1-sinusoid": ("simulate", SIMULATE_EXAMPLE1, ()),
+    "simulate-example2-noise": ("simulate", SIMULATE_EXAMPLE2_NOISE, ()),
+    "simulate-linear-noise": ("simulate", SIMULATE_LINEAR_NOISE, ()),
+    "simulate-linear-noise-seeded": ("simulate", SIMULATE_LINEAR_NOISE,
+                                     ("--seed", "9")),
+    "simulate-zero-delay": ("simulate", SIMULATE_ZERO_DELAY, ()),
+    "simulate-blowup": ("simulate", SIMULATE_BLOWUP, ()),
+    "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
+    "envelope-example1": ("envelope", ENVELOPE_EXAMPLE1, ()),
+    "example2-margins": ("example2-margins", EXAMPLE2_MARGINS, ()),
+}
+
+
+def _environment(tree: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    # the package must come from the tree, never from an installed copy
+    found = subprocess.run(
+        [sys.executable, "-c", "import krasovskii; print(krasovskii.__file__)"],
+        env=env, capture_output=True, text=True)
+    expected = (tree / "src" / "krasovskii").resolve()
+    if found.returncode or Path(found.stdout.strip()).resolve().parent != expected:
+        raise SystemExit(f"error: cannot import krasovskii from {expected}: "
+                         f"{found.stdout.strip() or found.stderr.strip()}")
+    return env
+
+
+def _outputs(env: dict, workdir: Path, command: str, text: str, extra) -> dict:
+    """The exit code, stdout, stderr and output files of one run in
+    `workdir`, the files without their "# generated" lines."""
+    workdir.mkdir(parents=True)
+    (workdir / "exp.cfg").write_text(text.lstrip())
+    proc = subprocess.run(
+        [sys.executable, "-m", "krasovskii.cli", command, "--config", "exp.cfg",
+         "--out", "out", *extra],
+        cwd=workdir, env=env, capture_output=True)
+    out = {"exit code": str(proc.returncode).encode(), "stdout": proc.stdout,
+           "stderr": proc.stderr}
+    outdir = workdir / "out"
+    for path in sorted(outdir.rglob("*")):
+        if path.is_file():
+            lines = path.read_bytes().splitlines(keepends=True)
+            out[f"file {path.relative_to(outdir).as_posix()}"] = b"".join(
+                ln for ln in lines if not ln.startswith(b"# generated"))
+    return out
+
+
+def _differences(here: dict, there: dict) -> list:
+    found = []
+    for key in sorted(here.keys() | there.keys()):
+        if key not in there:
+            found.append(f"{key} only in this tree")
+        elif key not in here:
+            found.append(f"{key} only in the other tree")
+        elif here[key] != there[key]:
+            if key == "exit code":
+                found.append(f"exit code {here[key].decode()} != "
+                             f"{there[key].decode()}")
+            else:
+                found.append(f"{key} differs")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, type=Path,
+                        help="root of the source tree to compare with")
+    args = parser.parse_args(argv)
+    trees = {"here": ROOT, "there": args.against.resolve()}
+    envs = {side: _environment(tree) for side, tree in trees.items()}
+    failed = 0
+    with tempfile.TemporaryDirectory(prefix="cli-parity-") as tmp:
+        for name, (command, text, extra) in CONFIGS.items():
+            here, there = (_outputs(envs[side], Path(tmp) / side / name,
+                                    command, text, extra) for side in trees)
+            found = _differences(here, there)
+            code = here["exit code"].decode()
+            if found:
+                failed += 1
+                print(f"{name}: DIFFERS (exit {code}): " + "; ".join(found))
+            else:
+                files = sum(key.startswith("file ") for key in here)
+                print(f"{name}: same (exit {code}, {files} files)")
+    print(f"{len(CONFIGS) - failed} of {len(CONFIGS)} configs identical")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
