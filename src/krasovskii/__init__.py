@@ -40,7 +40,6 @@ from .solver import (
 from .functionals import (
     DelayedQuadratic,
     ExponentialWeight,
-    HypothesisConstants,
     IntegralQuadratic,
     MaxExp,
     PointQuadratic,

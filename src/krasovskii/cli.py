@@ -8,8 +8,9 @@ from one leading "# generated" timestamp comment line.
 A config is read in two steps: `parse_config_file` splits the file into
 raw key -> text pairs, and `load_config` parses every value once, against
 the one declaration of its key (parser, range and default), applies the
-command-line overrides and checks the hypothesis constants for coherence.
-The commands only read parsed values.
+command-line overrides and checks the rules that join two keys.  Every
+rule is checked there, for every command; the commands only read parsed
+values.
 
 Exit codes: 0 all checks passed / quantities computed, 1 a violation or
 refutation was found, 2 configuration error.
@@ -95,11 +96,20 @@ def _gain(text):
     return functionals.PowerGain(*map(_number(), parts[1:]))
 
 
+def _positive_definite(P) -> bool:
+    try:
+        return np.min(np.linalg.eigvalsh(functionals._symmetric(P))) > 0
+    except ValueError:  # not square or not symmetric
+        return False
+
+
 _positive = _number(0, above=True)
 _vector = _array("a finite vector like '1 0'",
                  lambda s: [float(x) for x in s.split()])
 _matrix = _array("a finite matrix like '1 0; 0 1'",
                  lambda s: [[float(x) for x in r.split()] for r in s.split(";")])
+_pd_matrix = _parser("a symmetric positive definite matrix like '1 0; 0 1'",
+                     _matrix, _positive_definite)
 
 # one declaration per key: (parser, default text or None for no default)
 _KEYS = {
@@ -110,7 +120,7 @@ _KEYS = {
     "step": (_positive, None),
     "out": (Path, "results"),
     "tolerance": (_number(0), "1e-9"),
-    "system.name": (str, None),
+    "system.name": (_choice(*systems.PARAMETERS), None),
     "system.delay": (_number(0), None),
     "system.a": (_number(), None),
     "system.b": (_number(), None),
@@ -124,7 +134,7 @@ _KEYS = {
     "constants.sigma_right": (_positive, None),
     "constants.sigma_left": (_positive, None),
     "constants.gamma": (_gain, "power 1 2"),
-    "constants.P": (_matrix, None),
+    "constants.P": (_pd_matrix, None),
     "history.kind": (_choice("random", "constant"), "random"),
     "history.bound": (_number(0), "1"),
     "history.modes": (_integer(0), "2"),
@@ -199,7 +209,11 @@ def load_config(raw: dict, command: str | None = None, seed: int | None = None,
                 out: str | None = None, budget: int | None = None) -> Config:
     """Parse a raw config once.  The subcommand and the --seed, --out and
     --budget options override their keys and are parsed like them;
-    history.seed defaults to the run seed."""
+    history.seed defaults to the run seed.  Two rules join keys: the
+    squeeze needs constants.a_lower <= constants.a_upper, and each
+    system.<param> must be a parameter of the named system.  The
+    lkf.term.<i> keys are built into the functional "lkf" (None without
+    terms), so a term's rules are checked here too."""
     overrides = {"command": command, "seed": seed, "out": out, "budget": budget}
     raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     cfg = Config()
@@ -211,14 +225,17 @@ def load_config(raw: dict, command: str | None = None, seed: int | None = None,
             except ValueError as exc:
                 raise ConfigError(f"field {key!r}: {exc}") from None
     cfg.setdefault("history.seed", cfg["seed"])
-    try:
-        functionals.HypothesisConstants(
-            a_upper=cfg.get("constants.a_upper"), a=cfg.get("constants.a"),
-            rho=cfg["constants.rho"], a_lower=cfg.get("constants.a_lower"),
-            c=cfg["constants.c"], P=cfg.get("constants.P"),
-            gamma=cfg["constants.gamma"])
-    except ValueError as exc:
-        raise ConfigError(f"constants.*: {exc}") from None
+    lower, upper = cfg.get("constants.a_lower"), cfg.get("constants.a_upper")
+    if None not in (lower, upper) and lower > upper:
+        raise ConfigError("field 'constants.a_lower': must be <= constants."
+                          f"a_upper, got {raw['constants.a_lower']!r}")
+    name = cfg.get("system.name")
+    takes = ("name", "delay") + systems.PARAMETERS.get(name, ())
+    for key in cfg:
+        if key.startswith("system.") and key[len("system."):] not in takes:
+            raise ConfigError(f"field {key!r}: not a parameter of system "
+                              f"{name!r}")
+    cfg["lkf"] = _lkf(cfg)
     return cfg
 
 
@@ -227,24 +244,16 @@ def load_config(raw: dict, command: str | None = None, seed: int | None = None,
 
 def _system(cfg) -> systems.DelaySystem:
     name = cfg["system.name"]
-    params = {k: cfg[f"system.{k}"] for k in ("a", "b", "epsilon", "uncertainty")
+    params = {k: cfg[f"system.{k}"] for k in systems.PARAMETERS[name]
               if f"system.{k}" in cfg}
-    # a parameter the named system does not take is the offending field
-    unknown = [k for k in params if k not in systems.PARAMETERS.get(name, params)]
-    try:
-        return systems.build_system(name, cfg["system.delay"], params)
-    except ValueError as exc:
-        field = f"system.{unknown[0]}" if unknown else "system.name"
-        raise ConfigError(f"field {field!r}: {exc}") from None
+    return systems.build_system(name, cfg["system.delay"], params)
 
 
-def _lkf(cfg) -> functionals.Functional:
-    # "lkf.term.<i>." prefixes, in index order as load_config stored them
-    prefixes = list(dict.fromkeys(m[0] for m in map(_TERM.match, cfg) if m))
-    if not prefixes:
-        raise ConfigError("missing config field 'lkf.term.1.kind'")
+def _lkf(cfg) -> functionals.Functional | None:
+    """The sum of the lkf.term.<i> terms in index order; None if none."""
     total = None
-    for p in prefixes:
+    # "lkf.term.<i>." prefixes, in index order as load_config stored them
+    for p in dict.fromkeys(m[0] for m in map(_TERM.match, cfg) if m):
         kind, matrix = cfg[p + "kind"], cfg[p + "matrix"]
         try:
             if kind == "point_quadratic":
@@ -317,7 +326,9 @@ def _cmd_certify(cfg, quiet) -> int:
     sweep = (sampler, cfg["budget"], cfg["tolerance"])
     a_upper, a = cfg.get("constants.a_upper"), cfg.get("constants.a")
     gamma = cfg["constants.gamma"]
-    V = _lkf(cfg) if a_upper is not None or a is not None else None
+    V = cfg["lkf"]
+    if V is None and (a_upper is not None or a is not None):
+        raise ConfigError("missing config field 'lkf.term.1.kind'")
     reports = []
     if a_upper is not None:
         reports.append(certify.check_sandwich(

@@ -25,7 +25,6 @@ quotients free of sampling error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -53,7 +52,6 @@ __all__ = [
     "PowerGain",
     "square_gain",
     "zero_gain",
-    "HypothesisConstants",
 ]
 
 
@@ -139,9 +137,6 @@ class ConstantWeight:
     def value(self, tau):
         return np.full_like(np.asarray(tau, dtype=float), self.c)
 
-    def derivative(self, tau):
-        return np.zeros_like(np.asarray(tau, dtype=float))
-
     polynomial = True
 
 
@@ -162,14 +157,6 @@ class ExponentialWeight:
 
 
 @dataclass(frozen=True)
-class PointQuadratic(Functional):
-    Q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "Q", _symmetric(self.Q))
-
-
-@dataclass(frozen=True)
 class DelayedQuadratic(Functional):
     Q: np.ndarray
     at: float
@@ -178,6 +165,13 @@ class DelayedQuadratic(Functional):
         object.__setattr__(self, "Q", _symmetric(self.Q))
         if self.at > 0:
             raise ValueError("evaluation point must lie in [-delay, 0]")
+
+
+@dataclass(frozen=True)
+class PointQuadratic(DelayedQuadratic):
+    """The delayed quadratic at 0."""
+
+    at: float = field(default=0.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -225,9 +219,6 @@ def eval_functional(V: Functional, phi: HistoryFunction) -> float:
 
 
 def _values(V: Functional, delay: float, grid, values) -> np.ndarray:
-    if isinstance(V, PointQuadratic):
-        x = _eval_on_grid(delay, grid, values, 0.0)
-        return _xQy(x, V.Q, x)
     if isinstance(V, DelayedQuadratic):
         if V.at < -delay - 1e-9 * max(1.0, delay):
             raise ValueError("evaluation point precedes -delay")
@@ -347,8 +338,7 @@ def _slope_row(phi: HistoryFunction, w) -> np.ndarray:
 def _closed(V: Functional, delay: float, grid, values, w) -> np.ndarray:
     """Closed-form derivative of each history of the batch along its
     slope row of w (B, n)."""
-    if isinstance(V, PointQuadratic) or (isinstance(V, DelayedQuadratic)
-                                         and V.at == 0.0):
+    if isinstance(V, DelayedQuadratic) and V.at == 0.0:
         return 2.0 * _xQy(_eval_on_grid(delay, grid, values, 0.0), V.Q, w)
     if isinstance(V, DelayedQuadratic):
         slope = _right_slope(grid, values, V.at)
@@ -445,13 +435,12 @@ def combine_W(V: Functional, eps: float, P) -> Functional:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis constants and gains
+# gains
 
 @dataclass(frozen=True)
 class PowerGain:
     """gamma(s) = coefficient * s ** exponent, a nondecreasing gain with
-    gamma(0) = 0.  Power form keeps inverses and linear-gain detection
-    exact."""
+    gamma(0) = 0.  Power form keeps inverses exact."""
 
     coefficient: float
     exponent: float
@@ -482,59 +471,3 @@ def square_gain(coefficient: float = 1.0) -> PowerGain:
 
 def zero_gain() -> PowerGain:
     return PowerGain(0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class HypothesisConstants:
-    """Constants of one dissipation hypothesis set.
-
-    a_lower/a_upper squeeze the functional between a_lower |phi(0)|^rho
-    and a_upper sup|phi|^rho, `a` is the point-wise dissipation rate, `c`
-    the strength of the history term, `sigma` the growth constant for the
-    matrix P, and `gamma` the input gain (PowerGain or any callable
-    vanishing at zero).  Any constant but rho and c may be absent (None),
-    as when only the growth hypotheses are stated.
-    """
-
-    a_upper: Optional[float] = None
-    a: Optional[float] = None
-    rho: float = 2.0
-    a_lower: Optional[float] = None
-    c: float = 0.0
-    sigma: Optional[float] = None
-    P: Optional[np.ndarray] = None
-    gamma: object = None
-
-    def __post_init__(self):
-        for name in ("a_upper", "a", "a_lower", "sigma"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive when present")
-        if not self.rho > 0:
-            raise ValueError("rho must be positive")
-        if None not in (self.a_lower, self.a_upper) and self.a_lower > self.a_upper:
-            raise ValueError("the squeeze forces a_lower <= a_upper")
-        if not self.c >= 0:
-            raise ValueError("c must be >= 0")
-        if self.P is not None:
-            P = _symmetric(self.P)
-            if np.min(np.linalg.eigvalsh(P)) <= 0:
-                raise ValueError("P must be positive definite")
-            object.__setattr__(self, "P", P)
-        if self.gamma is not None:
-            g0 = self.gamma(0.0)
-            if abs(g0) > 1e-12:
-                raise ValueError("gamma must vanish at zero")
-
-    @property
-    def p_m(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.P)))
-
-    @property
-    def p_M(self) -> float:
-        return float(np.max(np.linalg.eigvalsh(self.P)))
-
-    def has_linear_gain_form(self) -> bool:
-        """True when gamma(s) = g0 * s^rho, the shape that turns the
-        decay estimate into one with a linear input gain."""
-        return isinstance(self.gamma, PowerGain) and self.gamma.exponent == self.rho

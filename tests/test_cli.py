@@ -1,7 +1,10 @@
 import csv
+import importlib.util
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +62,19 @@ budget = 200
 system.name = example1
 system.delay = 1.0
 constants.sigma_right = 0.1
+constants.P = 1 0; 0 1
+"""
+
+MARGIN = """
+command = margin
+seed = 1
+system.name = example1
+system.delay = 1.0
+constants.a_lower = 1.0
+constants.a_upper = 3.0
+constants.a = 0.5
+constants.sigma_right = 1.0
+constants.sigma_left = 3.0
 constants.P = 1 0; 0 1
 """
 
@@ -206,7 +222,21 @@ class TestRejectedAtLoad:
         pytest.param("simulate", edit(NOISE_SIMULATE, seed=1, horizon="inf"),
                      "'horizon'", id="horizon-inf"),
         pytest.param("certify", edit(GROWTH_CERTIFY, constants__P="1 0; 0 -1"),
-                     "P must be positive definite", id="P-indefinite"),
+                     "'constants.P'", id="P-indefinite"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__P="1 0.5; 0 1"),
+                     "'constants.P'", id="P-not-symmetric"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a_lower="2",
+                                     constants__a_upper="1"),
+                     "'constants.a_lower'", id="a-lower-above-a-upper"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="nan"),
+                     "'constants.a'", id="a-nan"),
+        pytest.param("margin", edit(MARGIN, system__name="exampel1"),
+                     "'system.name'", id="margin-system-name-typo"),
+        pytest.param("margin", edit(MARGIN, system__a="2"),
+                     "'system.a'", id="margin-parameter-the-system-does-not-take"),
+        pytest.param("margin", edit(MARGIN, lkf__term__1__kind="max_exp",
+                                    lkf__term__1__matrix="1 0; 0 -1"),
+                     "'lkf.term.1.matrix'", id="margin-max-exp-indefinite"),
         pytest.param("certify", edit(GROWTH_CERTIFY,
                                      constants__sigma_right="-1"),
                      "'constants.sigma_right'", id="sigma-negative"),
@@ -283,18 +313,7 @@ class TestSeeds:
 
 class TestCommands:
     def test_margin_rows(self, tmp_path):
-        cfg = write_config(tmp_path, """
-        command = margin
-        seed = 1
-        system.name = example1
-        system.delay = 1.0
-        constants.a_lower = 1.0
-        constants.a_upper = 3.0
-        constants.a = 0.5
-        constants.sigma_right = 1.0
-        constants.sigma_left = 3.0
-        constants.P = 1 0; 0 1
-        """)
+        cfg = write_config(tmp_path, MARGIN)
         out = tmp_path / "out"
         assert main(["margin", "--config", str(cfg), "--out", str(out),
                      "--quiet"]) == 0
@@ -382,3 +401,38 @@ class TestDeterminism:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (out / "report.csv").exists()
+
+
+def _parity_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "cli_parity.py"
+    spec = importlib.util.spec_from_file_location("cli_parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestParityConfigs:
+    """Every config of tools/cli_parity.py loads as its command would
+    load it, or is rejected naming its field, so that no comparison
+    silently becomes one of two configuration errors."""
+
+    tool = _parity_tool()
+
+    @pytest.mark.parametrize("name", list(tool.CONFIGS))
+    def test_loads_or_names_its_field(self, tmp_path, name):
+        command, text, extra = self.tool.CONFIGS[name]
+        args = iter(extra)
+        options = {flag[2:]: int(next(args)) for flag in args
+                   if flag != "--quiet"}
+        raw = parse_config_file(write_config(tmp_path, text))
+        if name not in self.tool.REJECTED:
+            cli.load_config(raw, command=command, **options)
+            return
+        with pytest.raises(ConfigError,
+                           match=re.escape(self.tool.REJECTED[name])):
+            cli.load_config(raw, command=command, **options)
+
+    def test_every_command_is_covered(self):
+        assert ({command for command, _, _ in self.tool.CONFIGS.values()}
+                == set(cli._COMMANDS))
+        assert set(self.tool.REJECTED) <= set(self.tool.CONFIGS)

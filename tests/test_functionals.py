@@ -8,7 +8,6 @@ from krasovskii.functionals import (
     ConstantWeight,
     DelayedQuadratic,
     ExponentialWeight,
-    HypothesisConstants,
     IntegralQuadratic,
     MaxExp,
     PointQuadratic,
@@ -19,7 +18,6 @@ from krasovskii.functionals import (
     driver_derivative_closed,
     driver_derivative_numeric,
     eval_functional,
-    square_gain,
     zero_gain,
 )
 from krasovskii.histories import (
@@ -102,6 +100,10 @@ class TestEval:
 
 
 class TestMaxExpExactness:
+    def test_maxexp_needs_pd(self):
+        with pytest.raises(ValueError):
+            MaxExp(np.diag([1.0, 0.0]))
+
     def test_matches_dense_sampling(self):
         P = np.array([[2.0, 0.3], [0.3, 1.0]])
         for i in range(25):
@@ -393,46 +395,10 @@ class TestLemma1Branches:
                 assert quotient <= cap + 1e-3 * (1.0 + abs(v0))
 
 
-class TestHypothesisConstants:
-    def test_squeeze_order_enforced(self):
-        with pytest.raises(ValueError, match="a_lower"):
-            HypothesisConstants(a_upper=1.0, a=0.5, a_lower=2.0)
-
-    def test_psd_required(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            HypothesisConstants(a_upper=1.0, a=0.5, P=np.diag([1.0, -1.0]))
-
-    def test_growth_only_constants_checked(self):
-        HypothesisConstants(sigma=1.0, P=np.eye(2))
-        with pytest.raises(ValueError, match="positive definite"):
-            HypothesisConstants(sigma=1.0, P=np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError, match="sigma"):
-            HypothesisConstants(sigma=-1.0)
-        with pytest.raises(ValueError, match="^a must be positive"):
-            HypothesisConstants(a=np.nan)
-
-    def test_eigen_extremes(self):
-        hc = HypothesisConstants(a_upper=3.0, a=0.5, P=np.diag([2.0, 5.0]))
-        assert hc.p_m == 2.0 and hc.p_M == 5.0
-
-    def test_linear_gain_detection(self):
-        hc = HypothesisConstants(a_upper=1.0, a=1.0, rho=2.0, gamma=square_gain())
-        assert hc.has_linear_gain_form()
-        hc2 = HypothesisConstants(a_upper=1.0, a=1.0, rho=2.0,
-                                  gamma=PowerGain(1.0, 1.0))
-        assert not hc2.has_linear_gain_form()
-
-    def test_gamma_must_vanish_at_zero(self):
-        with pytest.raises(ValueError, match="vanish"):
-            HypothesisConstants(a_upper=1.0, a=1.0, gamma=lambda s: s + 1.0)
-
+class TestGains:
     def test_power_gain_inverse(self):
         g = PowerGain(2.0, 2.0)
         assert g.inverse(g(3.0)) == pytest.approx(3.0, rel=1e-15)
         assert zero_gain()(5.0) == 0.0
         with pytest.raises(ValueError):
             zero_gain().inverse(1.0)
-
-    def test_maxexp_needs_pd(self):
-        with pytest.raises(ValueError):
-            MaxExp(np.diag([1.0, 0.0]))

@@ -500,3 +500,19 @@ class TestExport:
         assert first[0] == 0.0
         assert first[1:3] == [1.0, 0.5]
         assert first[3] == pytest.approx(np.hypot(1.0, 0.5), rel=1e-15)
+
+    def test_abs_x_never_exceeds_hist_norm(self, tmp_path):
+        # example1 from random_history((4, 0), 2, 1, 1, 2) under a sinusoid:
+        # a per-row np.linalg.norm put abs_x one ulp above hist_norm at
+        # rows 186, 187 and 190 of this trajectory
+        x0 = random_history((4, 0), 2, 1.0, 1.0, 2)
+        traj = integrate(make_example1(1.0), x0, sinusoid_input(0.5, 3.0, 0.2),
+                         5.0, 0.01)
+        path = tmp_path / "traj.csv"
+        export_csv(traj, path)
+        with open(path) as fh:
+            rows = np.array([[float(v) for v in r]
+                             for r in list(csv.reader(fh))[1:]])
+        assert rows.shape == (501, 5)
+        assert np.all(rows[:, 3] <= rows[:, 4])
+        assert np.array_equal(rows[:, 3], np.linalg.norm(rows[:, 1:3], axis=1))

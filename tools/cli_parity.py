@@ -2,7 +2,8 @@
 
     python tools/cli_parity.py --against DIR
 
-Runs one fixed set of configs, covering every subcommand, once with the
+Runs one fixed set of configs, covering every subcommand and two
+configs that must be rejected at load (REJECTED), once with the
 `krasovskii` package of this source tree and once with that of the tree
 at DIR (its package in DIR/src), each run in a fresh directory with
 PYTHONPATH=<tree>/src.  Compares the exit codes, stdout, stderr and
@@ -306,7 +307,16 @@ CONFIGS = {
     "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
     "envelope-example1": ("envelope", ENVELOPE_EXAMPLE1, ()),
     "example2-margins": ("example2-margins", EXAMPLE2_MARGINS, ()),
+    "margin-system-name-typo": (
+        "margin", MARGIN.format(c=0.0).replace("example1", "exampel1")
+        + "system.a = 2\n", ("--quiet",)),
+    "margin-foreign-parameter": ("margin", MARGIN.format(c=0.0)
+                                 + "system.a = 2\n", ("--quiet",)),
 }
+
+# the configs that must exit 2 at load, and the field each must name
+REJECTED = {"margin-system-name-typo": "'system.name'",
+            "margin-foreign-parameter": "'system.a'"}
 
 
 def _environment(tree: Path) -> dict:
