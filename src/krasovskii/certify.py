@@ -10,21 +10,27 @@ samples of a block whose histories share a grid, stacked into
 (B, len(grid), n) values and (B, m) inputs, whose residuals are
 computed together by the batch evaluators of `functionals`.
 `FalsificationSampler.groups(start, stop)` draws a block straight into
-its groups, one Fourier kernel call per mode class.  Any other sampler
-needs only sample(i), returning the history and input vector of index
-i; a sweep draws it one index at a time and groups the samples by grid,
-the one adaptor.  The stream keys are the same either way, (seed, i)
-for a history and (seed, i, 1) for an input, and
-FalsificationSampler.sample(i) is groups(i, i + 1).  Every residual is
-computed as it would be alone, so a verdict, its witness index and the
-skip count do not depend on the block size or on how the samples group.
+its groups, one Fourier kernel call per mode class, and keeps it: every
+check that sweeps the same sampler reads one draw pass.  The kept
+blocks' arrays are capped at _MEMO_BYTES per sampler; a block past the
+cap is drawn again on each call.  Kept groups are shared, so their
+arrays are read-only.  Any other sampler needs only sample(i), returning
+the history and input vector of index i; a sweep draws it one index at
+a time and groups the samples by grid, the one adaptor.  The stream keys
+are the same either way, (seed, i) for a history and (seed, i, 1) for
+an input, and FalsificationSampler.sample(i) draws the block (i, i + 1)
+afresh without keeping it.  Every residual is computed as it would be
+alone, so a verdict, its witness index and the skip count do not depend
+on the block size, on how the samples group or on which blocks were
+kept.
 
 Each stream is NumPy's `Generator(PCG64(key))` stream for its key, the
 one its default constructor builds from that key, bit for bit.  It is
 drawn through one process-wide generator reseeded for each key (see
 `histories`): a block's keys are hashed together and no generator is
-built per sample.  That generator is not thread-safe, so sweeps must not
-run in threads of one process at once.
+built per sample.  That generator is not thread-safe, and neither is a
+sampler's memo of kept blocks, so sweeps must not run in threads of one
+process at once.
 
 Margins are the closed-form constants attached to the two growth-route
 stability results and their supporting lemmas: the tolerable strength
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -104,6 +110,16 @@ class InfeasibilityError(RuntimeError):
     """A margin computation produced constants outside their feasible range."""
 
 
+# the most bytes of drawn groups that one sampler keeps
+_MEMO_BYTES = 64 << 20
+
+
+class _Memo(dict):
+    """A sampler's kept blocks by (start, stop), and their arrays' bytes."""
+
+    nbytes = 0
+
+
 @dataclass(frozen=True)
 class FalsificationSampler:
     """Stratified, seeded sampler of (history, input) pairs.
@@ -117,6 +133,11 @@ class FalsificationSampler:
     A substream is NumPy's `Generator(PCG64(key))` stream for its key,
     bit for bit, drawn through one process-wide generator reseeded for
     each key, which is not thread-safe: draw from one thread at a time.
+
+    Each sampler keeps the blocks that `groups` draws, up to _MEMO_BYTES
+    of arrays, so the checks of a run that share it draw each block once.
+    The memo is not thread-safe either, and it takes no part in equality
+    or hashing.
     """
 
     seed: int
@@ -124,8 +145,27 @@ class FalsificationSampler:
     m: int
     delay: float
 
-    def groups(self, start: int, stop: int) -> list:
+    _memo: _Memo = field(default_factory=_Memo, init=False, compare=False,
+                         repr=False)
+
+    def groups(self, start: int, stop: int) -> tuple:
         """Samples start..stop-1, stacked into one _Group per grid.
+
+        The block is drawn once and kept for the next call with the same
+        bounds, while the kept blocks' arrays total at most _MEMO_BYTES;
+        a block past that is drawn on every call."""
+        memo = self._memo
+        block = memo.get((start, stop))
+        if block is None:
+            block = self._draw(start, stop)
+            size = sum(g.nbytes for g in block)
+            if memo.nbytes + size <= _MEMO_BYTES:
+                memo[start, stop] = block
+                memo.nbytes += size
+        return block
+
+    def _draw(self, start: int, stop: int) -> tuple:
+        """Samples start..stop-1 drawn afresh, one _Group per grid.
 
         A sample's mode count, and so its grid, follows from its index,
         so each mode class is drawn straight into its stacked arrays.  At
@@ -159,11 +199,12 @@ class FalsificationSampler:
             inputs *= input_scale[:, None]
             grid, values = _fourier_histories(draws, self.delay, norm_scale)
             out.append(_Group(self.delay, grid, values, inputs, index))
-        return out
+        return tuple(out)
 
     def sample(self, i: int):
-        """Sample i alone: its history and its input vector."""
-        (group,) = self.groups(i, i + 1)
+        """Sample i alone, drawn afresh and not kept: its history and its
+        input vector."""
+        (group,) = self._draw(i, i + 1)
         return group.histories[0], group.inputs[0]
 
 
@@ -232,16 +273,26 @@ class _Group:
     def stack(cls, draws):
         """The group of (index, history, input) triples on one grid."""
         first = draws[0][1]
-        values = np.stack([phi.values for _, phi, _ in draws])
-        values.flags.writeable = False
-        return cls(first.delay, first.grid, values,
+        return cls(first.delay, first.grid,
+                   np.stack([phi.values for _, phi, _ in draws]),
                    np.stack([np.atleast_1d(np.asarray(v, dtype=float))
                              for _, _, v in draws]),
                    np.array([i for i, _, _ in draws]))
 
-    @cached_property
+    def __post_init__(self):
+        # a sampler's groups are shared by its sweeps: none may write
+        for array in (self.values, self.inputs, self.indices):
+            array.flags.writeable = False
+
+    @property
+    def nbytes(self) -> int:
+        return (self.grid.nbytes + self.values.nbytes + self.inputs.nbytes
+                + self.indices.nbytes)
+
+    @property
     def histories(self) -> list:
-        """One HistoryFunction per sample, on read-only row views."""
+        """One HistoryFunction per sample, on read-only row views, built
+        on each call so that a kept group holds only its arrays."""
         return [HistoryFunction._trusted(self.delay, self.grid, row)
                 for row in self.values]
 

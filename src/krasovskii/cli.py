@@ -168,6 +168,13 @@ _TERM_KEYS = {
     "weight_rate": (_number(), None),
     "scale": (_number(), "1"),
 }
+# the term fields each kind reads; giving any other is an error
+_TERM_READS = {
+    "point_quadratic": {"kind", "matrix", "scale"},
+    "delayed_quadratic": {"kind", "matrix", "lag", "scale"},
+    "integral_quadratic": {"kind", "matrix", "weight", "weight_rate", "scale"},
+    "max_exp": {"kind", "matrix", "scale"},
+}
 _TERM = re.compile(r"lkf\.term\.(0|[1-9][0-9]*)\.")
 
 
@@ -213,7 +220,9 @@ def load_config(raw: dict, command: str | None = None, seed: int | None = None,
     squeeze needs constants.a_lower <= constants.a_upper, and each
     system.<param> must be a parameter of the named system.  The
     lkf.term.<i> keys are built into the functional "lkf" (None without
-    terms), so a term's rules are checked here too."""
+    terms), so a term's rules are checked here too: each field must be
+    one its kind reads, and a delayed_quadratic lag must not exceed
+    system.delay."""
     overrides = {"command": command, "seed": seed, "out": out, "budget": budget}
     raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
     cfg = Config()
@@ -235,7 +244,7 @@ def load_config(raw: dict, command: str | None = None, seed: int | None = None,
         if key.startswith("system.") and key[len("system."):] not in takes:
             raise ConfigError(f"field {key!r}: not a parameter of system "
                               f"{name!r}")
-    cfg["lkf"] = _lkf(cfg)
+    cfg["lkf"] = _lkf(cfg, raw)
     return cfg
 
 
@@ -249,12 +258,24 @@ def _system(cfg) -> systems.DelaySystem:
     return systems.build_system(name, cfg["system.delay"], params)
 
 
-def _lkf(cfg) -> functionals.Functional | None:
-    """The sum of the lkf.term.<i> terms in index order; None if none."""
+def _lkf(cfg, raw) -> functionals.Functional | None:
+    """The sum of the lkf.term.<i> terms in index order; None if none.
+    `raw` holds the given texts, which tell a given field from a
+    default."""
     total = None
     # "lkf.term.<i>." prefixes, in index order as load_config stored them
     for p in dict.fromkeys(m[0] for m in map(_TERM.match, cfg) if m):
         kind, matrix = cfg[p + "kind"], cfg[p + "matrix"]
+        for name in _TERM_KEYS:
+            if p + name in raw and name not in _TERM_READS[kind]:
+                raise ConfigError(f"field '{p}{name}': not read by a {kind} "
+                                  "term")
+        if kind == "delayed_quadratic":
+            # the evaluators' tolerance, so that the same lags pass
+            lag, delay = cfg[p + "lag"], cfg.get("system.delay")
+            if delay is not None and lag > delay + histories._edge_tol(delay):
+                raise ConfigError(f"field '{p}lag': must be <= system.delay, "
+                                  f"got {raw[p + 'lag']!r}")
         try:
             if kind == "point_quadratic":
                 term = functionals.PointQuadratic(matrix)

@@ -797,6 +797,127 @@ class TestBatchedDraws:
 
 
 # ---------------------------------------------------------------------------
+# the sampler's memo of drawn blocks
+
+SHARED_KINDS = ("sandwich", "dissipation", "W-dissipation", "right-growth",
+                "field-left-growth")
+
+
+def sweep_of(kind, sampler, budget, delay=1.0):
+    """One example1 sweep of `kind`; "field-left-growth" runs the general
+    field path of a system without a pointwise formula.  The sandwich,
+    dissipation and right-growth constants are tight enough to refute."""
+    sys = make_example1(delay)
+    V = PointQuadratic(EYE) + IntegralQuadratic(np.diag([0.0, 2.0]))
+    if kind == "sandwich":
+        return check_sandwich(V, 1.0, 1.5, 2.0, sampler, budget)
+    if kind == "dissipation":
+        return check_pointwise_dissipation(sys, V, 1.0, 0.0, square_gain(),
+                                           sampler, budget)
+    if kind == "W-dissipation":
+        return check_pointwise_dissipation(
+            sys, combine_W(V, 0.02, EYE), 0.5, 0.04, square_gain(1.04),
+            sampler, budget)
+    if kind == "right-growth":
+        return check_right_growth(sys, EYE, 0.5, square_gain(), sampler,
+                                  budget)
+    return check_left_growth(parity_systems(delay)["example2-user-pair"], EYE,
+                             1.0, square_gain(), sampler, budget)
+
+
+def report_bits(rep):
+    """Everything a report says, floats and arrays as their bytes."""
+    witness = None
+    if rep.witness is not None:
+        phi, v = rep.witness
+        witness = (phi.grid.tobytes(), phi.values.tobytes(),
+                   np.asarray(v).tobytes())
+    return (report_key(rep), np.float64(rep.worst).tobytes(), witness)
+
+
+def memo_bytes(sampler):
+    return sum(g.nbytes for block in sampler._memo.values() for g in block)
+
+
+class TestSharedSampler:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           delay=st.sampled_from([0.0, 0.2, 1.0]),
+           sweeps=st.lists(st.tuples(st.sampled_from(SHARED_KINDS),
+                                     st.sampled_from([1, 37, 256, 600, 1500])
+                                     | st.integers(1, 1500)),
+                           min_size=1, max_size=4))
+    @example(seed=20260809, delay=1.0,
+             sweeps=[("sandwich", 600), ("right-growth", 600),
+                     ("dissipation", 300), ("field-left-growth", 1500)])
+    def test_sharing_a_sampler_changes_nothing(self, seed, delay, sweeps):
+        shared = FalsificationSampler(seed, 2, 1, delay)
+        for kind, budget in sweeps:
+            fresh = FalsificationSampler(seed, 2, 1, delay)
+            assert (report_bits(sweep_of(kind, shared, budget, delay))
+                    == report_bits(sweep_of(kind, fresh, budget, delay)))
+        assert shared._memo.nbytes == memo_bytes(shared)
+
+    def test_kept_groups_are_read_only(self):
+        sampler = FalsificationSampler(3, 2, 1, 1.0)
+        check_sandwich(PointQuadratic(EYE), 1.0, 3.0, 2.0, sampler, 300)
+        assert sampler._memo
+        for block in sampler._memo.values():
+            for g in block:
+                for array in (g.values, g.inputs, g.indices):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = 0
+
+    def test_second_sweep_reads_the_kept_blocks(self):
+        sampler = FalsificationSampler(3, 2, 1, 1.0)
+        first = sampler.groups(0, 256)
+        assert sampler.groups(0, 256) is first
+        assert list(sampler._memo) == [(0, 256)]
+
+    @pytest.mark.parametrize("blocks_kept", [0, 1, 2])
+    def test_blocks_past_the_cap_are_not_kept(self, monkeypatch, blocks_kept):
+        budget = 600  # blocks (0, 256), (256, 512) and (512, 600)
+        sizes = [sum(g.nbytes for g in FalsificationSampler(
+            5, 2, 1, 1.0)._draw(start, min(start + 256, budget)))
+            for start in (0, 256)]
+        cap = sum(sizes[:blocks_kept])
+        monkeypatch.setattr(certify, "_MEMO_BYTES", cap)
+        sampler = FalsificationSampler(5, 2, 1, 1.0)
+        for kind in SHARED_KINDS:
+            capped = report_bits(sweep_of(kind, sampler, budget))
+            assert memo_bytes(sampler) == sampler._memo.nbytes <= cap
+            assert list(sampler._memo) == [(0, 256), (256, 512)][:blocks_kept]
+            monkeypatch.setattr(certify, "_MEMO_BYTES", 64 << 20)
+            assert capped == report_bits(sweep_of(
+                kind, FalsificationSampler(5, 2, 1, 1.0), budget))
+            monkeypatch.setattr(certify, "_MEMO_BYTES", cap)
+
+    def test_sample_keeps_nothing(self):
+        sampler = FalsificationSampler(7, 2, 1, 1.0)
+        for i in (0, 1, 35, 10 ** 6):
+            (phi, v), (ref_phi, ref_v) = (sampler.sample(i),
+                                          reference_sample(sampler, i))
+            assert phi.values.tobytes() == ref_phi.values.tobytes()
+            assert v.tobytes() == ref_v.tobytes()
+        assert not sampler._memo and sampler._memo.nbytes == 0
+
+    def test_memo_is_no_part_of_equality(self):
+        sampler = FalsificationSampler(7, 2, 1, 1.0)
+        sampler.groups(0, 10)
+        fresh = FalsificationSampler(7, 2, 1, 1.0)
+        assert sampler == fresh and hash(sampler) == hash(fresh)
+        assert "_memo" not in repr(sampler)
+
+    def test_memo_at_the_acceptance_budget(self):
+        # criterion 04's sampler: 10^4 samples of example1 at delay 1
+        sampler = FalsificationSampler(20260809, 2, 1, 1.0)
+        for start in range(0, 10_000, certify._BLOCK):
+            sampler.groups(start, min(start + certify._BLOCK, 10_000))
+        assert len(sampler._memo) == 40
+        assert sampler._memo.nbytes <= 8 << 20
+
+
+# ---------------------------------------------------------------------------
 # closed forms of acceptance criteria 01-02 against 50-digit evaluations
 
 def assert_close(value, oracle, rel=1e-13):

@@ -11,6 +11,8 @@ import pytest
 
 from krasovskii import cli
 from krasovskii.cli import ConfigError, main, parse_config_file, run
+from krasovskii.functionals import DelayedQuadratic, eval_functional
+from krasovskii.histories import constant_history
 
 EXAMPLE1_CERTIFY = """
 command = certify
@@ -89,6 +91,11 @@ input.kind = noise
 input.amplitude = 1.0
 input.switch_dt = 0.1
 """
+
+
+# an lkf.term.1 of kind delayed_quadratic, for edit(); its lag is set apart
+DELAYED_TERM = {"lkf__term__1__kind": "delayed_quadratic",
+                "lkf__term__1__matrix": "1 0; 0 1"}
 
 
 def edit(text, **changes):
@@ -258,6 +265,32 @@ class TestRejectedAtLoad:
                                      lkf__term__1__kind="point_quadratic",
                                      lkf__term__1__matrix="1 0; 0 1"),
                      "'lkf.term.1'", id="term-without-field"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="0.5",
+                                     **DELAYED_TERM, lkf__term__1__lag="2"),
+                     "'lkf.term.1.lag'", id="lag-beyond-delay"),
+        pytest.param("margin", edit(MARGIN, **DELAYED_TERM,
+                                    lkf__term__1__lag="1.5"),
+                     "'lkf.term.1.lag'", id="margin-lag-beyond-delay"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="0.5",
+                                     lkf__term__1__kind="point_quadratic",
+                                     lkf__term__1__matrix="1 0; 0 1",
+                                     lkf__term__1__lag="0.5"),
+                     "'lkf.term.1.lag'", id="lag-on-point-quadratic"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="0.5",
+                                     lkf__term__1__kind="max_exp",
+                                     lkf__term__1__matrix="1 0; 0 1",
+                                     lkf__term__1__weight_rate="3"),
+                     "'lkf.term.1.weight_rate'",
+                     id="weight-rate-on-max-exp"),
+        pytest.param("margin", edit(MARGIN, **DELAYED_TERM,
+                                    lkf__term__1__lag="0.5",
+                                    lkf__term__1__weight="2"),
+                     "'lkf.term.1.weight'", id="weight-on-delayed-quadratic"),
+        pytest.param("certify", edit(GROWTH_CERTIFY, constants__a="0.5",
+                                     lkf__term__1__kind="integral_quadratic",
+                                     lkf__term__1__matrix="1 0; 0 1",
+                                     lkf__term__1__lag="0.5"),
+                     "'lkf.term.1.lag'", id="lag-on-integral-quadratic"),
     ])
     def test_exits_2_naming_the_field(self, tmp_path, capsys, command, text,
                                       named):
@@ -268,6 +301,23 @@ class TestRejectedAtLoad:
         assert code == 2
         assert named in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lag, loads", [
+        ("1", True), ("1.000000001", True), ("1.000000002", False)])
+    def test_lag_limit_is_the_evaluators(self, tmp_path, lag, loads):
+        # at delay 1 the evaluators accept a lag up to 1 + 1e-9
+        raw = parse_config_file(write_config(tmp_path, edit(
+            MARGIN, **DELAYED_TERM, lkf__term__1__lag=lag)))
+        V = DelayedQuadratic(np.eye(2), -float(lag))
+        phi = constant_history(1.0, [1.0, 0.0])
+        if loads:
+            assert cli.load_config(raw)["lkf"].at == V.at
+            assert eval_functional(V, phi) == 1.0
+            return
+        with pytest.raises(ConfigError, match=re.escape("'lkf.term.1.lag'")):
+            cli.load_config(raw)
+        with pytest.raises(ValueError):
+            eval_functional(V, phi)
 
     def test_no_traceback(self, tmp_path):
         cfg = write_config(tmp_path, edit(GROWTH_CERTIFY, system__delay="inf"))

@@ -2,7 +2,7 @@
 
     python tools/cli_parity.py --against DIR
 
-Runs one fixed set of configs, covering every subcommand and two
+Runs one fixed set of configs, covering every subcommand and four
 configs that must be rejected at load (REJECTED), once with the
 `krasovskii` package of this source tree and once with that of the tree
 at DIR (its package in DIR/src), each run in a fresh directory with
@@ -312,11 +312,20 @@ CONFIGS = {
         + "system.a = 2\n", ("--quiet",)),
     "margin-foreign-parameter": ("margin", MARGIN.format(c=0.0)
                                  + "system.a = 2\n", ("--quiet",)),
+    "margin-lag-beyond-delay": ("margin", MARGIN.format(c=0.0)
+                                + "lkf.term.1.kind = delayed_quadratic\n"
+                                "lkf.term.1.matrix = 1 0; 0 1\n"
+                                "lkf.term.1.lag = 2\n", ("--quiet",)),
+    "certify-field-the-kind-ignores": ("certify", EXAMPLE1
+                                       + "lkf.term.1.lag = 0.5\n",
+                                       ("--quiet",)),
 }
 
 # the configs that must exit 2 at load, and the field each must name
 REJECTED = {"margin-system-name-typo": "'system.name'",
-            "margin-foreign-parameter": "'system.a'"}
+            "margin-foreign-parameter": "'system.a'",
+            "margin-lag-beyond-delay": "'lkf.term.1.lag'",
+            "certify-field-the-kind-ignores": "'lkf.term.1.lag'"}
 
 
 def _environment(tree: Path) -> dict:
