@@ -350,14 +350,6 @@ def _sweep(check: str, residual, sampler, budget: int,
     return CheckReport(check, budget, skipped, worst, tolerance, NO_VIOLATION)
 
 
-def _gain(gamma, s: np.ndarray) -> np.ndarray:
-    """gamma at each input norm: one call for a PowerGain, one call per
-    sample for any other callable."""
-    if isinstance(gamma, PowerGain):
-        return gamma(s)
-    return np.array([gamma(float(x)) for x in s])
-
-
 def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
     """f(phi, v) of each sample, (B, n): one call of the pointwise
     formula over (n, B) columns, or one general field call per sample.
@@ -406,26 +398,31 @@ def check_sandwich(V: Functional, a_lower: Optional[float], a_upper: float,
 def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
                                 c: float, gamma, sampler, budget: int,
                                 tolerance: float = 1e-9) -> CheckReport:
-    """Residual of the point-wise dissipation inequality
-    D+V(phi, f(phi, v)) <= -a |phi(0)|^2 + c sup|phi|^2 + gamma(|v|)."""
+    """Residual of the point-wise dissipation inequality D+V(phi, f(phi, v))
+    <= -a |phi(0)|^2 + c sup|phi|^2 + gamma(|v|), where gamma, a PowerGain,
+    is called once on each block's input norms."""
+    if not isinstance(gamma, PowerGain):
+        raise TypeError(f"gamma must be a PowerGain, got {gamma!r}")
 
     def residual(g):
         w = _field(sys, g)
         d = _closed(V, g.delay, g.grid, g.values, w)
         return _unless_blown_up(w, d + a * g.point_norm() ** 2
                                 - c * g.sup_norm() ** 2
-                                - _gain(gamma, g.input_norm()))
+                                - gamma(g.input_norm()))
 
     return _sweep("pointwise-dissipation", residual, sampler, budget, tolerance)
 
 
 def _growth_residual(sys, P, sigma, gamma, sign):
+    if not isinstance(gamma, PowerGain):
+        raise TypeError(f"gamma must be a PowerGain, got {gamma!r}")
     P = np.asarray(P, dtype=float)
 
     def residual(g):
         w = _field(sys, g)
         lhs = _xQy(g.at(0.0), P, w)
-        cap = sigma * (g.sup_norm() ** 2 + _gain(gamma, g.input_norm()))
+        cap = sigma * (g.sup_norm() ** 2 + gamma(g.input_norm()))
         return _unless_blown_up(w, lhs - cap if sign > 0 else -lhs - cap)
 
     return residual
@@ -433,14 +430,16 @@ def _growth_residual(sys, P, sigma, gamma, sign):
 
 def check_right_growth(sys: DelaySystem, P, sigma: float, gamma, sampler,
                        budget: int, tolerance: float = 1e-9) -> CheckReport:
-    """Residual of phi(0)' P f(phi, v) <= sigma (sup|phi|^2 + gamma(|v|))."""
+    """Residual of phi(0)' P f(phi, v) <= sigma (sup|phi|^2 + gamma(|v|)),
+    gamma a PowerGain."""
     return _sweep("right-growth", _growth_residual(sys, P, sigma, gamma, +1),
                   sampler, budget, tolerance)
 
 
 def check_left_growth(sys: DelaySystem, P, sigma: float, gamma, sampler,
                       budget: int, tolerance: float = 1e-9) -> CheckReport:
-    """Residual of phi(0)' P f(phi, v) >= -sigma (sup|phi|^2 + gamma(|v|))."""
+    """Residual of phi(0)' P f(phi, v) >= -sigma (sup|phi|^2 + gamma(|v|)),
+    gamma a PowerGain."""
     return _sweep("left-growth", _growth_residual(sys, P, sigma, gamma, -1),
                   sampler, budget, tolerance)
 

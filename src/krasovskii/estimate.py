@@ -111,9 +111,8 @@ def fit_envelope(trajs: Sequence[Trajectory], k_cap: float = 1e3) -> EnvelopeFit
             raise ValueError("initial histories must be nonzero")
     pairs = []
     for tr in trajs:
-        sel = tr.times >= 0.0
-        pairs.append((tr.times[sel],
-                      np.linalg.norm(tr.values[sel], axis=1) / tr.x0.sup_norm()))
+        pairs.append((tr.times[tr.start:], np.linalg.norm(
+            tr.values[tr.start:], axis=1) / tr.x0.sup_norm()))
     best = None
     for eta in _ETA_GRID:
         k_eta = max(float(np.max(ratio * np.exp(eta * t))) for t, ratio in pairs)
@@ -240,10 +239,9 @@ def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
         x0_norm = tr.x0.sup_norm()
         if x0_norm == 0.0:
             continue
-        t_out, norms = history_norm_series(tr)
-        usup = np.array([tr.u.window_sup(0.0, t) if t > 0 else
-                         float(np.linalg.norm(tr.u.evaluate(0.0)))
-                         for t in t_out])
+        _, norms = history_norm_series(tr)
+        # a zero or constant input: its sup on [0, t] is |u(0)| for every t
+        usup = float(np.linalg.norm(tr.u.evaluate(0.0)))
         ratios = (norms - mu0 * usup) / x0_norm
         ell = max(ell, float(np.max(ratios)))
         lam = max(lam, float(ratios[-1]))
@@ -257,9 +255,8 @@ def write_envelope_data(fit: EnvelopeFit, trajs: Sequence[Trajectory],
     with open(path, "w") as fh:
         fh.write("# t  abs_x  envelope\n")
         for tr in trajs:
-            sel = tr.times >= 0.0
-            t = tr.times[sel]
-            mag = np.linalg.norm(tr.values[sel], axis=1)
+            t = tr.times[tr.start:]
+            mag = np.linalg.norm(tr.values[tr.start:], axis=1)
             env = fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t)
             fh.writelines("%.17g %.17g %.17g\n" % row
                           for row in zip(t, mag, env))

@@ -30,6 +30,7 @@ import numpy as np
 
 from .histories import (
     HistoryFunction,
+    _edge_tol,
     _eval_on_grid,
     _extend_on_grid,
     driver_extension,  # noqa: F401  (stays importable from this module)
@@ -220,7 +221,7 @@ def eval_functional(V: Functional, phi: HistoryFunction) -> float:
 
 def _values(V: Functional, delay: float, grid, values) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
-        if V.at < -delay - 1e-9 * max(1.0, delay):
+        if V.at < -delay - _edge_tol(delay):
             raise ValueError("evaluation point precedes -delay")
         x = _eval_on_grid(delay, grid, values, max(V.at, -delay))
         return _xQy(x, V.Q, x)

@@ -74,6 +74,11 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
+    @property
+    def start(self) -> int:
+        """Index of the t = 0 row; every row before it has t < 0."""
+        return int(np.searchsorted(self.times, 0.0))
+
 
 def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
               horizon: float, dt: float,
@@ -221,7 +226,7 @@ def history_norm_series(traj: Trajectory):
     node norm in the window, or the norm at its interpolated left edge."""
     times = traj.times
     values = traj.values
-    out_idx = np.nonzero(times >= -1e-15)[0]
+    out_idx = np.arange(traj.start, times.shape[0])
     lo = times[out_idx] - traj.delay
     left = np.searchsorted(times, lo, side="left")
     norms = _window_max(np.linalg.norm(values, axis=1), left, out_idx)
@@ -249,7 +254,7 @@ def export_csv(traj: Trajectory, path) -> None:
     the node norm history_norm_series takes, so |x(t)| <= sup|x_t|
     holds exactly on every row."""
     t_out, norms = history_norm_series(traj)
-    xs = traj.values[np.nonzero(traj.times >= -1e-15)[0]]
+    xs = traj.values[traj.start:]
     abs_x = np.linalg.norm(xs, axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,4 +1,4 @@
-"""Delay systems dx/dt = f(x_t, u(t)) and input signals.
+"""Delay systems dx/dt = f(x_t, u(t)) and input signals t -> u(t).
 
 Provides three built-in planar benchmark systems (a cubically coupled
 pair, its perturbed variant with bounded modeling uncertainties, and a
@@ -84,17 +84,11 @@ class DelaySystem:
 
 @dataclass(frozen=True)
 class InputSignal:
-    """Input u(t) for t >= 0 with an exact windowed sup.
-
-    evaluate must be a pure function of t: the solver may call it past
-    the last step of a trajectory that blew up.  window_sup(t1, t2)
-    returns the essential sup of |u| on [t1, t2]; it is monotone under
-    interval inclusion.
-    """
+    """Input u(t) for t >= 0, a pure function of t: the solver may call
+    evaluate past the last step of a trajectory that blew up."""
 
     m: int
     evaluate: Callable[[float], np.ndarray]
-    window_sup: Callable[[float, float], float]
     name: str = ""
 
 
@@ -209,14 +203,12 @@ def make_linear_baseline(a: float, b: float, delay: float) -> DelaySystem:
 
 def zero_input(m: int = 1) -> InputSignal:
     z = np.zeros(m)
-    return InputSignal(m, lambda t: z, lambda t1, t2: 0.0, "zero")
+    return InputSignal(m, lambda t: z, "zero")
 
 
 def constant_input(value) -> InputSignal:
     value = np.atleast_1d(np.asarray(value, dtype=float))
-    mag = float(np.linalg.norm(value))
-    return InputSignal(value.shape[0], lambda t: value, lambda t1, t2: mag,
-                       f"constant({value})")
+    return InputSignal(value.shape[0], lambda t: value, f"constant({value})")
 
 
 def step_input(t_switch: float, before, after) -> InputSignal:
@@ -224,39 +216,18 @@ def step_input(t_switch: float, before, after) -> InputSignal:
     after = np.atleast_1d(np.asarray(after, dtype=float))
     if before.shape != after.shape:
         raise ValueError("before/after must have the same dimension")
-    nb, na = float(np.linalg.norm(before)), float(np.linalg.norm(after))
 
     def evaluate(t):
         return after if t >= t_switch else before
 
-    def window_sup(t1, t2):
-        if t2 < t_switch:
-            return nb
-        if t1 >= t_switch:
-            return na
-        return max(nb, na)
-
-    return InputSignal(before.shape[0], evaluate, window_sup,
-                       f"step(t={t_switch:g})")
+    return InputSignal(before.shape[0], evaluate, f"step(t={t_switch:g})")
 
 
 def sinusoid_input(amplitude: float, omega: float, phase: float = 0.0) -> InputSignal:
     def evaluate(t):
         return np.array([amplitude * np.sin(omega * t + phase)])
 
-    def window_sup(t1, t2):
-        if omega == 0.0:
-            return abs(amplitude * np.sin(phase))
-        # |sin| peaks where omega*t + phase = pi/2 + k*pi
-        best = max(abs(np.sin(omega * t1 + phase)), abs(np.sin(omega * t2 + phase)))
-        k_lo = np.ceil((omega * t1 + phase - np.pi / 2) / np.pi)
-        k_hi = np.floor((omega * t2 + phase - np.pi / 2) / np.pi)
-        if k_hi >= k_lo:
-            best = 1.0
-        return abs(amplitude) * best
-
-    return InputSignal(1, evaluate, window_sup,
-                       f"sinusoid(A={amplitude:g},w={omega:g})")
+    return InputSignal(1, evaluate, f"sinusoid(A={amplitude:g},w={omega:g})")
 
 
 def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
@@ -278,20 +249,12 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
     def evaluate(t):
         return _segment(int(np.floor(t / switch_dt)))
 
-    def window_sup(t1, t2):
-        j1 = int(np.floor(t1 / switch_dt))
-        j2 = int(np.floor(t2 / switch_dt))
-        return max(float(np.linalg.norm(_segment(j)))
-                   for j in range(j1, j2 + 1))
-
-    return InputSignal(m, evaluate, window_sup, f"noise(A={amplitude:g})")
+    return InputSignal(m, evaluate, f"noise(A={amplitude:g})")
 
 
 def shift_input(u: InputSignal, offset: float) -> InputSignal:
     """u shifted left: the result evaluated at t equals u(t + offset)."""
-    return InputSignal(u.m,
-                       lambda t: u.evaluate(t + offset),
-                       lambda t1, t2: u.window_sup(t1 + offset, t2 + offset),
+    return InputSignal(u.m, lambda t: u.evaluate(t + offset),
                        f"{u.name}+{offset:g}")
 
 

@@ -383,6 +383,22 @@ class TestChecks:
                                  sampler_for(sys), 2000)
         assert not right.violated and not left.violated
 
+    @pytest.mark.parametrize("check", [
+        lambda sys, V, gamma, s: check_pointwise_dissipation(
+            sys, V, 0.5, 0.0, gamma, s, 10),
+        lambda sys, V, gamma, s: check_right_growth(sys, EYE, 1.0, gamma, s, 10),
+        lambda sys, V, gamma, s: check_left_growth(sys, EYE, 3.0, gamma, s, 10),
+    ], ids=["dissipation", "right-growth", "left-growth"])
+    def test_gain_must_be_a_power_gain(self, lkf, check):
+        # a sweep calls gamma once on a whole block of input norms, so a
+        # plain callable is refused before the sampler is read
+        class Untouched:
+            def __getattr__(self, name):
+                raise AssertionError(f"sampler.{name} read")
+
+        with pytest.raises(TypeError, match="gamma must be a PowerGain"):
+            check(make_example1(1.0), lkf, lambda s: s * s, Untouched())
+
     def test_example3_defeats_left_growth(self):
         sys = make_example3(1.0)
         rep = check_left_growth(sys, EYE, 10.0, square_gain(),

@@ -182,6 +182,29 @@ class TestEmpiricalTwoInequality:
         assert fit.lam <= math.exp(-2.9) * (1.0 + 1e-9)
         assert fit.ell >= 1.0
 
+    @pytest.mark.parametrize("make, amplitudes, horizon, mu0, pinned", [
+        pytest.param(lambda: make_linear_baseline(1.0, -0.5, 0.1), (0.5, 1.5),
+                     3.0, 0.3, ("0x1.b333333333333p-1", "0x1.19bfe4d86d41cp-1",
+                                "0x1.3333333333333p-2"), id="linear-mu0"),
+        pytest.param(lambda: make_linear_baseline(1.0, -0.5, 0.1), (0.5, 1.5),
+                     3.0, None, ("0x1.4ab6c212f6116p-1", "-0x1.cadc4802de820p-7",
+                                 "0x1.6a927bda13dd4p-1"), id="linear-fitted"),
+        pytest.param(lambda: make_example1(1.0), (0.2, 1.0), 2.0, 0.3,
+                     ("0x1.e147ae147ae15p-1", "0x1.5ac38fdc5c161p-1",
+                      "0x1.3333333333333p-2"), id="example1-mu0"),
+        pytest.param(lambda: make_example1(1.0), (0.2, 1.0), 2.0, None,
+                     ("0x1.46579311d1bcap-2", "-0x1.002c535b1700cp-3",
+                      "0x1.b4094414dcea1p+1"), id="example1-fitted"),
+    ])
+    def test_constant_inputs_pinned(self, make, amplitudes, horizon, mu0,
+                                    pinned):
+        # every member carries a positive constant input, so each ratio
+        # subtracts mu0 |u(0)|; ell, lam and mu0 are pinned bit for bit
+        fit = empirical_two_inequality(make(), horizon=horizon, budget=6,
+                                       dt=0.01, input_amplitudes=amplitudes,
+                                       mu0=mu0)
+        assert (fit.ell.hex(), fit.lam.hex(), fit.mu0.hex()) == pinned
+
     def test_unstable_refutation(self):
         sys = make_linear_baseline(-1.0, 0.0, 0.1)
         fit = empirical_two_inequality(sys, horizon=2.0, budget=8, dt=0.01,

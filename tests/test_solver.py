@@ -438,6 +438,30 @@ def assert_same_norm_series(traj):
     assert norms.tobytes() == n_ref.tobytes()
 
 
+class TestStartRow:
+    @settings(max_examples=80, deadline=None)
+    @given(dt=st.sampled_from([0.01, 0.02, 0.05, 0.1, 0.25]),
+           k=st.sampled_from([0]) | st.integers(4, 30),
+           nsteps=st.integers(1, 60), modes=st.integers(0, 9),
+           rate=st.sampled_from([1.0, -40.0, -1e6]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(dt=0.01, k=100, nsteps=1, modes=8, rate=-1e6, seed=0)
+    def test_start_is_the_zero_row(self, dt, k, nsteps, modes, rate, seed):
+        # rate -40 blows up inside the horizon, -1e6 within the first step
+        delay = k * dt
+        sys = make_linear_baseline(rate, 0.5, delay)
+        x0 = random_history(seed, 1, delay, 1.0, modes)
+        traj = integrate(sys, x0, None, nsteps * dt, dt)
+        times = traj.times
+        start = traj.start
+        assert times[start] == 0.0
+        assert np.all(times[:start] < 0.0)
+        # the rows of both rules it replaces
+        out = np.arange(start, times.shape[0])
+        assert np.array_equal(np.flatnonzero(times >= 0.0), out)
+        assert np.array_equal(np.flatnonzero(times >= -1e-15), out)
+
+
 class TestNormSeries:
     @pytest.mark.parametrize("delay, dt, horizon",
                              TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)])

@@ -6,16 +6,13 @@ from krasovskii.systems import (
     DelaySystem,
     UncertaintyPair,
     build_system,
-    constant_input,
     make_example1,
     make_example2,
     make_example3,
     make_linear_baseline,
     piecewise_noise_input,
     shift_input,
-    sinusoid_input,
     step_input,
-    zero_input,
 )
 
 V0 = np.zeros(1)
@@ -178,32 +175,6 @@ class TestConstructionContract:
 
 
 class TestInputSignals:
-    def brute_sup(self, u, t1, t2):
-        ts = np.linspace(t1, t2, 3001)
-        return max(float(np.linalg.norm(u.evaluate(t))) for t in ts)
-
-    @pytest.mark.parametrize("make", [
-        lambda: zero_input(2),
-        lambda: constant_input([1.0, -2.0]),
-        lambda: step_input(1.5, [0.5], [2.0]),
-        lambda: sinusoid_input(1.3, 2.0, 0.4),
-        lambda: piecewise_noise_input(5, 1.0, 0.25),
-    ])
-    def test_window_sup_dominates_and_monotone(self, make):
-        u = make()
-        windows = [(0.0, 1.0), (0.0, 2.0), (0.5, 1.7), (0.0, 4.0)]
-        for t1, t2 in windows:
-            assert u.window_sup(t1, t2) >= self.brute_sup(u, t1, t2) - 1e-9
-        # monotone under inclusion
-        assert u.window_sup(0.5, 1.7) <= u.window_sup(0.0, 2.0) + 1e-15
-        assert u.window_sup(0.0, 2.0) <= u.window_sup(0.0, 4.0) + 1e-15
-
-    def test_sinusoid_exact_peak(self):
-        u = sinusoid_input(2.0, np.pi, 0.0)
-        assert u.window_sup(0.0, 1.0) == pytest.approx(2.0, abs=0)
-        assert u.window_sup(0.0, 0.25) == pytest.approx(
-            2.0 * np.sin(np.pi * 0.25), rel=1e-12)
-
     def test_noise_deterministic(self):
         a = piecewise_noise_input(9, 2.0, 0.5)
         b = piecewise_noise_input(9, 2.0, 0.5)
@@ -223,7 +194,6 @@ class TestInputSignals:
         u = step_input(1.0, [0.0], [3.0])
         shifted = shift_input(u, 1.0)
         assert shifted.evaluate(0.0)[0] == 3.0
-        assert shifted.window_sup(0.0, 1.0) == 3.0
 
 
 class TestRegistry:

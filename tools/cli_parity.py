@@ -222,6 +222,21 @@ input.amplitude = 1.0
 input.switch_dt = 0.1
 """
 
+SIMULATE_LINEAR_CONSTANT = """
+command = simulate
+seed = 4
+horizon = 3.0
+step = 0.02
+system.name = linear
+system.delay = 0.4
+system.a = 1.0
+system.b = 0.5
+history.bound = 1.0
+history.modes = 8
+input.kind = constant
+input.value = 0.5
+"""
+
 SIMULATE_ZERO_DELAY = """
 command = simulate
 seed = 10
@@ -302,6 +317,7 @@ CONFIGS = {
     "simulate-linear-noise": ("simulate", SIMULATE_LINEAR_NOISE, ()),
     "simulate-linear-noise-seeded": ("simulate", SIMULATE_LINEAR_NOISE,
                                      ("--seed", "9")),
+    "simulate-linear-constant": ("simulate", SIMULATE_LINEAR_CONSTANT, ()),
     "simulate-zero-delay": ("simulate", SIMULATE_ZERO_DELAY, ()),
     "simulate-blowup": ("simulate", SIMULATE_BLOWUP, ()),
     "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
