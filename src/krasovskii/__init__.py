@@ -26,7 +26,6 @@ from .systems import (
     make_example3,
     make_linear_baseline,
     piecewise_noise_input,
-    shift_input,
     sinusoid_input,
     step_input,
     zero_input,

@@ -7,22 +7,20 @@ sampling evidence, never a proof.
 
 A sweep draws its samples in blocks and evaluates them in groups: the
 samples of a block whose histories share a grid, stacked into
-(B, len(grid), n) values and (B, m) inputs, whose residuals are
-computed together by the batch evaluators of `functionals`.
+(B, len(grid), n) values and (B, m) inputs.  A group takes the reads
+that every check and functional term needs once, when it is built:
+phi(0), phi(-delay), |phi(0)|, sup|phi| and |v|.
 `FalsificationSampler.groups(start, stop)` draws a block straight into
-its groups, one Fourier kernel call per mode class, and keeps it: every
-check that sweeps the same sampler reads one draw pass.  The kept
-blocks' arrays are capped at _MEMO_BYTES per sampler; a block past the
-cap is drawn again on each call.  Kept groups are shared, so their
-arrays are read-only.  Any other sampler needs only sample(i), returning
-the history and input vector of index i; a sweep draws it one index at
-a time and groups the samples by grid, the one adaptor.  The stream keys
-are the same either way, (seed, i) for a history and (seed, i, 1) for
-an input, and FalsificationSampler.sample(i) draws the block (i, i + 1)
-afresh without keeping it.  Every residual is computed as it would be
-alone, so a verdict, its witness index and the skip count do not depend
-on the block size, on how the samples group or on which blocks were
-kept.
+its groups, one Fourier kernel call per mode class, and keeps it, up to
+_MEMO_BYTES of arrays per sampler: every check that sweeps the same
+sampler reads one draw pass and one set of reads.  Kept groups are
+shared, so their arrays are read-only.  Any other sampler needs only
+sample(i), the history and input vector of index i, drawn one index at
+a time and grouped by grid.  Either way the stream keys are (seed, i)
+for a history and (seed, i, 1) for an input.  Every residual is
+computed as it would be alone, so a verdict, its witness index and the
+skip count do not depend on the block size, on how the samples group
+or on which blocks were kept.
 
 Each stream is NumPy's `Generator(PCG64(key))` stream for its key, the
 one its default constructor builds from that key, bit for bit.  It is
@@ -66,7 +64,7 @@ from .histories import (
     MODE_CHOICES,
     NORM_SCALES,
     HistoryFunction,
-    _eval_on_grid,
+    _Batch,
     _fourier_histories,
     _keyed_generators,
     _norm,
@@ -165,7 +163,12 @@ class FalsificationSampler:
         return block
 
     def _draw(self, start: int, stop: int) -> tuple:
-        """Samples start..stop-1 drawn afresh, one _Group per grid.
+        """Samples start..stop-1 drawn afresh, one _Group per grid."""
+        return tuple(_Group(self.delay, *s) for s in self._stacks(start, stop))
+
+    def _stacks(self, start: int, stop: int):
+        """Samples start..stop-1 drawn afresh: (grid, values, inputs,
+        indices) of each grid, before any read is taken.
 
         A sample's mode count, and so its grid, follows from its index,
         so each mode class is drawn straight into its stacked arrays.  At
@@ -194,18 +197,17 @@ class FalsificationSampler:
             keys = [(self.seed, i, *tag) for i in indices]
             for row, rng in zip(rows, _keyed_generators(keys)):
                 rng.standard_normal(out=row)
-        out = []
         for index, norm_scale, input_scale, draws, inputs in stacks:
             inputs *= input_scale[:, None]
-            grid, values = _fourier_histories(draws, self.delay, norm_scale)
-            out.append(_Group(self.delay, grid, values, inputs, index))
-        return tuple(out)
+            yield (*_fourier_histories(draws, self.delay, norm_scale), inputs,
+                   index)
 
     def sample(self, i: int):
-        """Sample i alone, drawn afresh and not kept: its history and its
-        input vector."""
-        (group,) = self._draw(i, i + 1)
-        return group.histories[0], group.inputs[0]
+        """Sample i alone, drawn afresh and not kept, with no group read
+        taken: its history and its read-only input vector."""
+        ((grid, values, inputs, _),) = self._stacks(i, i + 1)
+        inputs.flags.writeable = False
+        return HistoryFunction._trusted(self.delay, grid, values[0]), inputs[0]
 
 
 @dataclass(frozen=True)
@@ -257,67 +259,44 @@ class CheckReport:
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class _Group:
-    """Samples of one block that share a delay and a grid: their values
-    stacked to (B, len(grid), n), read-only, their inputs to (B, m), and
-    their sample indices."""
+@dataclass(frozen=True, eq=False)
+class _Group(_Batch):
+    """Samples of one block on one grid: the batch of their histories,
+    their inputs (B, m) and indices, and the norms the checks read,
+    |phi(0)|, sup|phi| and |v| (B,), taken once, when it is built."""
 
-    delay: float
-    grid: np.ndarray
-    values: np.ndarray
     inputs: np.ndarray
     indices: np.ndarray
-
-    @classmethod
-    def stack(cls, draws):
-        """The group of (index, history, input) triples on one grid."""
-        first = draws[0][1]
-        return cls(first.delay, first.grid,
-                   np.stack([phi.values for _, phi, _ in draws]),
-                   np.stack([np.atleast_1d(np.asarray(v, dtype=float))
-                             for _, _, v in draws]),
-                   np.array([i for i, _, _ in draws]))
+    point_norm: np.ndarray = field(init=False)
+    sup_norm: np.ndarray = field(init=False)
+    input_norm: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # a sampler's groups are shared by its sweeps: none may write
-        for array in (self.values, self.inputs, self.indices):
-            array.flags.writeable = False
+        super().__post_init__()
+        squares = _sum_last(self.values * self.values)
+        self._keep(inputs=self.inputs, indices=self.indices,
+                   point_norm=_norm(self.x0), input_norm=_norm(self.inputs),
+                   sup_norm=np.sqrt(np.max(squares, axis=-1)))
 
     @property
     def nbytes(self) -> int:
-        return (self.grid.nbytes + self.values.nbytes + self.inputs.nbytes
-                + self.indices.nbytes)
-
-    @property
-    def histories(self) -> list:
-        """One HistoryFunction per sample, on read-only row views, built
-        on each call so that a kept group holds only its arrays."""
-        return [HistoryFunction._trusted(self.delay, self.grid, row)
-                for row in self.values]
-
-    def at(self, tau) -> np.ndarray:
-        return _eval_on_grid(self.delay, self.grid, self.values, tau)
-
-    def sup_norm(self) -> np.ndarray:
-        return np.sqrt(np.max(_sum_last(self.values * self.values), axis=-1))
-
-    def point_norm(self) -> np.ndarray:
-        return _norm(self.at(0.0))
-
-    def input_norm(self) -> np.ndarray:
-        return _norm(self.inputs)
+        return sum(a.nbytes for a in vars(self).values()
+                   if isinstance(a, np.ndarray))
 
 
 def _groups_of_samples(sampler, start: int, stop: int) -> list:
     """The adaptor for a sampler with only sample(i): samples
-    start..stop-1 drawn one at a time, grouped by grid."""
+    start..stop-1 drawn one at a time, stacked into one _Group per grid."""
     drawn = {}
     for i in range(start, stop):
         phi, v = sampler.sample(i)
         key = (phi.delay, phi.n, phi.grid.tobytes())
         drawn.setdefault(key, []).append((i, phi, v))
-    return [_Group.stack(draws) for draws in drawn.values()]
+    return [_Group(phis[0].delay, phis[0].grid,
+                   np.stack([phi.values for phi in phis]),
+                   np.stack([np.atleast_1d(np.asarray(v, dtype=float))
+                             for v in inputs]), np.array(index))
+            for index, phis, inputs in (zip(*d) for d in drawn.values())]
 
 
 def _sweep(check: str, residual, sampler, budget: int,
@@ -328,13 +307,12 @@ def _sweep(check: str, residual, sampler, budget: int,
     residuals; a non-finite residual skips its sample."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    draw = getattr(sampler, "groups", None)
-    if draw is None:
-        draw = partial(_groups_of_samples, sampler)
+    draw = (getattr(sampler, "groups", None)
+            or partial(_groups_of_samples, sampler))
     r = np.empty(budget)
-    for start in range(0, budget, _BLOCK):
-        for group in draw(start, min(start + _BLOCK, budget)):
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, budget, _BLOCK):
+            for group in draw(start, min(start + _BLOCK, budget)):
                 r[group.indices] = residual(group)
     finite = np.isfinite(r)
     if not finite.any():
@@ -355,14 +333,15 @@ def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
     formula over (n, B) columns, or one general field call per sample.
     A row is non-finite where the field blew up."""
     if sys.pointwise is not None:
-        w = np.asarray(sys.pointwise(group.at(0.0).T, group.at(-sys.delay).T,
+        w = np.asarray(sys.pointwise(group.x0.T, group.at(-sys.delay).T,
                                      group.inputs.T), dtype=float)
         if w.shape != (sys.n, group.values.shape[0]):
             raise ValueError(f"the pointwise formula of {sys.name!r} does not "
                              "broadcast over (n, B) columns")
         return np.ascontiguousarray(w.T)
     rows = np.empty((group.values.shape[0], sys.n))
-    for j, (phi, v) in enumerate(zip(group.histories, group.inputs)):
+    for j, (row, v) in enumerate(zip(group.values, group.inputs)):
+        phi = HistoryFunction._trusted(group.delay, group.grid, row)
         try:
             rows[j] = sys.field(phi, v)
         except (FloatingPointError, OverflowError):
@@ -384,11 +363,11 @@ def check_sandwich(V: Functional, a_lower: Optional[float], a_upper: float,
     route needs only the upper one)."""
 
     def residual(g):
-        val = _values(V, g.delay, g.grid, g.values)
-        upper = val - a_upper * g.sup_norm() ** rho
+        val = _values(V, g)
+        upper = val - a_upper * g.sup_norm ** rho
         if a_lower is None:
             return upper
-        lower = a_lower * g.point_norm() ** rho - val
+        lower = a_lower * g.point_norm ** rho - val
         # Python's max(upper, lower): lower only when strictly larger
         return np.where(lower > upper, lower, upper)
 
@@ -406,10 +385,9 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
 
     def residual(g):
         w = _field(sys, g)
-        d = _closed(V, g.delay, g.grid, g.values, w)
-        return _unless_blown_up(w, d + a * g.point_norm() ** 2
-                                - c * g.sup_norm() ** 2
-                                - gamma(g.input_norm()))
+        d = _closed(V, g, w)
+        return _unless_blown_up(w, d + a * g.point_norm ** 2
+                                - c * g.sup_norm ** 2 - gamma(g.input_norm))
 
     return _sweep("pointwise-dissipation", residual, sampler, budget, tolerance)
 
@@ -421,8 +399,8 @@ def _growth_residual(sys, P, sigma, gamma, sign):
 
     def residual(g):
         w = _field(sys, g)
-        lhs = _xQy(g.at(0.0), P, w)
-        cap = sigma * (g.sup_norm() ** 2 + gamma(g.input_norm()))
+        lhs = _xQy(g.x0, P, w)
+        cap = sigma * (g.sup_norm ** 2 + gamma(g.input_norm))
         return _unless_blown_up(w, lhs - cap if sign > 0 else -lhs - cap)
 
     return residual

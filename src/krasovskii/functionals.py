@@ -30,6 +30,7 @@ import numpy as np
 
 from .histories import (
     HistoryFunction,
+    _Batch,
     _edge_tol,
     _eval_on_grid,
     _extend_on_grid,
@@ -211,39 +212,41 @@ class Sum(Functional):
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# The evaluators work on a batch of histories that share one grid:
-# `values` is (B, len(grid), n) and every result is a (B,) array.  The
-# public single-history functions are batches of one.
+# The evaluators work on a `_Batch`, histories on one shared grid whose
+# reads phi(0) and phi(-delay) are taken once, for every term; each result
+# is a (B,) array.  The public single-history functions are batches of one.
+
+def _one(phi: HistoryFunction) -> _Batch:
+    return _Batch(phi.delay, phi.grid, phi.values[None])
+
 
 def eval_functional(V: Functional, phi: HistoryFunction) -> float:
-    return float(_values(V, phi.delay, phi.grid, phi.values[None])[0])
+    return float(_values(V, _one(phi))[0])
 
 
-def _values(V: Functional, delay: float, grid, values) -> np.ndarray:
+def _values(V: Functional, batch: _Batch) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
-        if V.at < -delay - _edge_tol(delay):
+        if V.at < -batch.delay - _edge_tol(batch.delay):
             raise ValueError("evaluation point precedes -delay")
-        x = _eval_on_grid(delay, grid, values, max(V.at, -delay))
+        x = batch.at(V.at)
         return _xQy(x, V.Q, x)
     if isinstance(V, IntegralQuadratic):
-        return _integral(V.Q, V.weight.value, V.weight.polynomial,
-                         delay, grid, values)
+        return _integral(V.Q, V.weight.value, V.weight.polynomial, batch)
     if isinstance(V, MaxExp):
-        return _maxexp(V.P, grid, values)[0]
+        return _maxexp(V.P, batch.grid, batch.values)[0]
     if isinstance(V, Scale):
-        return V.k * _values(V.inner, delay, grid, values)
+        return V.k * _values(V.inner, batch)
     if isinstance(V, Sum):
-        return (_values(V.left, delay, grid, values)
-                + _values(V.right, delay, grid, values))
+        return _values(V.left, batch) + _values(V.right, batch)
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _integral(Q, weight_fn, polynomial, delay, grid, values) -> np.ndarray:
+def _integral(Q, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
     # per-segment Simpson; exact when the integrand is polynomial of
     # degree <= 3 per segment (constant weight, linear history)
-    if delay == 0.0 or grid.shape[0] < 2:
+    delay, g, values = batch.delay, batch.grid, batch.values
+    if delay == 0.0 or g.shape[0] < 2:
         return np.zeros(values.shape[0])
-    g = grid
     if polynomial:
         mids = 0.5 * (values[:, :-1] + values[:, 1:])
         fa = weight_fn(g[:-1]) * _qform(values[:, :-1], Q)
@@ -325,8 +328,7 @@ def driver_derivative_closed(V: Functional, phi: HistoryFunction, w) -> float:
     exact one.  At zero delay the window is the node 0, M is the point
     term phi(0)' P phi(0), and its derivative is 2 phi(0)' P w.
     """
-    w = _slope_row(phi, w)
-    return float(_closed(V, phi.delay, phi.grid, phi.values[None], w[None])[0])
+    return float(_closed(V, _one(phi), _slope_row(phi, w)[None])[0])
 
 
 def _slope_row(phi: HistoryFunction, w) -> np.ndarray:
@@ -336,34 +338,29 @@ def _slope_row(phi: HistoryFunction, w) -> np.ndarray:
     return w
 
 
-def _closed(V: Functional, delay: float, grid, values, w) -> np.ndarray:
+def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
     """Closed-form derivative of each history of the batch along its
     slope row of w (B, n)."""
-    if isinstance(V, DelayedQuadratic) and V.at == 0.0:
-        return 2.0 * _xQy(_eval_on_grid(delay, grid, values, 0.0), V.Q, w)
     if isinstance(V, DelayedQuadratic):
-        slope = _right_slope(grid, values, V.at)
-        return 2.0 * _xQy(_eval_on_grid(delay, grid, values, V.at), V.Q, slope)
+        slope = w if V.at == 0.0 else _right_slope(batch.grid, batch.values,
+                                                   V.at)
+        return 2.0 * _xQy(batch.at(V.at), V.Q, slope)
     if isinstance(V, IntegralQuadratic):
-        x0 = _eval_on_grid(delay, grid, values, 0.0)
-        xd = _eval_on_grid(delay, grid, values, -delay)
-        wt = V.weight
+        x0, xd, wt = batch.x0, batch.xd, V.weight
         boundary = (float(wt.value(0.0)) * _xQy(x0, V.Q, x0)
-                    - float(wt.value(-delay)) * _xQy(xd, V.Q, xd))
+                    - float(wt.value(-batch.delay)) * _xQy(xd, V.Q, xd))
         if wt.polynomial:
             return boundary
-        return boundary - _integral(V.Q, wt.derivative, False, delay, grid,
-                                    values)
+        return boundary - _integral(V.Q, wt.derivative, False, batch)
     if isinstance(V, Scale):
-        return V.k * _closed(V.inner, delay, grid, values, w)
+        return V.k * _closed(V.inner, batch, w)
     if isinstance(V, Sum):
-        return (_closed(V.left, delay, grid, values, w)
-                + _closed(V.right, delay, grid, values, w))
+        return _closed(V.left, batch, w) + _closed(V.right, batch, w)
     if isinstance(V, MaxExp):
-        point = 2.0 * _xQy(_eval_on_grid(delay, grid, values, 0.0), V.P, w)
-        if grid.shape[0] < 2:
+        point = 2.0 * _xQy(batch.x0, V.P, w)
+        if batch.grid.shape[0] < 2:
             return point
-        return _maxexp_closed(V.P, grid, values, point)
+        return _maxexp_closed(V.P, batch.grid, batch.values, point)
     raise TypeError(f"not a functional term: {V!r}")
 
 
@@ -400,8 +397,7 @@ def driver_derivative_numeric(V: Functional, phi: HistoryFunction, w,
     w = _slope_row(phi, w)
     if not np.all(np.isfinite(w)):
         raise ValueError("slope must be finite")
-    return float(_numeric(V, phi.delay, phi.grid, phi.values[None], w[None],
-                          hs)[0])
+    return float(_numeric(V, _one(phi), w[None], hs)[0])
 
 
 def _step_schedule(delay: float, h_schedule) -> list[float]:
@@ -415,14 +411,15 @@ def _step_schedule(delay: float, h_schedule) -> list[float]:
     return hs
 
 
-def _numeric(V: Functional, delay: float, grid, values, w, hs) -> np.ndarray:
+def _numeric(V: Functional, batch: _Batch, w, hs) -> np.ndarray:
     """Extension quotient of each history of the batch along its slope
     row of w (B, n), maximised over the steps hs."""
-    base = _values(V, delay, grid, values)
+    base = _values(V, batch)
     best = None
     for h in hs:
-        ext_grid, ext_values = _extend_on_grid(delay, grid, values, h, w)
-        q = (_values(V, delay, ext_grid, ext_values) - base) / h
+        extended = _Batch(batch.delay, *_extend_on_grid(
+            batch.delay, batch.grid, batch.values, h, w))
+        q = (_values(V, extended) - base) / h
         # Python's max over the steps: a later step wins only when larger
         best = q if best is None else np.where(q > best, q, best)
     return best

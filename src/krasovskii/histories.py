@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from numbers import Integral
 
 import numpy as np
@@ -389,6 +389,37 @@ def _eval_on_grid(delay, grid, values, tau):
     else:
         out = _interp_rows(grid, values, t)
     return out[..., 0, :] if tau.ndim == 0 else out
+
+
+@dataclass(frozen=True, eq=False)
+class _Batch:
+    """Histories on one shared grid, the batch evaluators' input: values
+    (B, len(grid), n) and the reads x0 = phi(0) and xd = phi(-delay)
+    (B, n), taken once, when the batch is built.  Batches may be shared,
+    so the values and the reads are read-only."""
+
+    delay: float
+    grid: np.ndarray
+    values: np.ndarray
+    x0: np.ndarray = field(init=False)
+    xd: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        read = partial(_eval_on_grid, self.delay, self.grid, self.values)
+        self._keep(values=self.values, x0=read(0.0), xd=read(-self.delay))
+
+    def _keep(self, **arrays):
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def at(self, tau: float) -> np.ndarray:
+        """phi(tau) of each history, (B, n), as _eval_on_grid reads it:
+        the kept read at 0 and at -delay, any other lag afresh."""
+        if tau == 0.0:
+            return self.x0
+        return self.xd if tau == -self.delay else _eval_on_grid(
+            self.delay, self.grid, self.values, tau)
 
 
 def _extend_on_grid(delay, grid, values, h, w):

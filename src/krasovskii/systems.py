@@ -46,7 +46,6 @@ __all__ = [
     "step_input",
     "sinusoid_input",
     "piecewise_noise_input",
-    "shift_input",
     "build_system",
     "PARAMETERS",
     "UNCERTAINTIES",
@@ -250,12 +249,6 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
         return _segment(int(np.floor(t / switch_dt)))
 
     return InputSignal(m, evaluate, f"noise(A={amplitude:g})")
-
-
-def shift_input(u: InputSignal, offset: float) -> InputSignal:
-    """u shifted left: the result evaluated at t equals u(t + offset)."""
-    return InputSignal(u.m, lambda t: u.evaluate(t + offset),
-                       f"{u.name}+{offset:g}")
 
 
 # ---------------------------------------------------------------------------

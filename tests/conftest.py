@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from krasovskii.functionals import IntegralQuadratic, PointQuadratic, Sum
+from krasovskii.systems import InputSignal
 
 # property tests draw the same examples on every run, keep no example
 # database and have no deadline: the tier-1 suite stays deterministic on
@@ -10,6 +11,13 @@ from krasovskii.functionals import IntegralQuadratic, PointQuadratic, Sum
 settings.register_profile("deterministic", derandomize=True, database=None,
                           deadline=None)
 settings.load_profile("deterministic")
+
+
+def shift_input(u: InputSignal, offset: float) -> InputSignal:
+    """u shifted left: the result evaluated at t equals u(t + offset), the
+    input of a run restarted at time offset."""
+    return InputSignal(u.m, lambda t: u.evaluate(t + offset),
+                       f"{u.name}+{offset:g}")
 
 
 def standard_lkf():

@@ -44,11 +44,10 @@ from krasovskii.systems import (
     make_example1,
     make_example3,
     make_linear_baseline,
-    shift_input,
     sinusoid_input,
     zero_input,
 )
-from tests.conftest import standard_lkf
+from tests.conftest import shift_input, standard_lkf
 
 EYE = np.eye(2)
 DELTAS = (0.0, 0.5, 1.0, 2.0, 4.5)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -42,7 +43,13 @@ from krasovskii.functionals import (
     square_gain,
     zero_gain,
 )
-from krasovskii.histories import constant_history, random_history
+from krasovskii.functionals import _sum_last
+from krasovskii.histories import (
+    _eval_on_grid,
+    _norm,
+    constant_history,
+    random_history,
+)
 from krasovskii.systems import (
     DELAYED_UNCERTAINTY,
     DelaySystem,
@@ -52,6 +59,7 @@ from krasovskii.systems import (
     make_example3,
     make_linear_baseline,
 )
+from tests.conftest import standard_lkf
 
 EYE = np.eye(2)
 
@@ -931,6 +939,101 @@ class TestSharedSampler:
             sampler.groups(start, min(start + certify._BLOCK, 10_000))
         assert len(sampler._memo) == 40
         assert sampler._memo.nbytes <= 8 << 20
+
+
+class TestStoredReads:
+    @pytest.mark.parametrize("delay", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("source", ["draw", "adaptor"])
+    def test_reads_are_the_fresh_reads(self, source, delay):
+        # every read a group keeps is the read a check took before it was
+        # kept, bit for bit, and none of them can be written
+        if source == "draw":
+            groups = FalsificationSampler(11, 2, 1, delay)._draw(0, 300)
+        else:
+            groups = certify._groups_of_samples(MemoSampler(11, 2, delay),
+                                                0, 300)
+        assert sum(len(g.indices) for g in groups) == 300
+        for g in groups:
+            read = partial(_eval_on_grid, delay, g.grid, g.values)
+            fresh = {"x0": read(0.0), "xd": read(-delay),
+                     "point_norm": _norm(read(0.0)),
+                     "sup_norm": np.sqrt(np.max(
+                         _sum_last(g.values * g.values), axis=-1)),
+                     "input_norm": _norm(g.inputs)}
+            for name, array in fresh.items():
+                kept = getattr(g, name)
+                assert kept.shape == array.shape, name
+                assert kept.tobytes() == array.tobytes(), name
+                with pytest.raises(ValueError, match="read-only"):
+                    kept[0] = 0
+            # at zero delay the two reads are one, and at() returns x0
+            assert g.at(0.0) is g.x0
+            assert g.at(-delay) is (g.xd if delay else g.x0)
+            lag = -0.37 * delay
+            assert g.at(lag).tobytes() == read(lag).tobytes()
+            with pytest.raises(ValueError, match="outside"):
+                g.at(-delay - 1e-6)
+            # the memo's byte count covers the kept reads
+            assert g.nbytes == sum(a.nbytes for a in (
+                g.grid, g.values, g.inputs, g.indices, *fresh.values()))
+
+
+# ---------------------------------------------------------------------------
+# criterion 04's exact thresholds: example1 with standard_lkf(), V =
+# |phi(0)|^2 + 2 * integral of phi_2^2, where every residual is a closed
+# form in x = phi(0), y = phi(-delay) and v
+
+# a* of the dissipation check with c = 0 and gamma(s) = s^2: the residual
+# (a-1) x1^2 + 2 x1 y2 - 2 y2^2 + (a-2) x2^2 + 2 x2 v - v^2 is negative
+# semidefinite iff a <= 1/2
+DISSIPATION_A = 0.5
+# sigma* of right growth with P = I: the maximum of phi(0)'f over
+# max(|x|^2, |y|^2) + v^2, reached by the ramp from y = (0, 1) to x = (1, 0)
+RIGHT_GROWTH_SIGMA = 0.5
+THRESHOLD_BUDGET = 1000
+
+
+def sandwich_thresholds(delay):
+    """(a_lower*, a_upper*) with rho = 2: V >= |phi(0)|^2, equal where
+    phi_2 = 0; V <= (1 + 2 delay) sup|phi|^2, equal on the constant
+    histories with phi_1 = 0."""
+    return 1.0, 1.0 + 2.0 * delay
+
+
+class TestExactThresholds:
+    @settings(max_examples=10)
+    @given(seed=st.integers(0, 2 ** 32 - 1), delay=st.sampled_from([0.2, 1.0]))
+    @example(seed=20260809, delay=1.0)
+    def test_no_violation_at_the_threshold(self, seed, delay):
+        sys, V = make_example1(delay), standard_lkf()
+        sampler = FalsificationSampler(seed, 2, 1, delay)
+        a_lower, a_upper = sandwich_thresholds(delay)
+        B = THRESHOLD_BUDGET
+        for rep in (
+                check_pointwise_dissipation(sys, V, DISSIPATION_A, 0.0,
+                                            square_gain(), sampler, B),
+                check_sandwich(V, a_lower, a_upper, 2.0, sampler, B),
+                check_right_growth(sys, EYE, RIGHT_GROWTH_SIGMA,
+                                   square_gain(), sampler, B)):
+            assert rep.verdict == NO_VIOLATION and rep.skipped == 0, rep.check
+
+    @pytest.mark.parametrize("delay", [0.2, 1.0])
+    @pytest.mark.parametrize("seed", [20260809, 0, 1])
+    def test_refuted_past_the_threshold(self, seed, delay):
+        # the distances that every measured seed refutes at this budget:
+        # 10% above a*, and 0.1% past either sandwich constant.  Right
+        # growth is not pinned: at this budget some seeds miss even
+        # sigma = 0.25, half its threshold.
+        sys, V = make_example1(delay), standard_lkf()
+        sampler = FalsificationSampler(seed, 2, 1, delay)
+        a_lower, a_upper = sandwich_thresholds(delay)
+        B = THRESHOLD_BUDGET
+        assert check_pointwise_dissipation(sys, V, 1.1 * DISSIPATION_A, 0.0,
+                                           square_gain(), sampler, B).violated
+        assert check_sandwich(V, None, 0.999 * a_upper, 2.0, sampler,
+                              B).violated
+        assert check_sandwich(V, 1.001 * a_lower, a_upper, 2.0, sampler,
+                              B).violated
 
 
 # ---------------------------------------------------------------------------

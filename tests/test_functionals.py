@@ -22,6 +22,7 @@ from krasovskii.functionals import (
 )
 from krasovskii.histories import (
     HistoryFunction,
+    _Batch,
     constant_history,
     driver_extension,
     random_history,
@@ -241,10 +242,10 @@ class TestMaxExpDerivative:
             P = random_spd(rng, n)
             values = rng.standard_normal((7, 1, n))
             w = rng.standard_normal((7, n))
-            grid = np.zeros(1)
+            batch = _Batch(0.0, np.zeros(1), values)
             assert np.array_equal(
-                functionals._closed(MaxExp(P), 0.0, grid, values, w),
-                functionals._closed(PointQuadratic(P), 0.0, grid, values, w))
+                functionals._closed(MaxExp(P), batch, w),
+                functionals._closed(PointQuadratic(P), batch, w))
 
 
 def term_kinds(delay):

@@ -30,11 +30,11 @@ from krasovskii.systems import (
     make_example1,
     make_linear_baseline,
     piecewise_noise_input,
-    shift_input,
     sinusoid_input,
     step_input,
     zero_input,
 )
+from tests.conftest import shift_input
 
 
 def _interp_row_reference(times, values, t):

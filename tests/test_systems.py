@@ -11,9 +11,9 @@ from krasovskii.systems import (
     make_example3,
     make_linear_baseline,
     piecewise_noise_input,
-    shift_input,
     step_input,
 )
+from tests.conftest import shift_input
 
 V0 = np.zeros(1)
 

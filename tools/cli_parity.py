@@ -304,6 +304,8 @@ CONFIGS = {
                             ("--seed", "20260809", "--budget", "3000")),
     "example1": ("certify", EXAMPLE1, ()),
     "example1-seeded": ("certify", EXAMPLE1, ("--seed", "7", "--budget", "500")),
+    # the acceptance size: four checks share every kept group
+    "example1-acceptance": ("certify", EXAMPLE1, ("--budget", "10000")),
     "example1-tightened": ("certify", TIGHTENED, ()),
     "W-delay-1": ("certify", W_CERTIFY.format(delay="1.0"), ()),
     "W-delay-0": ("certify", W_CERTIFY.format(delay="0"), ()),
