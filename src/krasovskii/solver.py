@@ -13,18 +13,26 @@ Methods for Delay Differential Equations*, OUP 2003, ch. 3): every
 delayed argument a block needs, at t - delay, t + dt/2 - delay and
 t + dt - delay for each of its steps, already lies on computed rows
 when the block starts, so all of them are read in one vectorised pass.
-A zero delay runs as one block.  Blow-up is checked once per block, and
-the trajectory is cut at the first bad step: a state that is not finite
-or whose norm (np.linalg.norm of that state alone) exceeds the
-threshold.  Systems with only a general `field` are stepped one at a
-time, each RK4 stage on its own history.  The input is evaluated at the
-stage times of every step of a block, also past a blow-up inside it, so
-`InputSignal.evaluate` must be a pure function of t.
+A zero delay runs as one block.  A block steps on Python floats: the
+formula receives lists of components and returns a sequence of n, and
+each stage state and update is formed component by component in the
+operation order of the vector form, so the states are those NumPy
+computes, bit for bit.  Where NumPy would return inf or nan, Python's
+`**` and `/` raise instead: an ArithmeticError in a formula call makes
+that step's state NaN and ends the block.  Blow-up is checked once per
+block, and the trajectory is cut at the first bad step: a state that is
+not finite or whose norm (np.linalg.norm of that state alone) exceeds
+the threshold; the NaN state is cut at the same row, with the same
+t_escape, as the non-finite state of the NumPy form.  Systems with only
+a general `field` are stepped one at a time, each RK4 stage on its own
+history.  The input may be evaluated at stage times past a blow-up in
+the same block, so `InputSignal.evaluate` must be a pure function of t.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -153,27 +161,41 @@ def _pointwise_block(sys, u, times, values, b0, m, dt):
     # the last step, lies on the grid node dt before row b0's time, up to
     # rounding; one step more and a read rounding just past its node
     # would interpolate toward a row the block has yet to compute.
+    # The steps run on Python floats (see the module docstring): an
+    # OverflowError or ZeroDivisionError where NumPy gives inf or nan
+    # leaves a NaN state for the caller's cut and ends the block.
     pw = sys.pointwise
     delay = sys.delay
     half = 0.5 * dt
+    sixth = dt / 6.0
+    comps = range(sys.n)
     tb = times[b0:b0 + m]
     lagged = delay > 0.0
     if lagged:
         reads = _interp_rows(times, values, np.concatenate(
-            [tb - delay, tb + half - delay, tb + dt - delay]))
+            [tb - delay, tb + half - delay, tb + dt - delay])).tolist()
         xd1, xdm, xd2 = reads[:m], reads[m:2 * m], reads[2 * m:]
-    y = values[b0]
-    for i, t in enumerate(tb):
-        um = u.evaluate(t + half)
-        k1 = pw(y, xd1[i] if lagged else y, u.evaluate(t))
-        y2 = y + half * k1
-        k2 = pw(y2, xdm[i] if lagged else y2, um)
-        y3 = y + half * k2
-        k3 = pw(y3, xdm[i] if lagged else y3, um)
-        y4 = y + dt * k3
-        k4 = pw(y4, xd2[i] if lagged else y4, u.evaluate(t + dt))
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        values[b0 + i + 1] = y
+    y = values[b0].tolist()
+    rows = []
+    for i, t in enumerate(tb.tolist()):
+        v1 = u.evaluate(t).tolist()
+        vm = u.evaluate(t + half).tolist()
+        v2 = u.evaluate(t + dt).tolist()
+        try:
+            k1 = pw(y, xd1[i] if lagged else y, v1)
+            y2 = [y[j] + half * k1[j] for j in comps]
+            k2 = pw(y2, xdm[i] if lagged else y2, vm)
+            y3 = [y[j] + half * k2[j] for j in comps]
+            k3 = pw(y3, xdm[i] if lagged else y3, vm)
+            y4 = [y[j] + dt * k3[j] for j in comps]
+            k4 = pw(y4, xd2[i] if lagged else y4, v2)
+        except ArithmeticError:
+            rows.append([math.nan] * sys.n)
+            break
+        y = [y[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
+             for j in comps]
+        rows.append(y)
+    values[b0 + 1:b0 + 1 + len(rows)] = rows
 
 
 def _field_block(sys, u, times, values, b0, m, dt):

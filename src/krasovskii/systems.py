@@ -11,16 +11,21 @@ with f(0, 0) = 0, asserted once at construction.  Each built-in
 right-hand side reads the history only through phi(0) and phi(-delay),
 so it is stated once, as a `pointwise` formula f(x(t), x(t - delay), v);
 its `field` is derived from that formula, and the solver uses the
-formula directly as its fast path.  Only example2 with a user-supplied
-uncertainty pair, which may read the whole history, has a general
-`field` and no `pointwise` formula.
+formula directly as its fast path.  A formula indexes the components of
+its arguments and returns a tuple of n components: the solver passes
+lists of floats, the sweeps (n, B) and (m, B) columns, so one
+definition serves both.  Construction probes the formula with lists of
+zeros.  Only example2 with a user-supplied uncertainty pair, which may
+read the whole history, has a general `field` and no `pointwise`
+formula.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -62,10 +67,11 @@ class DelaySystem:
     field: Callable[[HistoryFunction, np.ndarray], np.ndarray]
     name: str = ""
     # the formula f(x(t), x(t - delay), v) of a field that reads the
-    # history only at 0 and -delay; the solver's fast path.  The solver
-    # calls it with vectors, the falsification checks with (n, B) and
-    # (m, B) columns, so it must broadcast like the built-in formulas.
-    pointwise: Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]] = None
+    # history only at 0 and -delay; the solver's fast path.  It indexes
+    # its arguments' components, x[0], x[1], ..., and returns a sequence
+    # of n components: the solver calls it with lists of floats, the
+    # falsification checks with (n, B) and (m, B) columns.
+    pointwise: Optional[Callable[[Sequence, Sequence, Sequence], Sequence]] = None
 
     def __post_init__(self):
         if self.delay < 0:
@@ -75,10 +81,18 @@ class DelaySystem:
         if origin.shape != (self.n,) or np.max(np.abs(origin)) > 1e-12:
             raise ValueError(f"field must satisfy f(0, 0) = 0, got {origin}")
         if self.pointwise is not None:
-            z = np.zeros(self.n)
-            pw = np.asarray(self.pointwise(z, z, np.zeros(self.m)), dtype=float)
-            if np.max(np.abs(pw)) > 1e-12:
-                raise ValueError("pointwise evaluator must satisfy f(0, 0) = 0")
+            z = [0.0] * self.n
+            try:
+                pw = [float(c) for c in self.pointwise(z, z, [0.0] * self.m)]
+            except (AttributeError, IndexError, TypeError) as exc:
+                raise ValueError(
+                    f"the pointwise formula of {self.name!r} must index the "
+                    f"components of its arguments and return a sequence: "
+                    f"{exc}") from exc
+            if len(pw) != self.n or not all(abs(c) <= 1e-12 for c in pw):
+                raise ValueError(
+                    f"the pointwise formula of {self.name!r} must return "
+                    f"{self.n} components with f(0, 0) = 0, got {pw}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +138,7 @@ def _pointwise_system(n: int, delay: float, name: str, pointwise) -> DelaySystem
     """The system whose one formula is pointwise(x(t), x(t - delay), v)."""
 
     def field(phi, v):
-        return pointwise(phi.eval(0.0), phi.eval(-delay), v)
+        return np.array(pointwise(phi.eval(0.0), phi.eval(-delay), v))
 
     return DelaySystem(n, 1, delay, field, name, pointwise)
 
@@ -134,8 +148,8 @@ def make_example1(delay: float) -> DelaySystem:
 
     def pointwise(x, xd, v):
         q = x[0] * x[0] + xd[1] * xd[1]
-        return np.array([-0.5 * x[0] + xd[1] + x[1] * q,
-                         -2.0 * x[1] - x[0] * q + v[0]])
+        return (-0.5 * x[0] + xd[1] + x[1] * q,
+                -2.0 * x[1] - x[0] * q + v[0])
 
     return _pointwise_system(2, delay, "example1", pointwise)
 
@@ -157,19 +171,22 @@ def make_example2(delay: float, epsilon: float = 0.0,
 
     def core(x, xd, v):
         q = x[0] * x[0] + xd[1] * xd[1]
-        return np.array([-0.5 * x[0] + xd[0] + x[1] * q,
-                         -2.0 * x[1] - x[0] * q + v[0]])
+        return (-0.5 * x[0] + xd[0] + x[1] * q,
+                -2.0 * x[1] - x[0] * q + v[0])
 
     if d is not None and d is not DELAYED_UNCERTAINTY:
         d.validate(2, delay)
     if d is None or epsilon == 0.0:
         return _pointwise_system(2, delay, name, core)
     if d is DELAYED_UNCERTAINTY:
-        return _pointwise_system(2, delay, name,
-                                 lambda x, xd, v: core(x, xd, v) + epsilon * xd)
+        def delayed(x, xd, v):
+            f1, f2 = core(x, xd, v)
+            return (f1 + epsilon * xd[0], f2 + epsilon * xd[1])
+
+        return _pointwise_system(2, delay, name, delayed)
 
     def field(phi, v):
-        return (core(phi.eval(0.0), phi.eval(-delay), v)
+        return (np.array(core(phi.eval(0.0), phi.eval(-delay), v))
                 + epsilon * np.array([d.d1(phi), d.d2(phi)]))
 
     return DelaySystem(2, 1, delay, field, name)
@@ -182,8 +199,8 @@ def make_example3(delay: float) -> DelaySystem:
 
     def pointwise(x, xd, v):
         q = x[0] * x[0] + xd[1] * xd[1]
-        return np.array([-0.5 * x[0] + xd[0] + x[1] * q,
-                         -2.0 * x[1] - x[1] ** 3 - x[0] * q + v[0]])
+        return (-0.5 * x[0] + xd[0] + x[1] * q,
+                -2.0 * x[1] - x[1] ** 3 - x[0] * q + v[0])
 
     return _pointwise_system(2, delay, "example3", pointwise)
 
@@ -192,7 +209,7 @@ def make_linear_baseline(a: float, b: float, delay: float) -> DelaySystem:
     """Scalar dx/dt = -a x(t) + b x(t - delay) + u(t); solvable by hand."""
 
     def pointwise(x, xd, v):
-        return np.array([-a * x[0] + b * xd[0] + v[0]])
+        return (-a * x[0] + b * xd[0] + v[0],)
 
     return _pointwise_system(1, delay, f"linear(a={a:g},b={b:g})", pointwise)
 
@@ -246,7 +263,7 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
         return value
 
     def evaluate(t):
-        return _segment(int(np.floor(t / switch_dt)))
+        return _segment(math.floor(t / switch_dt))
 
     return InputSignal(m, evaluate, f"noise(A={amplitude:g})")
 

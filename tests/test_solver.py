@@ -55,12 +55,16 @@ def _interp_row_reference(times, values, t):
 
 def per_step_reference(sys, x0, u, horizon, dt, blowup_threshold=1e9):
     """The pointwise path as one RK4 step at a time: three scalar delayed
-    reads and one blow-up check per step.  Returns (times, values,
-    status, t_escape)."""
+    reads and one blow-up check per step, on NumPy rows, so a formula's
+    overflow gives inf or nan here where the solver's Python floats
+    raise.  Returns (times, values, status, t_escape)."""
     if u is None:
         u = zero_input(sys.m)
     delay = sys.delay
-    pw = sys.pointwise
+
+    def pw(x, xd, v):
+        return np.asarray(sys.pointwise(x, xd, v))
+
     nsteps = int(round(horizon / dt))
     neg = _initial_grid(x0, delay, dt)
     times = np.concatenate([neg, dt * np.arange(1, nsteps + 1)])
@@ -112,6 +116,22 @@ def cubic_growth_system():
     # dx/dt = x^3 escapes at t = 1/(2 x0^2) from a constant history
     return DelaySystem(1, 1, 0.0, lambda phi, v: phi.eval(0.0) ** 3,
                        "cubic-growth")
+
+
+def counting_overflows(sys):
+    """sys with its formula wrapped to count the OverflowErrors it raises
+    (Python floats raise where NumPy returns inf), and the count."""
+    count = [0]
+    pw = sys.pointwise
+
+    def pointwise(x, xd, v):
+        try:
+            return pw(x, xd, v)
+        except OverflowError:
+            count[0] += 1
+            raise
+
+    return dataclasses.replace(sys, pointwise=pointwise), count
 
 
 class TestBasics:
@@ -246,16 +266,52 @@ class TestBlockParity:
         # x' = x^3 + x(t - delay)^3 escapes before t = 0.125 from x0 = 2;
         # an infinite threshold leaves only the finiteness check
         def pointwise(x, xd, v):
-            return x ** 3 + xd ** 3
+            return (x[0] ** 3 + xd[0] ** 3,)
 
         sys = DelaySystem(1, 1, delay,
                           lambda phi, v: pointwise(phi.eval(0.0),
                                                    phi.eval(-delay), v),
                           "cubic-growth", pointwise)
+        sys, overflows = counting_overflows(sys)
         for dt in (0.025, 0.01, 0.004):
             traj = assert_matches_reference(sys, constant_history(delay, [2.0]),
                                             None, 0.5, dt, np.inf)
             assert traj.status == BLEW_UP
+        # each blow-up passes through the formula's OverflowError
+        assert overflows[0] == 3
+
+
+class TestArithmeticErrorRule:
+    """A formula's OverflowError ends the block with a NaN state, which
+    the blow-up cut turns into the row and t_escape of NumPy's inf."""
+
+    @pytest.mark.parametrize("delay, dt, horizon",
+                             TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)])
+    @pytest.mark.parametrize("kind", ["zero", "noise"])
+    def test_example3_at_scale_100(self, delay, dt, horizon, kind):
+        sys, overflows = counting_overflows(build_system("example3", delay))
+        for seed in range(6):
+            x0 = random_history((53, seed), 2, delay, 100.0, (0, 2, 8)[seed % 3])
+            traj = assert_matches_reference(sys, x0, parity_input(kind, seed),
+                                            horizon, dt)
+            assert traj.status == BLEW_UP
+        # every one of the six blow-ups passes through x[1] ** 3's overflow
+        assert overflows[0] == 6
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=st.sampled_from(PARITY_SYSTEMS),
+           grid=st.sampled_from(TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)]),
+           scale=st.sampled_from([1.0, 10.0, 100.0]),
+           modes=st.sampled_from([0, 2, 8]),
+           kind=st.sampled_from(["zero", "step", "sinusoid", "noise"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_builtins_match_the_reference(self, case, grid, scale, modes,
+                                          kind, seed):
+        name, params = case.values
+        delay, dt, horizon = grid
+        sys = build_system(name, delay, params)
+        x0 = random_history((59, seed), sys.n, delay, scale, modes)
+        assert_matches_reference(sys, x0, parity_input(kind, seed), horizon, dt)
 
 
 def first_bad_reference(rows, threshold):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -190,10 +192,75 @@ class TestInputSignals:
         expected = np.random.default_rng((9, 4, 2)).uniform(-2.0, 2.0, 1)
         assert np.array_equal(first, expected)
 
+    @pytest.mark.parametrize("switch_dt", [0.1, 0.0437, 0.5, 1.0 / 3.0])
+    def test_noise_index_is_the_numpy_floor(self, switch_dt):
+        # at, just below and just above every segment boundary of t >= 0
+        u = piecewise_noise_input(5, 1.0, switch_dt)
+        for j in range(120):
+            near = np.nextafter(j * switch_dt, [-math.inf, 0.0, math.inf]).tolist()
+            for t in near[j == 0:]:
+                index = int(np.floor(t / switch_dt))
+                assert math.floor(t / switch_dt) == index
+                expected = np.random.default_rng((5, index)).uniform(-1.0, 1.0, 1)
+                assert np.array_equal(u.evaluate(t), expected)
+        for t, error in ((math.nan, ValueError), (math.inf, OverflowError)):
+            with pytest.raises(error):
+                int(np.floor(t / switch_dt))
+            with pytest.raises(error):
+                u.evaluate(t)
+
     def test_shift(self):
         u = step_input(1.0, [0.0], [3.0])
         shifted = shift_input(u, 1.0)
         assert shifted.evaluate(0.0)[0] == 3.0
+
+
+def _rest_field(n):
+    return lambda phi, v: np.zeros(n)
+
+
+class TestPointwiseContract:
+    """A formula indexes its arguments' components and returns n of
+    them; construction probes it with lists of zeros."""
+
+    @pytest.mark.parametrize("n, formula", [
+        pytest.param(1, lambda x, xd, v: x ** 3, id="power-of-a-list"),
+        pytest.param(2, lambda x, xd, v: -x, id="negated-list"),
+        pytest.param(1, lambda x, xd, v: x[0], id="a-bare-component"),
+        pytest.param(2, lambda x, xd, v: x + xd, id="concatenated-lists"),
+        pytest.param(2, lambda x, xd, v: (x[0],), id="too-few-components"),
+        pytest.param(1, lambda x, xd, v: (x[2],), id="index-out-of-range"),
+        pytest.param(2, lambda x, xd, v: (x[0] + 1.0, x[1]), id="nonzero-origin"),
+        pytest.param(1, lambda x, xd, v: (x[0] * math.inf,), id="nan-origin"),
+    ])
+    def test_rejected_naming_the_system(self, n, formula):
+        with pytest.raises(ValueError, match="'non-conforming'"):
+            DelaySystem(n, 1, 1.0, _rest_field(n), "non-conforming", formula)
+
+    @pytest.mark.parametrize("formula", [
+        pytest.param(lambda x, xd, v: (-x[0], xd[1] - x[1] + v[0]), id="tuple"),
+        pytest.param(lambda x, xd, v: [-x[0], -x[1]], id="list"),
+        pytest.param(lambda x, xd, v: np.array([-x[0], -x[1]]), id="array"),
+    ])
+    def test_sequences_of_components_accepted(self, formula):
+        sys = DelaySystem(2, 1, 1.0, _rest_field(2), "conforming", formula)
+        assert sys.pointwise is formula
+
+    @pytest.mark.parametrize("name, params", [
+        pytest.param("example1", {}, id="example1"),
+        pytest.param("example2", {"epsilon": 0.05, "uncertainty": "delayed"},
+                     id="example2-delayed"),
+        pytest.param("example3", {}, id="example3"),
+        pytest.param("linear", {"a": 1.0, "b": 0.5}, id="linear"),
+    ])
+    def test_builtins_return_float_tuples(self, name, params):
+        sys = build_system(name, 1.0, params)
+        x, xd, v = [0.3] * sys.n, [-0.7] * sys.n, [0.2]
+        out = sys.pointwise(x, xd, v)
+        assert type(out) is tuple and len(out) == sys.n
+        assert all(type(c) is float for c in out)
+        assert np.array_equal(np.array(out), sys.pointwise(
+            np.array(x), np.array(xd), np.array(v)))
 
 
 class TestRegistry:

@@ -266,6 +266,19 @@ history.kind = constant
 history.value = 1
 """
 
+# example3 from a history of sup norm 100 overflows Python's x[1] ** 3
+# in its first step, so the solver's arithmetic-error rule ends it
+SIMULATE_EXAMPLE3_BLOWUP = """
+command = simulate
+seed = 2
+horizon = 2.0
+step = 0.01
+system.name = example3
+system.delay = 1.0
+history.bound = 100
+history.modes = 2
+"""
+
 ENVELOPE_LINEAR = """
 command = envelope
 seed = 3
@@ -322,6 +335,7 @@ CONFIGS = {
     "simulate-linear-constant": ("simulate", SIMULATE_LINEAR_CONSTANT, ()),
     "simulate-zero-delay": ("simulate", SIMULATE_ZERO_DELAY, ()),
     "simulate-blowup": ("simulate", SIMULATE_BLOWUP, ()),
+    "simulate-example3-overflow": ("simulate", SIMULATE_EXAMPLE3_BLOWUP, ()),
     "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
     "envelope-example1": ("envelope", ENVELOPE_EXAMPLE1, ()),
     "example2-margins": ("example2-margins", EXAMPLE2_MARGINS, ()),
