@@ -20,6 +20,20 @@ critical points, which avoids any oversampling error.  The same segment
 maxima give its closed-form derivative, which follows the argmax set
 (see driver_derivative_closed), and keep small-step difference
 quotients free of sampling error.
+
+Only segments that can beat the nodes are solved.  P is positive
+definite, so on a segment q = phi' P phi is convex and exp(2 tau) q(tau)
+<= exp(2 tau_right) max(q_left, q_right).  A segment whose bound,
+inflated by a relative margin, lies below the maximum over the nodes
+cannot change the result and is skipped.  The margin is derived from
+the rounding of the forms (of order (n^2 + 5) u ||P||_F / lambda_min(P)
+with u = 2^-53, about 6e-14 for P = I in two dimensions) and of the
+exponential (of order u delay), plus an absolute floor for results
+below the smallest normal number (see _limits).  Every segment is
+solved where the margin is not derived to hold: in a row with a
+non-finite node or near overflow, and for every row when that order
+reaches 1e-3, a P too ill-conditioned or a delay above 7e11.  The
+result is the bits of solving every segment.
 """
 
 from __future__ import annotations
@@ -68,26 +82,42 @@ def _symmetric(Q) -> np.ndarray:
     return Q
 
 
-def _qform(a: np.ndarray, Q: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+class _Form:
+    """A fixed square matrix Q as the batched forms read it, taken once
+    when its term or check is built: its nonzero entries (i, j, Q_ij) in
+    the order of (i, j), and its columns as strided views of Q.  A
+    contiguous copy of a column would take another BLAS dot kernel,
+    which from n = 4 sums in another order."""
+
+    __slots__ = ("entries", "columns")
+
+    def __init__(self, Q: np.ndarray):
+        self.entries = tuple((i, j, float(q)) for (i, j), q in np.ndenumerate(Q)
+                             if q != 0.0)
+        self.columns = tuple(Q[:, k] for k in range(Q.shape[1]))
+
+
+def _qform(a: np.ndarray, form: _Form, b: np.ndarray | None = None) -> np.ndarray:
     """a' Q b (b defaults to a) along the last axis, for every leading
     index: the grid-node and segment forms.  The terms (a_i Q_ij) b_j
     are summed in the order of (i, j), skipping zero entries of Q, so a
     row's value does not depend on the rows evaluated with it."""
     b = a if b is None else b
     total = None
-    for (i, j), q in np.ndenumerate(Q):
-        if q != 0.0:
-            term = a[..., i] * q * b[..., j]
-            total = term if total is None else total + term
+    for i, j, q in form.entries:
+        term = a[..., i] * q * b[..., j]
+        total = term if total is None else total + term
     return np.zeros(a.shape[:-1]) if total is None else total
 
 
-def _xQy(x: np.ndarray, Q: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _xQy(x: np.ndarray, form: _Form, y: np.ndarray) -> np.ndarray:
     """x' Q y of each pair of rows, the point-value form: as `x @ Q @ y`
     computes it for one pair, one BLAS dot per row and column of Q.  The
     rows are made contiguous, so every batch runs the same dot kernel."""
     x = np.ascontiguousarray(x)
-    xQ = np.stack([np.vecdot(x, Q[:, k]) for k in range(Q.shape[0])], axis=-1)
+    xQ = np.empty(x.shape[:-1] + (len(form.columns),))
+    for k, column in enumerate(form.columns):
+        np.vecdot(x, column, out=xQ[..., k])
     return np.vecdot(xQ, np.ascontiguousarray(y))
 
 
@@ -158,13 +188,18 @@ class ExponentialWeight:
     polynomial = False
 
 
+_NO_COMPARE = dict(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class DelayedQuadratic(Functional):
     Q: np.ndarray
     at: float
+    form: _Form = field(**_NO_COMPARE)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _symmetric(self.Q))
+        object.__setattr__(self, "form", _Form(self.Q))
         if self.at > 0:
             raise ValueError("evaluation point must lie in [-delay, 0]")
 
@@ -180,21 +215,36 @@ class PointQuadratic(DelayedQuadratic):
 class IntegralQuadratic(Functional):
     Q: np.ndarray
     weight: ConstantWeight | ExponentialWeight = field(default_factory=ConstantWeight)
+    form: _Form = field(**_NO_COMPARE)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _symmetric(self.Q))
+        object.__setattr__(self, "form", _Form(self.Q))
         if np.isscalar(self.weight):
             object.__setattr__(self, "weight", ConstantWeight(float(self.weight)))
 
 
 @dataclass(frozen=True)
 class MaxExp(Functional):
+    """The max-type term.  `spectrum` is (||P||_F, a lower bound on
+    lambda_min(P) that allows for eigvalsh's rounding, or 0), which
+    sizes the segment pruning of its evaluation (see _limits)."""
+
     P: np.ndarray
+    form: _Form = field(**_NO_COMPARE)
+    spectrum: tuple = field(**_NO_COMPARE)
 
     def __post_init__(self):
         object.__setattr__(self, "P", _symmetric(self.P))
-        if np.min(np.linalg.eigvalsh(self.P)) <= 0:
+        object.__setattr__(self, "form", _Form(self.P))
+        lam = float(np.min(np.linalg.eigvalsh(self.P)))
+        if lam <= 0:
             raise ValueError("max-type term needs a positive definite matrix")
+        # eigvalsh is backward stable: its eigenvalues are exact to within
+        # a small multiple of n u ||P||
+        frobenius = float(np.linalg.norm(self.P))
+        lam -= 16 * self.P.shape[0] * _U * frobenius
+        object.__setattr__(self, "spectrum", (frobenius, max(lam, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -229,11 +279,11 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
         if V.at < -batch.delay - _edge_tol(batch.delay):
             raise ValueError("evaluation point precedes -delay")
         x = batch.at(V.at)
-        return _xQy(x, V.Q, x)
+        return _xQy(x, V.form, x)
     if isinstance(V, IntegralQuadratic):
-        return _integral(V.Q, V.weight.value, V.weight.polynomial, batch)
+        return _integral(V.form, V.weight.value, V.weight.polynomial, batch)
     if isinstance(V, MaxExp):
-        return _maxexp(V.P, batch.grid, batch.values)[0]
+        return _maxexp(V, batch.grid, batch.values)[0]
     if isinstance(V, Scale):
         return V.k * _values(V.inner, batch)
     if isinstance(V, Sum):
@@ -241,7 +291,7 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _integral(Q, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
+def _integral(form: _Form, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
     # per-segment Simpson; exact when the integrand is polynomial of
     # degree <= 3 per segment (constant weight, linear history)
     delay, g, values = batch.delay, batch.grid, batch.values
@@ -249,15 +299,15 @@ def _integral(Q, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
         return np.zeros(values.shape[0])
     if polynomial:
         mids = 0.5 * (values[:, :-1] + values[:, 1:])
-        fa = weight_fn(g[:-1]) * _qform(values[:, :-1], Q)
-        fm = weight_fn(0.5 * (g[:-1] + g[1:])) * _qform(mids, Q)
-        fb = weight_fn(g[1:]) * _qform(values[:, 1:], Q)
+        fa = weight_fn(g[:-1]) * _qform(values[:, :-1], form)
+        fm = weight_fn(0.5 * (g[:-1] + g[1:])) * _qform(mids, form)
+        fb = weight_fn(g[1:]) * _qform(values[:, 1:], form)
         return _sum_last(np.diff(g) / 6.0 * (fa + 4.0 * fm + fb))
     # refined composite Simpson with 8 panels on each segment, the
     # segments summed in order
     ts = np.linspace(g[:-1], g[1:], 17, axis=-1)
     rows = _eval_on_grid(delay, g, values, ts.ravel())
-    f = weight_fn(ts) * _qform(rows, Q).reshape((values.shape[0],) + ts.shape)
+    f = weight_fn(ts) * _qform(rows, form).reshape((values.shape[0],) + ts.shape)
     odd_sum = _sum_last(f[..., 1:-1:2])
     even_sum = _sum_last(f[..., 2:-2:2])
     h = (g[1:] - g[:-1]) / 16
@@ -266,24 +316,51 @@ def _integral(Q, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
     return np.cumsum(per_segment, axis=-1)[:, -1]
 
 
-def _maxexp(P, grid, values):
+# Rounding model of the pruning bound: a computed product or quotient is
+# (x o y)(1 + d) + e with |d| <= _U, and |e| <= _TINY only where the
+# result lies below the smallest normal number.
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1022
+_HUGE = float(np.finfo(float).max)
+
+
+def _maxexp(V: MaxExp, grid, values):
     """M = max over tau of f(tau) = exp(2 tau) phi(tau)' P phi(tau) for
     each history, exact on piecewise-linear histories: (M, f at the
     nodes (B, len(grid)), rest), where rest is the maximum of f over
     the window without its node -delay (-inf at zero delay).  A
-    non-finite node makes M non-finite; a NaN segment peak is ignored."""
+    non-finite node makes M non-finite; a NaN segment peak is ignored.
+
+    Interior maxima are solved only on candidate segments.  P is
+    positive definite, so on a segment q = phi' P phi is convex and
+    f <= exp(2 tau_right) max(q_left, q_right).  A segment is skipped
+    when that bound, inflated by a margin, is below its row's rest at
+    the nodes: no computed value of f inside it can then exceed rest,
+    so M, f and rest are the bits of solving every segment (see
+    _limits for the margin).  Each row's peak is scattered with
+    np.maximum.at, which keeps a NaN as np.max does."""
     g = grid
-    f = np.exp(2.0 * g) * _qform(values, P)
+    q = _qform(values, V.form)
+    e = np.exp(2.0 * g)
+    f = e * q
     rest = np.max(f[:, 1:], axis=-1, initial=-np.inf)
+    if g.shape[0] < 2:
+        return np.maximum(f[:, 0], rest), f, rest
+    L = np.diff(g)
+    # a row with an infinite node meets inf - inf or 0 * inf here
+    with np.errstate(invalid="ignore"):
+        inflate, lim = _limits(V, values.shape[-1], g, L, q, rest)
+        rows, seg = np.nonzero(~(np.maximum(q[:, :-1], q[:, 1:])
+                                 * (e[1:] * inflate) < lim[:, None]))
     # exact interior maxima: on each segment the integrand is
     # exp(2 tau) (alpha t^2 + beta t + gamma); critical points solve
     # 2 alpha t^2 + 2(alpha + beta) t + (beta + 2 gamma) = 0
-    L = np.diff(g)
-    u = values[:, :-1]
-    d = (values[:, 1:] - u) / L[:, None]
-    alpha = _qform(d, P)
-    beta = 2.0 * _qform(u, P, d)
-    gam = _qform(u, P)
+    L, g0 = L[seg], g[seg]
+    u = values[rows, seg]
+    d = (values[rows, seg + 1] - u) / L[:, None]
+    alpha = _qform(d, V.form)
+    beta = 2.0 * _qform(u, V.form, d)
+    gam = q[rows, seg]
     A = 2.0 * alpha
     B = 2.0 * (alpha + beta)
     C = beta + 2.0 * gam
@@ -301,11 +378,61 @@ def _maxexp(P, grid, values):
             ok = np.isfinite(t) & (t > 0.0) & (t < L)
             if not ok.any():
                 continue
-            val = np.exp(2.0 * (g[:-1] + t)) * (alpha * t * t + beta * t + gam)
-            peak = np.max(np.where(ok, val, -np.inf), axis=-1)
+            t = t[ok]
+            val = np.exp(2.0 * (g0[ok] + t)) * (alpha[ok] * t * t
+                                                 + beta[ok] * t + gam[ok])
+            peak = np.full(rest.shape, -np.inf)
+            np.maximum.at(peak, rows[ok], val)
             # Python's max(rest, peak): a NaN peak leaves rest
             rest = np.where(peak > rest, peak, rest)
     return np.maximum(f[:, 0], rest), f, rest
+
+
+def _limits(V: MaxExp, n: int, g, L, q, rest):
+    """(1 + m, lim) for the segments of a batch: a segment is a
+    candidate unless its bound max(q_left, q_right) * (exp(2 tau_right)
+    (1 + m)) is below its row's lim.  lim is -inf, keeping every
+    segment, where the bound is not derived.
+
+    Derivation, with u = 2^-53, kappa = ||P||_F / lambda_min(P) and
+    D = max(1, delay), for a segment from node a to node b of length L
+    whose larger node form is q_max, and any computed root t in (0, L):
+    - the computed slope moves the point a + t d off the chord by at
+      most 2u |b - a| per component; on the chord x'Px <= q_max by
+      convexity, so at the point x'Px <= q_max (1 + 8.1 u sqrt(kappa));
+    - the coefficient forms (n^2 terms each) and the evaluation of the
+      quadratic add at most 10.2 (n^2 + 5) u kappa q_max, and a computed
+      node form is within (n^2 + 2) u kappa of the exact one;
+    - the computed argument of the exponential exceeds 2 tau_right by at
+      most 4.1 u D, and 16 ulps for each np.exp and one rounding for
+      each product add 70 u.
+    The sum is at most 13.5 (n^2 + 5) u kappa + 70 u + 4.1 u D.
+    m = u (32 (n^2 + 5) kappa + 160 + 12 D) is about twice that, which
+    also covers the second-order terms while (n^2 + 5) u kappa and
+    12 u D are at most 1e-3; past that no segment is skipped.
+
+    A result below the smallest normal number may be off by that number.
+    With a row's node norms bounded by A^2 <= 2 Q / lambda_min, Q its
+    largest node form, the floor _TINY (32 n^2 (1 + ||P||_F)
+    (1 + L_max)^2 (1 + 1 / lambda_min) + 80)(1 + Q) covers those errors,
+    and lim = (rest - floor)(1 - 4u).  A row keeps every segment where Q
+    is not finite, where lim <= 0, or where Q > big, for then a slope
+    form, up to 12 n^2 ||P||_F A^2 / min(1, L_min)^2, could overflow."""
+    frobenius, lam = V.spectrum
+    kappa = frobenius / lam if lam > 0.0 else np.inf
+    D = max(1.0, -float(g[0]))
+    relative = (n * n + 5) * _U * kappa
+    if not (relative <= 1e-3 and 12 * _U * D <= 1e-3):
+        return 1.0, np.full(rest.shape, -np.inf)
+    m = _U * (32 * (n * n + 5) * kappa + 160 + 12 * D)
+    short, longest = min(1.0, float(L.min())), float(L.max())
+    floor = _TINY * (32 * n * n * (1 + frobenius) * (1 + longest) ** 2
+                     * (1 + 1 / lam) + 80)
+    big = _HUGE / (64 * n * n * kappa) * short * short
+    Q = np.max(q, axis=-1)
+    # (rest - floor)(1 - 4u) rounds to at most rest - floor
+    lim = (rest - floor * (1.0 + Q)) * (1.0 - 4 * _U)
+    return 1.0 + m, np.where((Q <= big) & (lim > 0.0), lim, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -344,33 +471,33 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
         slope = w if V.at == 0.0 else _right_slope(batch.grid, batch.values,
                                                    V.at)
-        return 2.0 * _xQy(batch.at(V.at), V.Q, slope)
+        return 2.0 * _xQy(batch.at(V.at), V.form, slope)
     if isinstance(V, IntegralQuadratic):
         x0, xd, wt = batch.x0, batch.xd, V.weight
-        boundary = (float(wt.value(0.0)) * _xQy(x0, V.Q, x0)
-                    - float(wt.value(-batch.delay)) * _xQy(xd, V.Q, xd))
+        boundary = (float(wt.value(0.0)) * _xQy(x0, V.form, x0)
+                    - float(wt.value(-batch.delay)) * _xQy(xd, V.form, xd))
         if wt.polynomial:
             return boundary
-        return boundary - _integral(V.Q, wt.derivative, False, batch)
+        return boundary - _integral(V.form, wt.derivative, False, batch)
     if isinstance(V, Scale):
         return V.k * _closed(V.inner, batch, w)
     if isinstance(V, Sum):
         return _closed(V.left, batch, w) + _closed(V.right, batch, w)
     if isinstance(V, MaxExp):
-        point = 2.0 * _xQy(batch.x0, V.P, w)
+        point = 2.0 * _xQy(batch.x0, V.form, w)
         if batch.grid.shape[0] < 2:
             return point
-        return _maxexp_closed(V.P, batch.grid, batch.values, point)
+        return _maxexp_closed(V, batch.grid, batch.values, point)
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _maxexp_closed(P, grid, values, point) -> np.ndarray:
+def _maxexp_closed(V: MaxExp, grid, values, point) -> np.ndarray:
     """D+M of MaxExp(P) at a positive delay, by the rule and tie rule of
     driver_derivative_closed; `point` is 2 phi(0)' P w."""
-    M, f, rest = _maxexp(P, grid, values)
+    M, f, rest = _maxexp(V, grid, values)
     tie = M - 1e-9 * np.abs(M)
     d_start = 2.0 * f[:, 0] + 2.0 * np.exp(2.0 * grid[0]) * _qform(
-        values[:, 0], P, _right_slope(grid, values, grid[0]))
+        values[:, 0], V.form, _right_slope(grid, values, grid[0]))
     d = np.where(rest >= tie, 0.0, -np.inf)
     d = np.where(f[:, 0] >= tie, np.maximum(d, d_start), d)
     # rest includes the node 0, so d >= 0 already where f(0) ties

@@ -735,7 +735,7 @@ class TestBlockSizeIndependence:
                 sys, EYE, 1.0, square_gain(), s, budget),
         }
         reports = []
-        for size in (1, 7, 36, budget):
+        for size in (1, 7, 36, budget, certify._BLOCK):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(certify, "_BLOCK", size)
                 reports.append(report_key(sweeps[kind]()))
@@ -900,6 +900,7 @@ class TestSharedSampler:
 
     @pytest.mark.parametrize("blocks_kept", [0, 1, 2])
     def test_blocks_past_the_cap_are_not_kept(self, monkeypatch, blocks_kept):
+        monkeypatch.setattr(certify, "_BLOCK", 256)
         budget = 600  # blocks (0, 256), (256, 512) and (512, 600)
         sizes = [sum(g.nbytes for g in FalsificationSampler(
             5, 2, 1, 1.0)._draw(start, min(start + 256, budget)))
@@ -937,7 +938,7 @@ class TestSharedSampler:
         sampler = FalsificationSampler(20260809, 2, 1, 1.0)
         for start in range(0, 10_000, certify._BLOCK):
             sampler.groups(start, min(start + certify._BLOCK, 10_000))
-        assert len(sampler._memo) == 40
+        assert len(sampler._memo) == math.ceil(10_000 / certify._BLOCK)
         assert sampler._memo.nbytes <= 8 << 20
 
 

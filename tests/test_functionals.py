@@ -207,7 +207,7 @@ class TestMaxExpDerivative:
         phi = HistoryFunction(delay, phi.grid, phi.values * np.exp(
             -tilt * (phi.grid + delay))[:, None])
         w = w_scale * rng.standard_normal(2)
-        M, f, rest = functionals._maxexp(P, phi.grid, phi.values[None])
+        M, f, rest = functionals._maxexp(MaxExp(P), phi.grid, phi.values[None])
         M, f_start, f_end, rest = M[0], f[0, 0], f[0, -1], rest[0]
         # away from ties: f(-delay) apart from the maximum over the rest
         # of the window, and f(0) either that maximum or apart from it
@@ -246,6 +246,175 @@ class TestMaxExpDerivative:
             assert np.array_equal(
                 functionals._closed(MaxExp(P), batch, w),
                 functionals._closed(PointQuadratic(P), batch, w))
+
+
+# ---------------------------------------------------------------------------
+# the max-type kernel against its reference
+
+def qform_reference(a, Q, b=None):
+    """a' Q b along the last axis: the terms (a_i Q_ij) b_j summed in the
+    order of (i, j), skipping zero entries of Q."""
+    b = a if b is None else b
+    total = None
+    for (i, j), q in np.ndenumerate(Q):
+        if q != 0.0:
+            term = a[..., i] * q * b[..., j]
+            total = term if total is None else total + term
+    return np.zeros(a.shape[:-1]) if total is None else total
+
+
+def xQy_reference(x, Q, y):
+    """x' Q y of each pair of rows, one dot per column of Q."""
+    x = np.ascontiguousarray(x)
+    xQ = np.stack([np.vecdot(x, Q[:, k]) for k in range(Q.shape[0])], axis=-1)
+    return np.vecdot(xQ, np.ascontiguousarray(y))
+
+
+def maxexp_reference(P, grid, values):
+    """(M, f, rest) of the max-type term with every segment solved: the
+    unpruned kernel, which the pruned one must match bit for bit."""
+    g = grid
+    f = np.exp(2.0 * g) * qform_reference(values, P)
+    rest = np.max(f[:, 1:], axis=-1, initial=-np.inf)
+    L = np.diff(g)
+    u = values[:, :-1]
+    d = (values[:, 1:] - u) / L[:, None]
+    alpha = qform_reference(d, P)
+    beta = 2.0 * qform_reference(u, P, d)
+    gam = qform_reference(u, P)
+    A = 2.0 * alpha
+    B = 2.0 * (alpha + beta)
+    C = beta + 2.0 * gam
+    scale = np.abs(A) + np.abs(B) + np.abs(C) + 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = B * B - 4.0 * A * C
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        quad = np.abs(A) > 1e-14 * scale
+        lin = (~quad) & (np.abs(B) > 1e-14 * scale)
+        real = quad & ~(disc < 0)
+        roots = (np.where(real, (-B - sq) / (2.0 * A),
+                          np.where(lin, -C / B, np.nan)),
+                 np.where(real, (-B + sq) / (2.0 * A), np.nan))
+        for t in roots:
+            ok = np.isfinite(t) & (t > 0.0) & (t < L)
+            if not ok.any():
+                continue
+            val = np.exp(2.0 * (g[:-1] + t)) * (alpha * t * t + beta * t + gam)
+            peak = np.max(np.where(ok, val, -np.inf), axis=-1)
+            rest = np.where(peak > rest, peak, rest)
+    return np.maximum(f[:, 0], rest), f, rest
+
+
+def maxexp_closed_reference(P, batch, w):
+    """D+ of the max-type term by the argmax and tie rule, on the
+    reference kernel."""
+    point = 2.0 * xQy_reference(batch.x0, P, w)
+    grid, values = batch.grid, batch.values
+    if grid.shape[0] < 2:
+        return point
+    M, f, rest = maxexp_reference(P, grid, values)
+    tie = M - 1e-9 * np.abs(M)
+    d_start = 2.0 * f[:, 0] + 2.0 * np.exp(2.0 * grid[0]) * qform_reference(
+        values[:, 0], P, functionals._right_slope(grid, values, grid[0]))
+    d = np.where(rest >= tie, 0.0, -np.inf)
+    d = np.where(f[:, 0] >= tie, np.maximum(d, d_start), d)
+    d = np.where(f[:, -1] >= tie, np.maximum(d, 2.0 * M + point), d)
+    return d - 2.0 * M
+
+
+def spd_with_condition(rng, n, log_cond, log_scale):
+    """A random symmetric positive definite n x n matrix whose
+    eigenvalues run from 10^log_scale to 10^(log_scale + log_cond)."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = 10.0 ** (log_scale + np.linspace(0.0, log_cond, n))
+    return (basis * eigs) @ basis.T
+
+
+def tied_peaks(grid, P, node_gap):
+    """A history whose f = exp(2 tau) phi' P phi has the same interior
+    peak, in exact arithmetic, on the first segment and on the last,
+    where phi is the first segment's phi shifted by Delta and scaled by
+    exp(-Delta); and a node between them whose f is the peak times
+    (1 + node_gap), when node_gap is not None.  The grid is uniform."""
+    n = P.shape[0]
+    v = np.ones(n) / np.sqrt(n)
+    h = grid[1] - grid[0]
+    # x falls from 1 + h/2 to 1 - h/2 on a segment of length h: the
+    # peak exp(h) exceeds both ends' values by about h^2 / 4
+    x = np.zeros(grid.shape[0])
+    k = grid.shape[0] - 2
+    shift = np.exp(-(grid[k] - grid[0]))
+    x[0], x[1] = 1.0 + h / 2, 1.0 - h / 2
+    x[k], x[k + 1] = shift * x[0], shift * x[1]
+    if node_gap is not None:
+        peak = np.exp(2.0 * grid[0] + h)
+        x[3] = np.sqrt(peak * (1.0 + node_gap) / np.exp(2.0 * grid[3]))
+    return x[:, None] * v
+
+
+class TestPrunedMaxExp:
+    """The pruned max-type kernel returns the bits of solving every
+    segment: M, f and rest, and the closed-form derivative that reads
+    them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           log_cond=st.floats(0.0, 8.0), log_scale=st.floats(-2.0, 2.0),
+           delay=st.sampled_from([0.0, 0.2, 1.0, 3.0, 400.0]),
+           modes=st.integers(0, 8), count=st.integers(1, 12),
+           scales=st.tuples(st.floats(-150.0, 160.0), st.floats(-150.0, 160.0)),
+           tilt=st.floats(0.0, 3.0),
+           bad=st.sampled_from([None, np.inf, -np.inf, np.nan]),
+           tie=st.sampled_from([None, "peaks", 0.0, 1e-12, -1e-12]))
+    @example(seed=1, n=2, log_cond=0.0, log_scale=0.0, delay=1.0, modes=2,
+             count=3, scales=(0.0, 0.0), tilt=0.0, bad=None, tie="peaks")
+    @example(seed=2, n=2, log_cond=4.0, log_scale=1.0, delay=3.0, modes=1,
+             count=2, scales=(-150.0, 160.0), tilt=0.0, bad=None, tie=1e-12)
+    @example(seed=3, n=3, log_cond=8.0, log_scale=0.0, delay=0.2, modes=8,
+             count=4, scales=(0.0, 0.0), tilt=0.0, bad=np.nan, tie=0.0)
+    @example(seed=4, n=1, log_cond=0.0, log_scale=0.0, delay=3.0, modes=1,
+             count=2, scales=(100.0, -100.0), tilt=0.0, bad=None, tie=-1e-12)
+    @example(seed=6, n=2, log_cond=2.0, log_scale=0.0, delay=400.0, modes=8,
+             count=5, scales=(-150.0, 0.0), tilt=0.0, bad=None, tie=None)
+    # segments of length 0.2 / 64, whose peaks top their bound's nodes
+    # by about 2.4e-6 and the node between them by 1e-12
+    @example(seed=7, n=2, log_cond=1.0, log_scale=0.0, delay=0.2, modes=8,
+             count=3, scales=(0.0, 0.0), tilt=0.0, bad=None, tie=-1e-12)
+    # a condition number past the margin's range: no segment is pruned
+    @example(seed=5, n=4, log_cond=13.0, log_scale=0.0, delay=1.0, modes=8,
+             count=6, scales=(-5.0, 5.0), tilt=1.0, bad=None, tie=None)
+    def test_bits_of_the_unpruned_kernel(self, seed, n, log_cond, log_scale,
+                                         delay, modes, count, scales, tilt,
+                                         bad, tie):
+        rng = np.random.default_rng(seed)
+        V = MaxExp(spd_with_condition(rng, n, log_cond, log_scale))
+        grid = random_history((seed, 0), n, delay, 1.0, modes).grid
+        values = np.stack([random_history((seed, i), n, delay, 1.0,
+                                          modes).values
+                           for i in range(count)])
+        # nodes weighted by exp(-tilt (tau + delay)), as in
+        # TestMaxExpDerivative, and each history scaled by its own power
+        # of ten between the two drawn
+        values = values * np.exp(-tilt * (grid + delay))[:, None]
+        values *= 10.0 ** rng.uniform(min(scales), max(scales),
+                                      count)[:, None, None]
+        # (at delay 400 the tied peaks underflow to 0)
+        if tie is not None and grid.shape[0] >= 8 and delay <= 3.0:
+            values[0] = 10.0 ** scales[0] * tied_peaks(
+                grid, V.P, None if tie == "peaks" else tie)
+        if bad is not None:
+            for _ in range(rng.integers(1, 3)):
+                values[rng.integers(count), rng.integers(grid.shape[0]),
+                       rng.integers(n)] = bad
+        w = 10.0 ** rng.uniform(-2.0, 3.0) * rng.standard_normal((count, n))
+        with np.errstate(all="ignore"):
+            got = functionals._maxexp(V, grid, values)
+            ref = maxexp_reference(V.P, grid, values)
+            for a, b in zip(got, ref):
+                assert a.tobytes() == b.tobytes()
+            batch = _Batch(delay, grid, values)
+            assert (functionals._closed(V, batch, w).tobytes()
+                    == maxexp_closed_reference(V.P, batch, w).tobytes())
 
 
 def term_kinds(delay):

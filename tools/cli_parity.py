@@ -86,6 +86,30 @@ constants.c = {2.0 * W_EPS!r}
 constants.gamma = power {1.0 + 2.0 * W_EPS!r} 2
 """
 
+# a sandwich and a dissipation sweep at the acceptance size of
+# example1's standard LKF plus a max-type term on a non-diagonal P with
+# condition number about 3 400: the segment pruning at a wide margin
+MAXEXP_ILL_CONDITIONED = """
+command = certify
+seed = 17
+budget = 10000
+system.name = example1
+system.delay = 1.0
+lkf.term.1.kind = point_quadratic
+lkf.term.1.matrix = 1 0; 0 1
+lkf.term.2.kind = integral_quadratic
+lkf.term.2.matrix = 0 0; 0 2
+lkf.term.3.kind = max_exp
+lkf.term.3.matrix = 100 9.9; 9.9 1
+lkf.term.3.scale = 0.001
+constants.a_lower = 1.0
+constants.a_upper = 3.2
+constants.rho = 2
+constants.a = 0.5
+constants.c = 0.2
+constants.gamma = power 1.2 2
+"""
+
 TIGHTENED = """
 command = certify
 seed = 13
@@ -322,6 +346,8 @@ CONFIGS = {
     "example1-tightened": ("certify", TIGHTENED, ()),
     "W-delay-1": ("certify", W_CERTIFY.format(delay="1.0"), ()),
     "W-delay-0": ("certify", W_CERTIFY.format(delay="0"), ()),
+    "W-delay-3": ("certify", W_CERTIFY.format(delay="3.0"), ()),
+    "maxexp-ill-conditioned": ("certify", MAXEXP_ILL_CONDITIONED, ()),
     "falsify-example3": ("falsify", FALSIFY_EXAMPLE3, ()),
     "example2-four-terms": ("certify", EXAMPLE2_TERMS, ()),
     "linear-zero-delay": ("certify", LINEAR_ZERO_DELAY, ()),
