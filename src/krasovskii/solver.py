@@ -12,28 +12,31 @@ in blocks of k - 1 steps, k = delay/dt (Bellen & Zennaro, *Numerical
 Methods for Delay Differential Equations*, OUP 2003, ch. 3): every
 delayed argument a block needs, at t - delay, t + dt/2 - delay and
 t + dt - delay for each of its steps, already lies on computed rows
-when the block starts, so all of them are read in one vectorised pass.
-A zero delay runs as one block.  A block steps on Python floats: the
-formula receives lists of components and returns a sequence of n, and
-each stage state and update is formed component by component in the
-operation order of the vector form, so the states are those NumPy
-computes, bit for bit.  Where NumPy would return inf or nan, Python's
-`**` and `/` raise instead: an ArithmeticError in a formula call makes
-that step's state NaN and ends the block.  Blow-up is checked once per
-block, and the trajectory is cut at the first bad step: a state that is
-not finite or whose norm (np.linalg.norm of that state alone) exceeds
-the threshold; the NaN state is cut at the same row, with the same
-t_escape, as the non-finite state of the NumPy form.  Systems with only
-a general `field` are stepped one at a time, each RK4 stage on its own
-history.  The input may be evaluated at stage times past a blow-up in
-the same block, so `InputSignal.evaluate` must be a pure function of t.
+when the block starts, so all of them are read in one vectorised pass,
+and its inputs in one `InputSignal.evaluate` call on the array of its
+stage times.  A zero delay runs as one block.  A block steps on Python
+floats, in a loop generated on first use for each state dimension n:
+the components are local floats, the formula receives lists and tuples
+of them and returns a sequence of n, and each stage state and update is
+written out in the operation order of the vector form, so the states
+are those NumPy computes, bit for bit.  Where NumPy would return inf or
+nan, Python's `**` and `/` raise instead: an ArithmeticError in a formula
+call makes that step's state NaN and ends the block.  Blow-up is
+checked once per block, and the trajectory is cut at the first bad
+step: a state that is not finite or whose norm (np.linalg.norm of that
+state alone) exceeds the threshold; the NaN state is cut at the same
+row, with the same t_escape, as the non-finite state of the NumPy form.
+Systems with only a general `field` are stepped one at a time, each RK4
+stage on its own history.  The input is read at every stage time of a
+block, also past a blow-up in it, so `InputSignal.evaluate` must be a
+pure function of t.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -157,45 +160,58 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
 
 def _pointwise_block(sys, u, times, values, b0, m, dt):
     # RK4 steps from row b0 to row b0 + m of the formula f(x, x_delayed, v),
-    # all delayed arguments read first.  The last one, (t + dt) - delay of
-    # the last step, lies on the grid node dt before row b0's time, up to
-    # rounding; one step more and a read rounding just past its node
-    # would interpolate toward a row the block has yet to compute.
-    # The steps run on Python floats (see the module docstring): an
-    # OverflowError or ZeroDivisionError where NumPy gives inf or nan
-    # leaves a NaN state for the caller's cut and ends the block.
-    pw = sys.pointwise
-    delay = sys.delay
+    # all delayed arguments and inputs read first, at the 3m stage times.
+    # The last delayed read, (t + dt) - delay of the last step, lies on the
+    # grid node dt before row b0's time, up to rounding; one step more and
+    # a read rounding just past its node would need a row not yet computed.
     half = 0.5 * dt
-    sixth = dt / 6.0
-    comps = range(sys.n)
     tb = times[b0:b0 + m]
-    lagged = delay > 0.0
+    stages = np.concatenate([tb, tb + half, tb + dt])
+    lagged = sys.delay > 0.0
+    reads = [u.evaluate(stages).T.tolist()]
     if lagged:
-        reads = _interp_rows(times, values, np.concatenate(
-            [tb - delay, tb + half - delay, tb + dt - delay])).tolist()
-        xd1, xdm, xd2 = reads[:m], reads[m:2 * m], reads[2 * m:]
-    y = values[b0].tolist()
-    rows = []
-    for i, t in enumerate(tb.tolist()):
-        v1 = u.evaluate(t).tolist()
-        vm = u.evaluate(t + half).tolist()
-        v2 = u.evaluate(t + dt).tolist()
-        try:
-            k1 = pw(y, xd1[i] if lagged else y, v1)
-            y2 = [y[j] + half * k1[j] for j in comps]
-            k2 = pw(y2, xdm[i] if lagged else y2, vm)
-            y3 = [y[j] + half * k2[j] for j in comps]
-            k3 = pw(y3, xdm[i] if lagged else y3, vm)
-            y4 = [y[j] + dt * k3[j] for j in comps]
-            k4 = pw(y4, xd2[i] if lagged else y4, v2)
-        except ArithmeticError:
-            rows.append([math.nan] * sys.n)
-            break
-        y = [y[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-             for j in comps]
-        rows.append(y)
+        reads.insert(0, _interp_rows(times, values, stages - sys.delay).T.tolist())
+    # per step, a tuple of components at t, one at t + dt/2 and one at t + dt
+    lanes = [zip(*[c[i * m:(i + 1) * m] for c in cols])
+             for cols in reads for i in range(3)]
+    rows = np.reshape(_stepper(sys.n, lagged)(
+        sys.pointwise, values[b0].tolist(), lanes, half, dt, dt / 6.0), (-1, sys.n))
     values[b0 + 1:b0 + 1 + len(rows)] = rows
+
+
+@lru_cache(maxsize=None)
+def _stepper(n, lagged):
+    """The block loop of n components, generated from n and the flag
+    alone, on local floats y0, y1, ... and stages a, b, c and d."""
+    def each(form):
+        return "".join(form.format(j=j) + ", " for j in range(n))
+
+    def stage(h, k):
+        return "s := [" + each(f"y{{j}} + {h} * {k}{{j}}") + "]"
+
+    y = each("y{j}")
+    x1, xm, x2 = ("x1", "xm", "x2") if lagged else ("y", "s", "s")
+    source = f"""
+def step(pw, y, lanes, half, dt, sixth):
+    {y}= y
+    rows = []
+    for {"x1, xm, x2, " if lagged else ""}v1, vm, v2 in zip(*lanes):
+        try:
+            {each("a{j}")}= pw(y, {x1}, v1)
+            {each("b{j}")}= pw({stage("half", "a")}, {xm}, vm)
+            {each("c{j}")}= pw({stage("half", "b")}, {xm}, vm)
+            {each("d{j}")}= pw({stage("dt", "c")}, {x2}, v2)
+        except ArithmeticError:
+            rows += [float("nan")] * {n}
+            break
+        {y}= {each("y{j} + sixth * (a{j} + 2.0 * b{j} + 2.0 * c{j} + d{j})")}
+        y = [{y}]
+        rows += y
+    return rows
+"""
+    exec(compile(source, f"<rk4 stepper n={n} lagged={lagged}>", "exec"),
+         namespace := {})
+    return namespace["step"]
 
 
 def _field_block(sys, u, times, values, b0, m, dt):

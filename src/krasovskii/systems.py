@@ -13,11 +13,12 @@ so it is stated once, as a `pointwise` formula f(x(t), x(t - delay), v);
 its `field` is derived from that formula, and the solver uses the
 formula directly as its fast path.  A formula indexes the components of
 its arguments and returns a tuple of n components: the solver passes
-lists of floats, the sweeps (n, B) and (m, B) columns, so one
+lists and tuples of floats, the sweeps (n, B) and (m, B) columns, so one
 definition serves both.  Construction probes the formula with lists of
 zeros.  Only example2 with a user-supplied uncertainty pair, which may
 read the whole history, has a general `field` and no `pointwise`
-formula.
+formula.  An input is evaluated at a float t or, broadcast, at a 1-d
+array of times, so the solver reads a block's inputs in one call.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class DelaySystem:
     # the formula f(x(t), x(t - delay), v) of a field that reads the
     # history only at 0 and -delay; the solver's fast path.  It indexes
     # its arguments' components, x[0], x[1], ..., and returns a sequence
-    # of n components: the solver calls it with lists of floats, the
-    # falsification checks with (n, B) and (m, B) columns.
+    # of n components: the solver calls it with lists and tuples of
+    # floats, the falsification checks with (n, B) and (m, B) columns.
     pointwise: Optional[Callable[[Sequence, Sequence, Sequence], Sequence]] = None
 
     def __post_init__(self):
@@ -98,10 +99,13 @@ class DelaySystem:
 @dataclass(frozen=True)
 class InputSignal:
     """Input u(t) for t >= 0, a pure function of t: the solver may call
-    evaluate past the last step of a trajectory that blew up."""
+    evaluate past the last step of a trajectory that blew up.  evaluate
+    takes a float t, giving an (m,) array, or a 1-d array of k times,
+    giving (k, m) whose row i is evaluate(float(t[i])), bit for bit; a
+    caller must not write into the result."""
 
     m: int
-    evaluate: Callable[[float], np.ndarray]
+    evaluate: Callable[[float | np.ndarray], np.ndarray]
     name: str = ""
 
 
@@ -218,30 +222,33 @@ def make_linear_baseline(a: float, b: float, delay: float) -> DelaySystem:
 # input signals
 
 def zero_input(m: int = 1) -> InputSignal:
-    z = np.zeros(m)
-    return InputSignal(m, lambda t: z, "zero")
+    return InputSignal(m, constant_input(np.zeros(m)).evaluate, "zero")
 
 
 def constant_input(value) -> InputSignal:
-    value = np.atleast_1d(np.asarray(value, dtype=float))
-    return InputSignal(value.shape[0], lambda t: value, f"constant({value})")
+    value = np.array(value, dtype=float, ndmin=1)
+    value.flags.writeable = False
+    return InputSignal(value.shape[0], lambda t: np.broadcast_to(
+        value, np.shape(t) + value.shape), f"constant({value})")
 
 
 def step_input(t_switch: float, before, after) -> InputSignal:
-    before = np.atleast_1d(np.asarray(before, dtype=float))
-    after = np.atleast_1d(np.asarray(after, dtype=float))
-    if before.shape != after.shape:
+    before, after = constant_input(before), constant_input(after)
+    if before.m != after.m:
         raise ValueError("before/after must have the same dimension")
 
     def evaluate(t):
-        return after if t >= t_switch else before
+        return np.where(np.reshape(np.greater_equal(t, t_switch),
+                                   np.shape(t) + (1,)),
+                        after.evaluate(t), before.evaluate(t))
 
-    return InputSignal(before.shape[0], evaluate, f"step(t={t_switch:g})")
+    return InputSignal(before.m, evaluate, f"step(t={t_switch:g})")
 
 
 def sinusoid_input(amplitude: float, omega: float, phase: float = 0.0) -> InputSignal:
     def evaluate(t):
-        return np.array([amplitude * np.sin(omega * t + phase)])
+        return np.reshape(amplitude * np.sin(np.multiply(omega, t) + phase),
+                          np.shape(t) + (1,))
 
     return InputSignal(1, evaluate, f"sinusoid(A={amplitude:g},w={omega:g})")
 
@@ -251,7 +258,8 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
     """Seeded piecewise-constant noise, uniform in [-amplitude, amplitude].
 
     Each segment's value is drawn once, from its own stream (the seed key
-    followed by the segment index), and kept as a read-only array."""
+    followed by the segment index), and kept as a read-only array, which
+    a float t returns itself."""
     if switch_dt <= 0:
         raise ValueError("switch_dt must be positive")
 
@@ -263,7 +271,12 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
         return value
 
     def evaluate(t):
-        return _segment(math.floor(t / switch_dt))
+        if np.ndim(t) == 0:
+            return _segment(math.floor(t / switch_dt))
+        index, rows = np.unique(np.floor(np.divide(t, switch_dt)),
+                                return_inverse=True)
+        table = np.array([_segment(int(j)) for j in index.tolist()])
+        return np.reshape(table[rows], np.shape(t) + (m,))
 
     return InputSignal(m, evaluate, f"noise(A={amplitude:g})")
 

@@ -27,6 +27,7 @@ from krasovskii.solver import (
 from krasovskii.systems import (
     DelaySystem,
     build_system,
+    constant_input,
     make_example1,
     make_linear_baseline,
     piecewise_noise_input,
@@ -208,10 +209,15 @@ PARITY_SYSTEMS = [
 ]
 
 
+PARITY_INPUTS = ["zero", "constant", "step", "sinusoid", "noise"]
+
+
 def parity_input(kind, seed):
     # switch times off every step grid below
     if kind == "zero":
         return None
+    if kind == "constant":
+        return constant_input(0.35)
     if kind == "step":
         return step_input(0.537, [0.0], [0.8])
     if kind == "sinusoid":
@@ -230,7 +236,7 @@ class TestBlockParity:
     GRIDS = [(1.0, 0.01, 2.37), (0.7, 0.01, 1.53), (0.1, 0.01, 0.83),
              (0.2, 2e-3, 0.514)]
 
-    @pytest.mark.parametrize("kind", ["zero", "step", "sinusoid", "noise"])
+    @pytest.mark.parametrize("kind", PARITY_INPUTS)
     @pytest.mark.parametrize("name, params", PARITY_SYSTEMS)
     def test_twenty_seeds(self, name, params, kind):
         for seed in range(20):
@@ -242,7 +248,7 @@ class TestBlockParity:
                                             horizon, dt)
             assert traj.status == COMPLETED
 
-    @pytest.mark.parametrize("kind", ["zero", "step", "sinusoid", "noise"])
+    @pytest.mark.parametrize("kind", PARITY_INPUTS)
     @pytest.mark.parametrize("name, params", PARITY_SYSTEMS)
     def test_zero_delay(self, name, params, kind):
         sys = build_system(name, 0.0, params)
@@ -312,6 +318,53 @@ class TestArithmeticErrorRule:
         sys = build_system(name, delay, params)
         x0 = random_history((59, seed), sys.n, delay, scale, modes)
         assert_matches_reference(sys, x0, parity_input(kind, seed), horizon, dt)
+
+
+def three_state_system(delay):
+    """A formula of 3 components driven by a 2-component input, sizes no
+    built-in has; Python's x[2] ** 3 overflows from histories of sup norm
+    100."""
+    def pointwise(x, xd, v):
+        return (-x[0] + 0.5 * xd[2] + x[1] * x[2] + v[0],
+                -2.0 * x[1] + 0.3 * xd[0] * xd[1] - x[0] * x[2] + v[1],
+                -0.5 * x[2] - x[2] ** 3 + x[0] * x[1] - 0.2 * xd[1])
+
+    return DelaySystem(3, 2, delay,
+                       lambda phi, v: np.array(pointwise(phi.eval(0.0),
+                                                         phi.eval(-delay), v)),
+                       "three-state", pointwise)
+
+
+class TestGeneratedStepper:
+    """The stepper generated for n = 3 and an m = 2 noise input against
+    the per-step reference, bit for bit."""
+
+    @pytest.mark.parametrize("delay, dt, horizon",
+                             TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)])
+    def test_three_states_two_inputs(self, delay, dt, horizon):
+        sys = three_state_system(delay)
+        for seed in range(4):
+            x0 = random_history((61, seed), 3, delay, 1.0, (0, 2, 8)[seed % 3])
+            u = piecewise_noise_input((61, seed), 0.5, 0.0437, m=2)
+            traj = assert_matches_reference(sys, x0, u, horizon, dt)
+            assert traj.status == COMPLETED
+
+    @pytest.mark.parametrize("delay", [0.0, 0.1, 0.7, 1.0])
+    def test_arithmetic_error_cut(self, delay):
+        sys, overflows = counting_overflows(three_state_system(delay))
+        escapes = set()
+        for seed in range(4):
+            x0 = random_history((61, seed), 3, delay, 100.0, (0, 2, 8)[seed % 3])
+            u = piecewise_noise_input((61, seed), 0.5, 0.0437, m=2)
+            # an infinite threshold leaves only the finiteness check
+            traj = assert_matches_reference(sys, x0, u, 2 * max(delay, 0.1),
+                                            0.01, np.inf)
+            assert traj.status == BLEW_UP
+            escapes.add(traj.t_escape)
+        # each blow-up passes through one overflow, in the first step or
+        # later in its block
+        assert overflows[0] == 4
+        assert len(escapes) > 1
 
 
 def first_bad_reference(rows, threshold):

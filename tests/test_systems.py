@@ -2,18 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from krasovskii.histories import constant_history, random_history, zero_history
 from krasovskii.systems import (
     DelaySystem,
     UncertaintyPair,
     build_system,
+    constant_input,
     make_example1,
     make_example2,
     make_example3,
     make_linear_baseline,
     piecewise_noise_input,
+    sinusoid_input,
     step_input,
+    zero_input,
 )
 from tests.conftest import shift_input
 
@@ -213,6 +218,75 @@ class TestInputSignals:
         u = step_input(1.0, [0.0], [3.0])
         shifted = shift_input(u, 1.0)
         assert shifted.evaluate(0.0)[0] == 3.0
+
+    def test_held_values_are_read_only_copies(self):
+        source = np.array([0.35, -1.5])
+        before, after = np.array([0.0, 1.0]), np.array([0.8, -2.0])
+        inputs = [zero_input(2), constant_input(source),
+                  step_input(1.0, before, after)]
+        times = [0.5, 1.5, np.array([0.5, 1.5])]
+        expected = [[u.evaluate(t).copy() for t in times] for u in inputs]
+        for u in inputs[:2]:
+            for t in times:
+                with pytest.raises(ValueError, match="read-only"):
+                    u.evaluate(t)[0] = 9.0
+        # a step's value is a new array on every call
+        for t in times:
+            inputs[2].evaluate(t)[0] = 9.0
+        source[:] = 7.0
+        before[:] = 7.0
+        after[:] = 7.0
+        for u, values in zip(inputs, expected):
+            for t, value in zip(times, values):
+                assert np.array_equal(u.evaluate(t), value)
+
+
+T_SWITCH = 0.537
+SWITCH_DT = 0.0437
+
+
+def built_in_input(kind):
+    """One input of each built-in kind, with m = 2 where the kind has an
+    m; the sinusoid turns with omega < 0."""
+    return {"zero": zero_input(2),
+            "constant": constant_input([0.35, -1.5]),
+            "step": step_input(T_SWITCH, [0.0, 1.0], [0.8, -2.0]),
+            "sinusoid": sinusoid_input(1.3, -2.7, 0.3),
+            "noise": piecewise_noise_input(7, 0.5, SWITCH_DT, m=2)}[kind]
+
+
+@st.composite
+def evaluation_times(draw):
+    """Times in [0, 100], and the step's switch or a noise boundary
+    j * SWITCH_DT, each exactly or one ulp to either side."""
+    special = st.just(T_SWITCH) | st.integers(0, 2300).map(lambda j: j * SWITCH_DT)
+    near = st.tuples(special, st.sampled_from([0.0, -math.inf, math.inf])).map(
+        lambda p: p[0] if p[1] == 0.0 else math.nextafter(p[0], p[1]))
+    return draw(st.lists(st.floats(0.0, 100.0) | near, min_size=1, max_size=30))
+
+
+class TestArrayEvaluate:
+    """evaluate at an array of times is evaluate at each of them."""
+
+    @given(kind=st.sampled_from(["zero", "constant", "step", "sinusoid", "noise"]),
+           offset=st.sampled_from([None, 0.25, 3 * SWITCH_DT, 1.7]),
+           times=evaluation_times())
+    @example(kind="step", offset=None, times=[T_SWITCH, 0.0, T_SWITCH])
+    @example(kind="noise", offset=None,
+             times=[j * SWITCH_DT for j in range(60)])
+    @example(kind="noise", offset=SWITCH_DT,
+             times=[j * SWITCH_DT for j in range(60)])
+    def test_rows_are_the_scalar_values(self, kind, offset, times):
+        u = built_in_input(kind)
+        if offset is not None:
+            u = shift_input(u, offset)
+        ts = np.array(times)
+        rows = u.evaluate(ts)
+        assert rows.shape == (ts.shape[0], u.m)
+        for row, t in zip(rows, ts.tolist()):
+            value = u.evaluate(t)
+            assert value.shape == (u.m,)
+            assert row.tobytes() == value.tobytes()
 
 
 def _rest_field(n):

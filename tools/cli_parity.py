@@ -276,6 +276,26 @@ input.before = 0
 input.after = 1
 """
 
+# a step input switching at 64.5 steps of dt = 2^-7, a half-step stage
+# time exact in binary: the block's one array read of its stage inputs
+# meets the switch exactly
+SIMULATE_STEP_AT_STAGE = """
+command = simulate
+seed = 14
+horizon = 2.0
+step = 0.0078125
+system.name = linear
+system.delay = 0.25
+system.a = 1.0
+system.b = 0.5
+history.bound = 1.0
+history.modes = 2
+input.kind = step
+input.t_switch = 0.50390625
+input.before = 0
+input.after = 1
+"""
+
 # x' = 10 x + x(t - 0.5) passes the blow-up threshold 1e9 near t = 2
 SIMULATE_BLOWUP = """
 command = simulate
@@ -360,6 +380,7 @@ CONFIGS = {
                                      ("--seed", "9")),
     "simulate-linear-constant": ("simulate", SIMULATE_LINEAR_CONSTANT, ()),
     "simulate-zero-delay": ("simulate", SIMULATE_ZERO_DELAY, ()),
+    "simulate-step-at-stage-time": ("simulate", SIMULATE_STEP_AT_STAGE, ()),
     "simulate-blowup": ("simulate", SIMULATE_BLOWUP, ()),
     "simulate-example3-overflow": ("simulate", SIMULATE_EXAMPLE3_BLOWUP, ()),
     "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
