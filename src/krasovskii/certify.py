@@ -16,19 +16,16 @@ _MEMO_BYTES of arrays per sampler: every check that sweeps the same
 sampler reads one draw pass and one set of reads.  Kept groups are
 shared, so their arrays are read-only.  Any other sampler needs only
 sample(i), the history and input vector of index i, drawn one index at
-a time and grouped by grid.  Either way the stream keys are (seed, i)
-for a history and (seed, i, 1) for an input.  Every residual is
+a time and grouped by grid.  Either way sample i is row i mod _PAGE of
+its page, drawn whole from the page's own generator,
+np.random.default_rng((seed, SAMPLER_STREAM, page)).  Every residual is
 computed as it would be alone, so a verdict, its witness index and the
 skip count do not depend on the block size, on how the samples group
 or on which blocks were kept.
 
-Each stream is NumPy's `Generator(PCG64(key))` stream for its key, the
-one its default constructor builds from that key, bit for bit.  It is
-drawn through one process-wide generator reseeded for each key (see
-`histories`): a block's keys are hashed together and no generator is
-built per sample.  That generator is not thread-safe, and neither is a
-sampler's memo of kept blocks, so sweeps must not run in threads of one
-process at once.
+A draw builds its pages' generators for itself and shares no random
+state, but a sampler's memo of kept blocks is not thread-safe, so
+sweeps of one sampler must not run in threads of one process at once.
 
 Margins are the closed-form constants attached to the two growth-route
 stability results and their supporting lemmas: the tolerable strength
@@ -64,12 +61,13 @@ from .functionals import (
 from .histories import (
     MODE_CHOICES,
     NORM_SCALES,
+    SAMPLER_STREAM,
     HistoryFunction,
     _Batch,
     _fourier_histories,
-    _keyed_generators,
     _norm,
     random_history,  # noqa: F401  (still importable from this module)
+    stream_key,
 )
 from .systems import DelaySystem
 
@@ -112,6 +110,13 @@ class InfeasibilityError(RuntimeError):
 # the most bytes of drawn groups that one sampler keeps
 _MEMO_BYTES = 64 << 20
 
+# samples per page, a divisor of _BLOCK: page p of a sampler is one
+# generator, default_rng(stream_key(seed, SAMPLER_STREAM, p)), whose two
+# standard_normal calls fill (_PAGE, _ROWS, n) history amplitudes (the
+# largest class's constant and 2 per mode) and then (_PAGE, m) inputs
+_PAGE = 64
+_ROWS = 1 + 2 * max(MODE_CHOICES)
+
 
 class _Memo(dict):
     """A sampler's kept blocks by (start, stop), and their arrays' bytes."""
@@ -124,14 +129,12 @@ class FalsificationSampler:
     """Stratified, seeded sampler of (history, input) pairs.
 
     Sample i is drawn from stratum i mod 36 of the product
-    norm scale x input scale x Fourier-mode count, with an independent
-    substream per index: its history from the key (seed, i), its input
-    from (seed, i, 1).  Verdicts are therefore reproducible and
-    independent of how the samples are grouped or distributed.
-
-    A substream is NumPy's `Generator(PCG64(key))` stream for its key,
-    bit for bit, drawn through one process-wide generator reseeded for
-    each key, which is not thread-safe: draw from one thread at a time.
+    norm scale x input scale x Fourier-mode count.  Samples are drawn in
+    pages of _PAGE consecutive indices, each page from its own
+    generator keyed by (seed, SAMPLER_STREAM, page): sample i takes row
+    i mod _PAGE of its page's history amplitudes and inputs.  A sample's
+    bits therefore depend only on the seed and its index, whatever range
+    or grouping draws it, and verdicts are reproducible.
 
     Each sampler keeps the blocks that `groups` draws, up to _MEMO_BYTES
     of arrays, so the checks of a run that share it draw each block once.
@@ -171,37 +174,35 @@ class FalsificationSampler:
         """Samples start..stop-1 drawn afresh: (grid, values, inputs,
         indices) of each grid, before any read is taken.
 
-        A sample's mode count, and so its grid, follows from its index,
-        so each mode class is drawn straight into its stacked arrays.  At
-        zero delay a history is its constant alone, whatever its mode
-        count, and every sample falls in one class.  The block's history
-        keys and its input keys are hashed in one call each."""
-        classes = {}
-        for i in range(start, stop):
-            strata = i % _STRATA
-            norm_scale = NORM_SCALES[strata % len(NORM_SCALES)]
-            strata //= len(NORM_SCALES)
-            input_scale = INPUT_SCALES[strata % len(INPUT_SCALES)]
-            modes = MODE_CHOICES[strata // len(INPUT_SCALES)]
-            classes.setdefault(modes if self.delay else 0, []).append(
-                (i, norm_scale, input_scale))
-        stacks, indices, draw_rows, input_rows = [], [], [], []
-        for modes, members in classes.items():
-            index, norm_scale, input_scale = map(np.array, zip(*members))
-            draws = np.empty((index.shape[0], 1 + 2 * modes, self.n))
-            inputs = np.empty((index.shape[0], self.m))
-            indices += index.tolist()
-            draw_rows += list(draws)
-            input_rows += list(inputs)
-            stacks.append((index, norm_scale, input_scale, draws, inputs))
-        for rows, tag in ((draw_rows, ()), (input_rows, (1,))):
-            keys = [(self.seed, i, *tag) for i in indices]
-            for row, rng in zip(rows, _keyed_generators(keys)):
-                rng.standard_normal(out=row)
-        for index, norm_scale, input_scale, draws, inputs in stacks:
-            inputs *= input_scale[:, None]
-            yield (*_fourier_histories(draws, self.delay, norm_scale), inputs,
-                   index)
+        Every page the range touches is drawn whole and the range's rows
+        sliced out.  A sample's mode count, and so its grid, follows from
+        its index, and its class reads the first 1 + 2 modes of its _ROWS
+        rows.  At zero delay a history is its constant alone, whatever
+        its mode count, and every sample falls in one class."""
+        first, last = start // _PAGE, -(-stop // _PAGE)
+        draws = np.empty(((last - first) * _PAGE, _ROWS, self.n))
+        inputs = np.empty(((last - first) * _PAGE, self.m))
+        for k, page in enumerate(range(first, last)):
+            rng = np.random.default_rng(
+                stream_key(self.seed, SAMPLER_STREAM, page))
+            rng.standard_normal(out=draws[k * _PAGE:(k + 1) * _PAGE])
+            rng.standard_normal(out=inputs[k * _PAGE:(k + 1) * _PAGE])
+        rows = slice(start - first * _PAGE, stop - first * _PAGE)
+        draws, inputs = draws[rows], inputs[rows]
+        index = np.arange(start, stop)
+        strata = index % _STRATA
+        norm_scale = np.take(NORM_SCALES, strata % len(NORM_SCALES))
+        strata //= len(NORM_SCALES)
+        input_scale = np.take(INPUT_SCALES, strata % len(INPUT_SCALES))
+        modes = np.take(MODE_CHOICES, strata // len(INPUT_SCALES))
+        if not self.delay:
+            modes[:] = 0
+        for mode in dict.fromkeys(modes.tolist()):
+            members = modes == mode
+            yield (*_fourier_histories(draws[members, :1 + 2 * mode],
+                                       self.delay, norm_scale[members]),
+                   inputs[members] * input_scale[members, None],
+                   index[members])
 
     def sample(self, i: int):
         """Sample i alone, drawn afresh and not kept, with no group read

@@ -35,11 +35,6 @@ __all__ = ["main", "run", "load_config", "parse_config_file", "ConfigError"]
 _COMMANDS = ("simulate", "certify", "margin", "envelope", "falsify",
              "example2-margins")
 
-# stream tags of the simulated history and noise input: generator keys
-# (seed, stream, ...) never coincide between the two
-_HISTORY, _NOISE = 0, 1
-
-
 class ConfigError(Exception):
     pass
 
@@ -299,9 +294,9 @@ def _lkf(cfg, raw) -> functionals.Functional | None:
 def _history(cfg, sys_) -> histories.HistoryFunction:
     if cfg["history.kind"] == "constant":
         return histories.constant_history(sys_.delay, cfg["history.value"])
-    return histories.random_history((cfg["history.seed"], _HISTORY), sys_.n,
-                                    sys_.delay, cfg["history.bound"],
-                                    cfg["history.modes"])
+    return histories.random_history(
+        histories.stream_key(cfg["history.seed"], histories.HISTORY_STREAM),
+        sys_.n, sys_.delay, cfg["history.bound"], cfg["history.modes"])
 
 
 def _input(cfg, sys_) -> systems.InputSignal:
@@ -316,9 +311,10 @@ def _input(cfg, sys_) -> systems.InputSignal:
     if kind == "sinusoid":
         return systems.sinusoid_input(cfg["input.amplitude"],
                                       cfg["input.omega"], cfg["input.phase"])
+    # segment j draws from stream_key(seed, NOISE_STREAM, j)
     return systems.piecewise_noise_input(
-        (cfg["seed"], _NOISE), cfg["input.amplitude"], cfg["input.switch_dt"],
-        sys_.m)
+        (cfg["seed"], histories.NOISE_STREAM), cfg["input.amplitude"],
+        cfg["input.switch_dt"], sys_.m)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +424,10 @@ def _cmd_envelope(cfg, quiet) -> int:
     sys_ = _system(cfg)
     count, dt, outdir = cfg["ensemble.count"], cfg["step"], cfg["out"]
     outdir.mkdir(parents=True, exist_ok=True)
+    # history i draws from stream_key(history.seed, ENSEMBLE_STREAM, i)
     sampler = estimate.seeded_history_sampler(
-        (cfg["history.seed"],), sys_.n, sys_.delay, cfg["history.bound"])
+        (cfg["history.seed"], histories.ENSEMBLE_STREAM), sys_.n, sys_.delay,
+        cfg["history.bound"])
     trajs = estimate.run_ensemble(sys_, sampler, None, count, cfg["horizon"], dt)
     rows = []
     code = 0

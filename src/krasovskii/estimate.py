@@ -17,7 +17,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .histories import MODE_CHOICES, HistoryFunction, random_history, zero_history
+from .histories import (
+    CONTRACTION_STREAM,
+    GAIN_STREAM,
+    MODE_CHOICES,
+    HistoryFunction,
+    random_history,
+    zero_history,
+)
 from .solver import COMPLETED, Trajectory, history_norm_series, integrate
 from .systems import DelaySystem, InputSignal, constant_input, zero_input
 
@@ -46,17 +53,13 @@ class FitFailure(RuntimeError):
     exponential decay at the explored scale."""
 
 
-def _seed_key(seed, *extra) -> tuple:
-    base = (int(seed),) if np.isscalar(seed) else tuple(int(s) for s in seed)
-    return base + tuple(int(e) for e in extra)
-
-
 def seeded_history_sampler(seed, n: int, delay: float, norm_bound: float):
     """index -> reproducible random history: history i is drawn from the
     key (seed..., i) with MODE_CHOICES[i % 3] modes."""
+    prefix = (seed,) if np.isscalar(seed) else tuple(seed)
 
     def sample(i: int) -> HistoryFunction:
-        return random_history(_seed_key(seed, i), n, delay, norm_bound,
+        return random_history((*prefix, i), n, delay, norm_bound,
                               MODE_CHOICES[i % len(MODE_CHOICES)])
 
     return sample
@@ -150,23 +153,24 @@ def fit_iss_gain(sys: DelaySystem, amplitudes: Sequence[float], horizon: float,
                  dt: float, history_bound: float = 1.0,
                  seed: int = 2024) -> GainFit:
     """Constant-input ensembles from the zero history and four random
-    histories; for each amplitude record the tail sup of |x| over the
-    last quarter of the horizon."""
+    histories, the same four for every amplitude (keys
+    stream_key(seed, GAIN_STREAM, i)); for each amplitude record the
+    tail sup of |x| over the last quarter of the horizon."""
     if any(s < 0 for s in amplitudes):
         raise ValueError("amplitudes must be nonnegative")
     tails = {}
     excluded = []
     cut = horizon * (1.0 - _TAIL_FRACTION)
+    hist = seeded_history_sampler((seed, GAIN_STREAM), sys.n, sys.delay,
+                                  history_bound)
+
+    def sample(i):
+        return hist(i) if i else zero_history(sys.delay, sys.n)
+
     for s in amplitudes:
         direction = np.zeros(sys.m)
         direction[0] = 1.0
         u = constant_input(s * direction)
-        hist = seeded_history_sampler(_seed_key(seed, int(round(1e6 * s))),
-                                      sys.n, sys.delay, history_bound)
-
-        def sample(i, hist=hist):
-            return hist(i) if i else zero_history(sys.delay, sys.n)
-
         trajs = run_ensemble(sys, sample, lambda i, u=u: u,
                              _GAIN_HISTORIES + 1, horizon, dt)
         if any(tr.status != COMPLETED for tr in trajs):
@@ -208,7 +212,8 @@ def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
                              input_amplitudes: Sequence[float] = (0.0,),
                              mu0: Optional[float] = None) -> TwoInequalityFit:
     """Estimate the overshoot ell and end-of-horizon contraction lam
-    over seeded ensembles from random histories of sup norm 1.
+    over seeded ensembles from random histories of sup norm 1, history
+    i drawn from stream_key(seed, CONTRACTION_STREAM, i).
 
     mu0 defaults to a constant-input gain fit over the positive
     amplitudes; pass mu0=0 for input-free studies.
@@ -219,7 +224,8 @@ def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
         positive = [s for s in input_amplitudes if s > 0]
         mu0 = (fit_iss_gain(sys, positive, horizon, dt, seed=seed).mu0
                if positive else 0.0)
-    hist = seeded_history_sampler(_seed_key(seed, 0), sys.n, sys.delay, 1.0)
+    hist = seeded_history_sampler((seed, CONTRACTION_STREAM), sys.n,
+                                  sys.delay, 1.0)
 
     def input_for(i: int) -> InputSignal:
         s = input_amplitudes[i % len(input_amplitudes)]

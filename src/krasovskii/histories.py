@@ -12,24 +12,19 @@ right-hand derivatives of functionals along solutions: for a step
 h in [0, delay) and a direction w, the extended history shifts phi left
 by h and continues linearly with slope w on [-h, 0].
 
-Every random stream of the package is, bit for bit, the stream of
-NumPy's `Generator(PCG64(key))` for its seed key (the generator NumPy's
-default constructor builds from that key), drawn through
-`_keyed_generators`: one process-wide generator reseeded for each key
-in turn, so a stream costs no generator construction.  That generator
-is shared by the whole process and is not thread-safe.  Every seeded
-family of random histories draws from the one strata table,
-NORM_SCALES x MODE_CHOICES.
+Every random stream of the package is NumPy's own: the generator that
+`np.random.default_rng(key)` builds from its seed key, one per key and
+local to its caller, so streams share no state.  The keys the package
+builds come from `stream_key`, the seed, a nonzero stream tag and an
+index, so no two of its streams coincide.  Every seeded family of random
+histories draws from the one strata table, NORM_SCALES x MODE_CHOICES.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from numbers import Integral
 
 import numpy as np
 
@@ -40,6 +35,19 @@ _EDGE_REL = 1e-9
 # the validate probes, seeded_history_sampler): sup norms and mode counts
 NORM_SCALES = (0.1, 1.0, 10.0)
 MODE_CHOICES = (0, 2, 8)
+
+# the tag of each random stream the package draws, nonzero and distinct.
+# SeedSequence pads a key with zeros, so (s,), (s, 0) and (s, 0, 0) are
+# one generator; keys of stream_key's one length, the tag second, are one
+# generator only when seed, tag and index agree.  A stream with one
+# generator per item appends index i to (seed, tag): stream_key(seed, tag, i)
+HISTORY_STREAM = 1      # the CLI's random history, index 0
+NOISE_STREAM = 2        # the CLI's noise input, one index per segment
+SAMPLER_STREAM = 3      # FalsificationSampler, one index per page
+ENSEMBLE_STREAM = 4     # the CLI's envelope ensemble, one per history
+CONTRACTION_STREAM = 5  # empirical_two_inequality's histories
+GAIN_STREAM = 6         # fit_iss_gain's histories
+PROBE_STREAM = 7        # UncertaintyPair.validate's probes, seed 0
 
 __all__ = [
     "HistoryFunction",
@@ -135,14 +143,15 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
 
     A random constant plus `modes` random Fourier modes on [-delay, 0],
     rescaled so the sup norm equals norm_bound (or the zero history for
-    norm_bound = 0).  `seed` may be an int or a tuple of ints; the same
-    seed always yields a bitwise-identical history.
+    norm_bound = 0).  `seed` may be an int or a tuple of ints, the key of
+    the history's generator np.random.default_rng(seed); the same seed
+    always yields a bitwise-identical history.
     """
     if not 0 <= norm_bound < math.inf:
         raise ValueError("norm_bound must be finite and >= 0")
     if modes < 0:
         raise ValueError("modes must be >= 0")
-    (rng,) = _keyed_generators([seed])
+    rng = np.random.default_rng(seed)
     # the constant, then each mode's cosine and sine amplitudes, drawn in
     # the order of one vector at a time
     draws = rng.standard_normal((1, 1 + 2 * modes, n))
@@ -152,148 +161,10 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     return HistoryFunction._trusted(delay, grid, values[0])
 
 
-def _keyed_generators(keys):
-    """For each key of `keys`, in order, the generator that draws the
-    stream of np.random.Generator(np.random.PCG64(key)), bit for bit.
-
-    Every key is an int or a sequence of ints, each nonnegative, as
-    SeedSequence takes it; a negative one raises ValueError.  All keys
-    are hashed on this call, then one lazily built, process-wide
-    generator is reseeded for each key as the iterator reaches it: draw
-    from each generator before taking the next, and share none of them
-    between threads.
-    """
-    states = _seed_states(keys)
-    generator = _shared_generator()
-    bits = generator.bit_generator
-
-    def reseeded():
-        for state, inc in states:
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            yield generator
-
-    return reseeded()
-
-
-@lru_cache(maxsize=1)
-def _shared_generator():
-    # built on first use: importing numpy.random costs a fresh process
-    # about 16 ms
-    return np.random.Generator(np.random.PCG64(0))
-
-
-# numpy.random.SeedSequence's hash: a pool of four 32-bit words, the
-# multipliers of its hashmix and mix steps; PCG64's 128-bit multiplier
-_POOL = 4
-_MASK32 = (1 << 32) - 1
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-@lru_cache(maxsize=16)
-def _hash_constants(init: int, mult: int, count: int) -> tuple:
-    """The (xor, multiplier) pairs of `count` successive hashmix steps
-    whose hash constant starts at `init` and is multiplied by `mult`."""
-    out = []
-    for _ in range(count):
-        xor, init = init, init * mult & _MASK32
-        out.append((xor, init))
-    return tuple(out)
-
-
-# computed once, at import: the constants of every key of up to four
-# words, and of its seed state
-_hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
-_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
-
-
-def _key_words(key) -> list:
-    """The 32-bit words SeedSequence reads from a key: each value's
-    words least significant first, and one word for a 0."""
-    words = []
-    for value in (key,) if isinstance(key, Integral) else key:
-        value = operator.index(value)
-        if value < 0:
-            raise ValueError(f"seed key {key!r}: expected nonnegative integers")
-        words.append(value & _MASK32)
-        while value := value >> 32:
-            words.append(value & _MASK32)
-    return words
-
-
-def _lanes(words) -> int:
-    """One int holding each word in its own 64-bit lane, the first lowest."""
-    return int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little")
-
-
-def _unlanes(value: int, count: int) -> list:
-    """The `count` 64-bit lanes of `value`, the first lowest."""
-    return struct.unpack(f"<{count}Q", value.to_bytes(8 * count, "little"))
-
-
-def _seed_states(keys) -> list:
-    """The (state, inc) that np.random.PCG64(key) starts from, for each
-    key.
-
-    SeedSequence hashes the key's words into a pool of four words: each
-    pool word is its key word (0 past the key's end) hashed, then every
-    pool word is mixed into every other, then each word past the fourth
-    is mixed into all four.  The pool hashes into four 64-bit words,
-    PCG64's initstate and initseq, high word first, and PCG64 steps
-    its LCG from them.  The hash runs on all keys at once: word j of
-    every key sits in a 64-bit lane of one int, so one int operation
-    does a step for the whole batch.  A product of two 32-bit words
-    fills its lane and carries into no other, and every step masks its
-    lanes back to 32 bits, so each lane computes SeedSequence's uint32
-    arithmetic exactly.
-    """
-    words = [_key_words(key) for key in keys]
-    if not words:
-        return []
-    width = max(_POOL, *map(len, words))
-    ones = _lanes([1] * len(words))
-    mask = _MASK32 * ones
-    borrow = mask + ones
-
-    def hashmix(value, constants):
-        xor, mult = constants
-        value = (value ^ xor * ones) * mult & mask
-        return value ^ (value >> 16 & mask)
-
-    def mix(x, y):
-        # (MIX_L x - MIX_R y) mod 2^32, borrowing 2^32 in every lane
-        value = (x * _MIX_L & mask) + borrow - (y * _MIX_R & mask) & mask
-        return value ^ (value >> 16 & mask)
-
-    columns = [_lanes(column) for column in
-               zip(*(w + [0] * (width - len(w)) for w in words))]
-    constants = iter(_hash_constants(_INIT_A, _MULT_A, _POOL * width))
-    pool = [hashmix(columns[j], next(constants)) for j in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                pool[dst] = mix(pool[dst], hashmix(pool[src], next(constants)))
-    for src in range(_POOL, width):
-        # the keys with a word at src mix it in; the others keep their pool
-        live = _lanes([_MASK32 if len(w) > src else 0 for w in words])
-        for dst in range(_POOL):
-            mixed = mix(pool[dst], hashmix(columns[src], next(constants)))
-            pool[dst] ^= (mixed ^ pool[dst]) & live
-    state = [hashmix(pool[j % _POOL], c) for j, c in enumerate(_STATE_CONSTANTS)]
-    # each 64-bit word is a pair of hashed words, the first the low half
-    seed_words = [_unlanes(state[j] | state[j + 1] << 32, len(words))
-                  for j in (0, 2, 4, 6)]
-    out = []
-    for state_high, state_low, seq_high, seq_low in zip(*seed_words):
-        inc = ((seq_high << 64 | seq_low) << 1 | 1) & _MASK128
-        start = (state_high << 64 | state_low) + inc
-        out.append(((start * _PCG64_MULT + inc) & _MASK128, inc))
-    return out
+def stream_key(seed: int, tag: int, index: int = 0) -> tuple:
+    """The seed key (seed, tag, index) of item `index` of the stream
+    `tag` under `seed`: every key the package builds has this length."""
+    return (seed, tag, index)
 
 
 def _fourier_histories(draws: np.ndarray, delay: float, norm_bounds: np.ndarray):

@@ -33,9 +33,10 @@ import numpy as np
 from .histories import (
     MODE_CHOICES,
     NORM_SCALES,
+    PROBE_STREAM,
     HistoryFunction,
-    _keyed_generators,
     random_history,
+    stream_key,
     zero_history,
 )
 
@@ -119,12 +120,12 @@ class UncertaintyPair:
     def validate(self, n: int, delay: float) -> None:
         """Probe |d_i(phi)| <= sup|phi| on seeded random histories, a
         contract check, not a proof.  Probe i, for i < 100, is
-        random_history((911, i), n, delay, NORM_SCALES[i % 3],
-        MODE_CHOICES[(i // 3) % 3]); the ValueError names the first
-        probe that fails."""
+        random_history(stream_key(0, PROBE_STREAM, i), n, delay,
+        NORM_SCALES[i % 3], MODE_CHOICES[(i // 3) % 3]); the ValueError
+        names the first probe that fails."""
         for i in range(100):
-            phi = random_history((911, i), n, delay, NORM_SCALES[i % 3],
-                                 MODE_CHOICES[(i // 3) % 3])
+            phi = random_history(stream_key(0, PROBE_STREAM, i), n, delay,
+                                 NORM_SCALES[i % 3], MODE_CHOICES[(i // 3) % 3])
             cap = phi.sup_norm() * (1.0 + 1e-9) + 1e-15
             for tag, d in (("d1", self.d1), ("d2", self.d2)):
                 if abs(float(d(phi))) > cap:
@@ -257,15 +258,16 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
                           m: int = 1) -> InputSignal:
     """Seeded piecewise-constant noise, uniform in [-amplitude, amplitude].
 
-    Each segment's value is drawn once, from its own stream (the seed key
-    followed by the segment index), and kept as a read-only array, which
+    Each segment's value is drawn once, from its own generator,
+    np.random.default_rng of the seed key followed by the segment index,
+    and kept as a read-only array, which
     a float t returns itself."""
     if switch_dt <= 0:
         raise ValueError("switch_dt must be positive")
 
     @lru_cache(maxsize=None)
     def _segment(j: int) -> np.ndarray:
-        (rng,) = _keyed_generators([(seed, j) if np.isscalar(seed) else (*seed, j)])
+        rng = np.random.default_rng((seed, j) if np.isscalar(seed) else (*seed, j))
         value = rng.uniform(-amplitude, amplitude, m)
         value.flags.writeable = False
         return value

@@ -152,8 +152,8 @@ def test_criterion_05_example3_refutation():
             return phi, np.zeros(1)
 
         def groups(self, start, stop):
-            # the inner sampler's block draw, so a sweep hashes each
-            # block's keys together rather than one key per sample
+            # the inner sampler's block draw, so a sweep draws each
+            # page once rather than once per sample
             return [dataclasses.replace(g, inputs=np.zeros_like(g.inputs))
                     for g in self.inner.groups(start, stop)]
 

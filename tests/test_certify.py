@@ -45,10 +45,12 @@ from krasovskii.functionals import (
 )
 from krasovskii.functionals import _sum_last
 from krasovskii.histories import (
+    SAMPLER_STREAM,
+    HistoryFunction,
     _eval_on_grid,
+    _fourier_histories,
     _norm,
     constant_history,
-    random_history,
 )
 from krasovskii.systems import (
     DELAYED_UNCERTAINTY,
@@ -746,17 +748,30 @@ class TestBlockSizeIndependence:
 # batched draws against lone draws
 
 def reference_sample(sampler, i):
-    """Reference: sample i drawn on its own, one random_history and one
-    input draw, as the sampler drew it before its draws were batched."""
+    """Reference: sample i by the page definition, drawn with NumPy
+    directly.  Page p = i // 64 is np.random.default_rng((seed,
+    SAMPLER_STREAM, p)); its first standard_normal call gives (64, 17, n)
+    history amplitudes and its second (64, m) inputs.  Sample i reads row
+    i % 64 of both, its history the first 1 + 2 modes amplitude rows."""
     strata = i % (len(NORM_SCALES) * len(INPUT_SCALES) * len(MODE_CHOICES))
     norm_scale = NORM_SCALES[strata % len(NORM_SCALES)]
     strata //= len(NORM_SCALES)
     input_scale = INPUT_SCALES[strata % len(INPUT_SCALES)]
     modes = MODE_CHOICES[strata // len(INPUT_SCALES)]
-    phi = random_history((sampler.seed, i), sampler.n, sampler.delay,
-                         norm_scale, modes)
-    rng = np.random.default_rng((sampler.seed, i, 1))
-    return phi, input_scale * rng.standard_normal(sampler.m)
+    page, row = divmod(i, 64)
+    rng = np.random.default_rng((sampler.seed, SAMPLER_STREAM, page))
+    amplitudes = rng.standard_normal((64, 17, sampler.n))[row]
+    inputs = rng.standard_normal((64, sampler.m))[row]
+    grid, values = _fourier_histories(amplitudes[None, :1 + 2 * modes],
+                                      sampler.delay, np.array([norm_scale]))
+    return (HistoryFunction(sampler.delay, grid, values[0]),
+            input_scale * inputs)
+
+
+def sample_rows(groups):
+    """index -> (grid, values, inputs) of each sample of `groups`."""
+    return {i: (g.grid, g.values[j], g.inputs[j])
+            for g in groups for j, i in enumerate(g.indices.tolist())}
 
 
 class TestBatchedDraws:
@@ -784,6 +799,29 @@ class TestBatchedDraws:
                     assert inputs.tobytes() == v.tobytes()
                 drawn.append(i)
         assert sorted(drawn) == list(range(start, start + length))
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 4),
+           m=st.integers(0, 2), delay=st.sampled_from([0.0, 0.2, 1.0]),
+           page=st.integers(0, 10 ** 7), cuts=st.lists(
+               st.integers(0, 200), min_size=2, max_size=5, unique=True))
+    @example(seed=20260809, n=2, m=1, delay=1.0, page=0, cuts=[0, 63, 65, 200])
+    @example(seed=7, n=1, m=0, delay=0.0, page=3, cuts=[1, 64, 127, 128])
+    def test_sample_is_its_row_of_groups(self, seed, n, m, delay, page, cuts):
+        # any split of a range, including splits inside a page, draws
+        # the same rows, and each is sample(i) bit for bit
+        sampler = FalsificationSampler(seed, n, m, delay)
+        cuts = [64 * page + c for c in sorted(cuts)]
+        whole = sample_rows(sampler._draw(cuts[0], cuts[-1]))
+        parts = {}
+        for start, stop in zip(cuts, cuts[1:]):
+            parts.update(sample_rows(sampler._draw(start, stop)))
+        assert whole.keys() == parts.keys() == set(range(cuts[0], cuts[-1]))
+        for i, rows in whole.items():
+            phi, v = sampler.sample(i)
+            for got in (rows, parts[i], (phi.grid, phi.values, v)):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in rows]
+                assert got[1].shape == rows[1].shape
 
     @settings(max_examples=12)
     @given(seed=st.integers(0, 2 ** 32 - 1), budget=st.integers(1, 300),

@@ -9,10 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krasovskii import cli
+from krasovskii import cli, estimate
 from krasovskii.cli import ConfigError, main, parse_config_file, run
 from krasovskii.functionals import DelayedQuadratic, eval_functional
-from krasovskii.histories import constant_history
+from krasovskii.histories import (
+    CONTRACTION_STREAM,
+    ENSEMBLE_STREAM,
+    HISTORY_STREAM,
+    NOISE_STREAM,
+    constant_history,
+    random_history,
+    stream_key,
+)
 
 EXAMPLE1_CERTIFY = """
 command = certify
@@ -350,7 +358,10 @@ class TestSeeds:
         for seed in range(200):
             cfg = cli.load_config(raw, command="simulate", seed=seed)
             noise = cli._input(cfg, system).evaluate(0.0)
-            shared = np.random.default_rng((seed, 0)).uniform(-1.0, 1.0, 1)
+            assert np.array_equal(noise, np.random.default_rng(
+                stream_key(seed, NOISE_STREAM, 0)).uniform(-1.0, 1.0, 1))
+            shared = np.random.default_rng(
+                stream_key(seed, HISTORY_STREAM)).uniform(-1.0, 1.0, 1)
             assert not np.array_equal(noise, shared)
             # the history's own seed moves the history, not the noise
             other = cli.load_config({**raw, "history.seed": str(seed + 1)},
@@ -413,6 +424,41 @@ class TestCommands:
         assert float(rows[("envelope", "eta")]) > 0.0
         assert float(rows[("envelope", "slack")]) >= 0.0
         assert rows[("contraction", "holds")] == "True"
+
+    def test_ensemble_and_contraction_streams_are_separate(self, tmp_path,
+                                                           monkeypatch):
+        # the ensemble's history 0 and the contraction check's history 0
+        # come from different streams of one seed
+        drawn = []
+
+        def recorded(*args):
+            drawn.append(random_history(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(estimate, "random_history", recorded)
+        cfg = write_config(tmp_path, """
+        command = envelope
+        seed = 3
+        horizon = 1.0
+        step = 0.05
+        ensemble.count = 2
+        system.name = linear
+        system.delay = 0.5
+        system.a = 1.0
+        history.bound = 1.0
+        contraction.horizon = 1.0
+        """)
+        main(["envelope", "--config", str(cfg), "--out", str(tmp_path / "out"),
+              "--quiet"])
+        assert len(drawn) == 4
+        ensemble, contraction = drawn[:2], drawn[2:]
+        assert ensemble[0].grid.tobytes() == contraction[0].grid.tobytes()
+        assert ensemble[0].values.tobytes() != contraction[0].values.tobytes()
+        assert ensemble[0].values.tobytes() == random_history(
+            stream_key(3, ENSEMBLE_STREAM, 0), 1, 0.5, 1.0, 0).values.tobytes()
+        assert contraction[0].values.tobytes() == random_history(
+            stream_key(3, CONTRACTION_STREAM, 0), 1, 0.5, 1.0,
+            0).values.tobytes()
 
     def test_example2_margins_table(self, tmp_path):
         cfg = write_config(tmp_path, "command = example2-margins\nseed = 1\n"

@@ -14,7 +14,7 @@ from krasovskii.estimate import (
     seeded_history_sampler,
     write_envelope_data,
 )
-from krasovskii.histories import constant_history, zero_history
+from krasovskii.histories import CONTRACTION_STREAM, constant_history, zero_history
 from krasovskii.solver import COMPLETED, history_norm_series, integrate
 from krasovskii.systems import (
     DelaySystem,
@@ -184,17 +184,17 @@ class TestEmpiricalTwoInequality:
 
     @pytest.mark.parametrize("make, amplitudes, horizon, mu0, pinned", [
         pytest.param(lambda: make_linear_baseline(1.0, -0.5, 0.1), (0.5, 1.5),
-                     3.0, 0.3, ("0x1.b333333333333p-1", "0x1.19bfe4d86d41cp-1",
+                     3.0, 0.3, ("0x1.b333333333333p-1", "0x1.199999999999ap-1",
                                 "0x1.3333333333333p-2"), id="linear-mu0"),
         pytest.param(lambda: make_linear_baseline(1.0, -0.5, 0.1), (0.5, 1.5),
-                     3.0, None, ("0x1.4ab6c212f6116p-1", "-0x1.cadc4802de820p-7",
-                                 "0x1.6a927bda13dd4p-1"), id="linear-fitted"),
+                     3.0, None, ("0x1.4ba97b756353cp-1", "-0x1.8e2def678dea0p-7",
+                                 "0x1.68ad091539588p-1"), id="linear-fitted"),
         pytest.param(lambda: make_example1(1.0), (0.2, 1.0), 2.0, 0.3,
-                     ("0x1.e147ae147ae15p-1", "0x1.5ac38fdc5c161p-1",
+                     ("0x1.e147ae147ae15p-1", "0x1.c18379702e5f1p-1",
                       "0x1.3333333333333p-2"), id="example1-mu0"),
         pytest.param(lambda: make_example1(1.0), (0.2, 1.0), 2.0, None,
-                     ("0x1.46579311d1bcap-2", "-0x1.002c535b1700cp-3",
-                      "0x1.b4094414dcea1p+1"), id="example1-fitted"),
+                     ("0x1.9df68f107a411p-2", "0x1.59130a16071c1p-4",
+                      "0x1.7d45e695b3974p+1"), id="example1-fitted"),
     ])
     def test_constant_inputs_pinned(self, make, amplitudes, horizon, mu0,
                                     pinned):
@@ -220,7 +220,7 @@ class TestEmpiricalTwoInequality:
                                        dt=dt, mu0=0.0)
         assert fit.contraction
         k, eta, _ = two_inequality_to_expiss(fit.ell, fit.horizon, fit.lam)
-        hist = seeded_history_sampler((77, 0), 2, 1.0, 1.0)
+        hist = seeded_history_sampler((77, CONTRACTION_STREAM), 2, 1.0, 1.0)
         trajs = run_ensemble(sys, hist, None, 6, horizon, dt)
         for tr in trajs:
             sel = tr.times >= 0.0

@@ -8,14 +8,22 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from krasovskii.histories import (
+    CONTRACTION_STREAM,
+    ENSEMBLE_STREAM,
+    GAIN_STREAM,
+    HISTORY_STREAM,
+    NOISE_STREAM,
+    PROBE_STREAM,
+    SAMPLER_STREAM,
     HistoryFunction,
-    _keyed_generators,
     constant_history,
     driver_extension,
     random_history,
+    stream_key,
     window,
     zero_history,
 )
+from krasovskii.systems import piecewise_noise_input
 
 
 def per_mode_reference(seed, n, delay, norm_bound, modes):
@@ -222,44 +230,63 @@ class TestRandomHistory:
 KEY_VALUES = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64, 2**128]),
                        st.integers(0, 2**128))
 
+TAGS = (HISTORY_STREAM, NOISE_STREAM, SAMPLER_STREAM, ENSEMBLE_STREAM,
+        CONTRACTION_STREAM, GAIN_STREAM, PROBE_STREAM)
+
 
 class TestKeyedGenerators:
-    @settings(max_examples=60)
-    @given(keys=st.lists(st.lists(KEY_VALUES, min_size=1, max_size=6)
-                         .map(tuple), min_size=1, max_size=12))
-    @example(keys=[(0,), (2**32 - 1,), (2**32,), (2**64,), (7, 2**64, 0),
-                   (1, 2, 3, 4, 5, 2**128), (2**32 - 1, 2**32, 2**64, 0, 9)])
-    def test_streams_equal_default_rng(self, keys):
-        for key, rng in zip(keys, _keyed_generators(keys), strict=True):
-            ref = np.random.default_rng(key)
-            # an odd count of 32-bit draws leaves half a word buffered,
-            # which the next key's stream must not start from
-            for draw in (lambda g: g.standard_normal(5),
-                         lambda g: g.uniform(-2.0, 2.0, 3),
-                         lambda g: g.random(3, dtype=np.float32)):
-                assert draw(rng).tobytes() == draw(ref).tobytes()
+    """Every stream is the generator np.random.default_rng builds from
+    its key."""
 
-    def test_int_keys_and_the_empty_batch(self):
-        for key in (0, 5, 2**40):
-            (rng,) = _keyed_generators([key])
-            assert (rng.standard_normal(4).tobytes()
-                    == np.random.default_rng(key).standard_normal(4).tobytes())
-        assert list(_keyed_generators([])) == []
+    @settings(max_examples=60)
+    @given(key=st.lists(KEY_VALUES, min_size=1, max_size=6).map(tuple),
+           n=st.integers(1, 3), modes=st.sampled_from([0, 2, 8]))
+    @example(key=(7, 2**64, 0), n=2, modes=8)
+    @example(key=(2**32 - 1, 2**32, 2**64, 0, 9), n=1, modes=2)
+    def test_streams_equal_default_rng(self, key, n, modes):
+        got = random_history(key, n, 1.0, 1.0, modes)
+        ref = per_mode_reference(key, n, 1.0, 1.0, modes)
+        assert got.values.tobytes() == ref.values.tobytes()
+        noise = piecewise_noise_input(key, 2.0, 0.5, m=n)
+        for j in (0, 1, 7):
+            expected = np.random.default_rng((*key, j)).uniform(-2.0, 2.0, n)
+            assert noise.evaluate(0.5 * j + 0.25).tobytes() == expected.tobytes()
 
     def test_negative_key_raises_like_default_rng(self):
         for key in ((1, -1), -3):
             with pytest.raises(ValueError):
                 np.random.default_rng(key)
             with pytest.raises(ValueError):
-                _keyed_generators([(2, 3), key])
+                random_history(key, 2, 1.0, 1.0, 2)
 
     def test_import_loads_no_numpy_random(self):
-        # the generator is built on first draw: numpy.random alone costs
-        # a fresh interpreter about 16 ms
+        # a generator is built when a draw needs it: numpy.random alone
+        # costs a fresh interpreter about 16 ms
         code = ("import sys, krasovskii; "
                 "krasovskii.FalsificationSampler(1, 2, 1, 1.0); "
                 "sys.exit('numpy.random' in sys.modules)")
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+class TestStreamKeys:
+    def test_tags_are_nonzero_and_distinct(self):
+        assert 0 not in TAGS and len(set(TAGS)) == len(TAGS)
+
+    @settings(max_examples=200)
+    @given(a=st.tuples(KEY_VALUES, st.sampled_from(TAGS), KEY_VALUES),
+           b=st.tuples(KEY_VALUES, st.sampled_from(TAGS), KEY_VALUES))
+    @example(a=(5, HISTORY_STREAM, 0), b=(5, NOISE_STREAM, 0))
+    @example(a=(0, SAMPLER_STREAM, 0), b=(0, SAMPLER_STREAM, 2**32))
+    @example(a=(9, GAIN_STREAM, 3), b=(9, GAIN_STREAM, 3))
+    def test_built_keys_never_coincide(self, a, b):
+        # SeedSequence pads a key with zeros, so keys of one length with
+        # the tag second are one generator only when seed, tag and index
+        # are equal
+        ka, kb = stream_key(*a), stream_key(*b)
+        assert len(ka) == len(kb) == 3 and ka[1] == a[1] and kb[1] == b[1]
+        states = [np.random.SeedSequence(k).generate_state(4).tobytes()
+                  for k in (ka, kb)]
+        assert (states[0] == states[1]) == (a == b)
 
 
 class TestWindowDuckTyped:

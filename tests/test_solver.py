@@ -296,13 +296,18 @@ class TestArithmeticErrorRule:
     @pytest.mark.parametrize("kind", ["zero", "noise"])
     def test_example3_at_scale_100(self, delay, dt, horizon, kind):
         sys, overflows = counting_overflows(build_system("example3", delay))
-        for seed in range(6):
-            x0 = random_history((53, seed), 2, delay, 100.0, (0, 2, 8)[seed % 3])
-            traj = assert_matches_reference(sys, x0, parity_input(kind, seed),
-                                            horizon, dt)
-            assert traj.status == BLEW_UP
-        # every one of the six blow-ups passes through x[1] ** 3's overflow
-        assert overflows[0] == 6
+        # at 1e9 the threshold mostly cuts a row before the overflow; an
+        # infinite threshold leaves the cut to the NaN row alone
+        for threshold in (1e9, math.inf):
+            for seed in range(6):
+                x0 = random_history((53, seed), 2, delay, 100.0,
+                                    (0, 2, 8)[seed % 3])
+                traj = assert_matches_reference(
+                    sys, x0, parity_input(kind, seed), horizon, dt, threshold)
+                assert traj.status == BLEW_UP
+        # every one of the twelve blow-ups passes through x[1] ** 3's
+        # overflow
+        assert overflows[0] == 12
 
     @settings(max_examples=100, deadline=None)
     @given(case=st.sampled_from(PARITY_SYSTEMS),

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from krasovskii.histories import constant_history, random_history, zero_history
+from krasovskii.histories import (
+    PROBE_STREAM,
+    constant_history,
+    random_history,
+    stream_key,
+    zero_history,
+)
 from krasovskii.systems import (
     DelaySystem,
     UncertaintyPair,
@@ -102,7 +108,8 @@ class TestExample2:
     def test_validate_probe_family(self):
         # a pair bounded except on 8-mode histories (65 nodes) of sup norm
         # 10: validate names the first such probe, and every probe up to
-        # it is random_history((911, i), ...) of its stratum
+        # it is random_history(stream_key(0, PROBE_STREAM, i), ...) of its
+        # stratum
         delay = 0.5
         seen = []
 
@@ -115,8 +122,8 @@ class TestExample2:
 
         expected = []
         for i in range(100):
-            expected.append(random_history((911, i), 2, delay,
-                                           (0.1, 1.0, 10.0)[i % 3],
+            expected.append(random_history(stream_key(0, PROBE_STREAM, i), 2,
+                                           delay, (0.1, 1.0, 10.0)[i % 3],
                                            (0, 2, 8)[(i // 3) % 3]))
             if rough_and_large(expected[-1]):
                 break

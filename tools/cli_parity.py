@@ -9,12 +9,18 @@ at DIR (its package in DIR/src), each run in a fresh directory with
 PYTHONPATH=<tree>/src.  Compares the exit codes, stdout, stderr and
 every output file byte for byte, after dropping each file's
 "# generated" timestamp line.  Prints one line per config; exits 0 when
-every run matches and 1 when any differs, naming each difference.
+every run matches and 1 when any differs, naming each difference.  A
+config that differs also gets a verdict line: whether its exit code
+matches, and whether each verdict row of its report.csv (a check's
+name, verdict and skip count, a simulation's status, the contraction
+test's outcome) is the same on both trees.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import itertools
 import math
 import os
 import subprocess
@@ -457,6 +463,30 @@ def _differences(here: dict, there: dict) -> list:
     return found
 
 
+def _verdicts(out: dict) -> list:
+    """The verdict rows of a run's report.csv, one string each."""
+    rows = csv.reader(out.get("file report.csv", b"").decode().splitlines())
+    found = []
+    for row in rows:
+        if row[:1] == ["check"]:
+            found.append(f"{row[1]} {row[6]} skipped={row[3]}")
+        elif row[:1] == ["simulate"]:
+            found.append(f"simulate {row[1]}")
+        elif row[:2] == ["contraction", "holds"]:
+            found.append(f"contraction holds={row[2]}")
+    return found
+
+
+def _verdict_line(here: dict, there: dict) -> str:
+    exit_code = "same" if here["exit code"] == there["exit code"] else "differs"
+    mine, theirs = _verdicts(here), _verdicts(there)
+    if mine == theirs:
+        return f"exit code {exit_code}; verdict rows the same: {len(mine)}"
+    moved = [f"{b or 'none'} -> {a or 'none'}"
+             for a, b in itertools.zip_longest(mine, theirs) if a != b]
+    return f"exit code {exit_code}; verdicts differ: " + "; ".join(moved)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, type=Path,
@@ -474,6 +504,7 @@ def main(argv=None) -> int:
             if found:
                 failed += 1
                 print(f"{name}: DIFFERS (exit {code}): " + "; ".join(found))
+                print(f"  {_verdict_line(here, there)}")
             else:
                 files = sum(key.startswith("file ") for key in here)
                 print(f"{name}: same (exit {code}, {files} files)")
