@@ -365,8 +365,9 @@ def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.nda
     with no node special case: a read at a node may turn a -0.0 entry
     into +0.0, and a non-finite neighbouring row into nan."""
     idx = np.searchsorted(times, t, side="right") - 1
-    # np.clip costs several times as much on the short arrays of a sweep
+    # np.clip, and indexing the rows in place of np.take, cost several
+    # times as much, on the short arrays of a sweep and on a solver block
     idx = np.minimum(np.maximum(idx, 0), times.shape[0] - 2)
     g0 = times[idx]
     lam = ((t - g0) / (times[idx + 1] - g0))[:, None]
-    return (1.0 - lam) * values[..., idx, :] + lam * values[..., idx + 1, :]
+    return (1.0 - lam) * values.take(idx, -2) + lam * values.take(idx + 1, -2)

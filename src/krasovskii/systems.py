@@ -9,16 +9,17 @@ dx/dt = -a x(t) + b x(t - delay) + u(t).
 Vector fields are pure callables (HistoryFunction, input vector) -> R^n
 with f(0, 0) = 0, asserted once at construction.  Each built-in
 right-hand side reads the history only through phi(0) and phi(-delay),
-so it is stated once, as a `pointwise` formula f(x(t), x(t - delay), v);
-its `field` is derived from that formula, and the solver uses the
-formula directly as its fast path.  A formula indexes the components of
-its arguments and returns a tuple of n components: the solver passes
-lists and tuples of floats, the sweeps (n, B) and (m, B) columns, so one
-definition serves both.  Construction probes the formula with lists of
-zeros.  Only example2 with a user-supplied uncertainty pair, which may
-read the whole history, has a general `field` and no `pointwise`
-formula.  An input is evaluated at a float t or, broadcast, at a 1-d
-array of times, so the solver reads a block's inputs in one call.
+so it is stated once, as the text of a `pointwise` formula f(x(t),
+x(t - delay), v): statements over x0, ..., xd0, ... and v0 that assign
+f0, ..., its parameters bound as names.  The callable generated from the
+text returns a tuple of n components; the sweeps call it on (n, B) and
+(m, B) columns, the field is derived from it, and the solver splices the
+text into its loop, calling only a user formula, which has no text.
+Construction probes a formula with lists of zeros.  Only example2 with a
+user-supplied uncertainty pair, which may read the whole history, has a
+general `field` and no `pointwise` formula.  An input is evaluated at a
+float t or, broadcast, at a 1-d array of times, so the solver reads a
+block's inputs in one call.
 """
 
 from __future__ import annotations
@@ -69,10 +70,10 @@ class DelaySystem:
     field: Callable[[HistoryFunction, np.ndarray], np.ndarray]
     name: str = ""
     # the formula f(x(t), x(t - delay), v) of a field that reads the
-    # history only at 0 and -delay; the solver's fast path.  It indexes
-    # its arguments' components, x[0], x[1], ..., and returns a sequence
-    # of n components: the solver calls it with lists and tuples of
-    # floats, the falsification checks with (n, B) and (m, B) columns.
+    # history only at 0 and -delay, indexing its arguments' components
+    # x[0], x[1], ... and returning n: the sweeps call it on (n, B) and
+    # (m, B) columns; the solver splices a built-in formula's text into
+    # its loop and calls any other formula on tuples of floats.
     pointwise: Optional[Callable[[Sequence, Sequence, Sequence], Sequence]] = None
 
     def __post_init__(self):
@@ -139,6 +140,21 @@ DELAYED_UNCERTAINTY = UncertaintyPair(lambda phi: float(phi.eval(-phi.delay)[0])
                                       lambda phi: float(phi.eval(-phi.delay)[1]))
 
 
+def _formula(text: str, n: int, **params) -> Callable:
+    """The pointwise formula of `text`, statements over x0, ..., xd0, ...
+    and v0 that assign f0, ..., with `params` bound as names; it keeps
+    `text` and `params`, which the solver splices into its loop."""
+    reads = "".join(f"    {c}{j} = {c}[{j}]\n"
+                    for c, k in (("x", n), ("xd", n), ("v", 1)) for j in range(k))
+    body = "".join(f"    {line}\n" for line in text.splitlines())
+    returns = "".join(f"f{j}, " for j in range(n))
+    namespace = dict(params)
+    exec(f"def pointwise(x, xd, v):\n{reads}{body}    return ({returns})\n", namespace)
+    pointwise = namespace["pointwise"]
+    pointwise.text, pointwise.params = text, params
+    return pointwise
+
+
 def _pointwise_system(n: int, delay: float, name: str, pointwise) -> DelaySystem:
     """The system whose one formula is pointwise(x(t), x(t - delay), v)."""
 
@@ -148,15 +164,29 @@ def _pointwise_system(n: int, delay: float, name: str, pointwise) -> DelaySystem
     return DelaySystem(n, 1, delay, field, name, pointwise)
 
 
+# the built-in formulas, as text; example1's delayed coupling is x2(t - delay)
+_EXAMPLE1 = """q = x0 * x0 + xd1 * xd1
+f0 = -0.5 * x0 + xd1 + x1 * q
+f1 = -2.0 * x1 - x0 * q + v0"""
+
+_EXAMPLE2 = """q = x0 * x0 + xd1 * xd1
+f0 = -0.5 * x0 + xd0 + x1 * q
+f1 = -2.0 * x1 - x0 * q + v0"""
+
+# example2's built-in delayed uncertainty, eps * x(t - delay)
+_DELAYED = """f0 = f0 + eps * xd0
+f1 = f1 + eps * xd1"""
+
+_EXAMPLE3 = """q = x0 * x0 + xd1 * xd1
+f0 = -0.5 * x0 + xd0 + x1 * q
+f1 = -2.0 * x1 - x1 ** 3 - x0 * q + v0"""
+
+_LINEAR = "f0 = -a * x0 + b * xd0 + v0"
+
+
 def make_example1(delay: float) -> DelaySystem:
     """Planar system with a delayed cross-coupling and cubic rotation terms."""
-
-    def pointwise(x, xd, v):
-        q = x[0] * x[0] + xd[1] * xd[1]
-        return (-0.5 * x[0] + xd[1] + x[1] * q,
-                -2.0 * x[1] - x[0] * q + v[0])
-
-    return _pointwise_system(2, delay, "example1", pointwise)
+    return _pointwise_system(2, delay, "example1", _formula(_EXAMPLE1, 2))
 
 
 def make_example2(delay: float, epsilon: float = 0.0,
@@ -173,22 +203,14 @@ def make_example2(delay: float, epsilon: float = 0.0,
     then has only a general `field`.
     """
     name = f"example2(eps={epsilon:g})"
-
-    def core(x, xd, v):
-        q = x[0] * x[0] + xd[1] * xd[1]
-        return (-0.5 * x[0] + xd[0] + x[1] * q,
-                -2.0 * x[1] - x[0] * q + v[0])
-
     if d is not None and d is not DELAYED_UNCERTAINTY:
         d.validate(2, delay)
     if d is None or epsilon == 0.0:
-        return _pointwise_system(2, delay, name, core)
+        return _pointwise_system(2, delay, name, _formula(_EXAMPLE2, 2))
     if d is DELAYED_UNCERTAINTY:
-        def delayed(x, xd, v):
-            f1, f2 = core(x, xd, v)
-            return (f1 + epsilon * xd[0], f2 + epsilon * xd[1])
-
-        return _pointwise_system(2, delay, name, delayed)
+        return _pointwise_system(2, delay, name,
+                                 _formula(f"{_EXAMPLE2}\n{_DELAYED}", 2, eps=epsilon))
+    core = _formula(_EXAMPLE2, 2)
 
     def field(phi, v):
         return (np.array(core(phi.eval(0.0), phi.eval(-delay), v))
@@ -201,22 +223,13 @@ def make_example3(delay: float) -> DelaySystem:
     """example2 with epsilon = 0 plus an extra -x2^3 term in the second
     equation.  The quartic it induces in x(0)'f(x_t, .) defeats every
     quadratic lower growth bound."""
-
-    def pointwise(x, xd, v):
-        q = x[0] * x[0] + xd[1] * xd[1]
-        return (-0.5 * x[0] + xd[0] + x[1] * q,
-                -2.0 * x[1] - x[1] ** 3 - x[0] * q + v[0])
-
-    return _pointwise_system(2, delay, "example3", pointwise)
+    return _pointwise_system(2, delay, "example3", _formula(_EXAMPLE3, 2))
 
 
 def make_linear_baseline(a: float, b: float, delay: float) -> DelaySystem:
     """Scalar dx/dt = -a x(t) + b x(t - delay) + u(t); solvable by hand."""
-
-    def pointwise(x, xd, v):
-        return (-a * x[0] + b * xd[0] + v[0],)
-
-    return _pointwise_system(1, delay, f"linear(a={a:g},b={b:g})", pointwise)
+    return _pointwise_system(1, delay, f"linear(a={a:g},b={b:g})",
+                             _formula(_LINEAR, 1, a=a, b=b))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +288,19 @@ def piecewise_noise_input(seed, amplitude: float, switch_dt: float,
     def evaluate(t):
         if np.ndim(t) == 0:
             return _segment(math.floor(t / switch_dt))
-        index, rows = np.unique(np.floor(np.divide(t, switch_dt)),
-                                return_inverse=True)
-        table = np.array([_segment(int(j)) for j in index.tolist()])
-        return np.reshape(table[rows], np.shape(t) + (m,))
+        j = np.floor(np.divide(t, switch_dt))
+        lo, hi = (j.min(), j.max()) if j.size else (0.0, math.inf)
+        if not hi - lo < 2 * j.size:
+            # times too sparse for a table over their range of segments,
+            # or not finite: one call per time
+            return np.reshape([_segment(math.floor(s / switch_dt))
+                               for s in np.ravel(t).tolist()], np.shape(t) + (m,))
+        # a table over the range, filled on the segments some time falls in
+        rows = (j - lo).astype(np.intp)
+        table = np.empty((int(hi - lo) + 1, m))
+        for i in np.flatnonzero(np.bincount(rows)).tolist():
+            table[i] = _segment(int(lo) + i)
+        return table.take(rows, 0)
 
     return InputSignal(m, evaluate, f"noise(A={amplitude:g})")
 

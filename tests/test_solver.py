@@ -25,10 +25,12 @@ from krasovskii.solver import (
     integrate,
 )
 from krasovskii.systems import (
+    DELAYED_UNCERTAINTY,
     DelaySystem,
     build_system,
     constant_input,
     make_example1,
+    make_example2,
     make_linear_baseline,
     piecewise_noise_input,
     sinusoid_input,
@@ -370,6 +372,75 @@ class TestGeneratedStepper:
         # later in its block
         assert overflows[0] == 4
         assert len(escapes) > 1
+
+
+# every built-in formula, with non-dyadic and negative parameters
+FORMULA_SYSTEMS = [
+    pytest.param("example1", {}, id="example1"),
+    pytest.param("example2", {}, id="example2"),
+    *(pytest.param("example2", {"epsilon": eps, "uncertainty": "delayed"},
+                   id=f"example2-delayed-eps={eps}") for eps in (0.0, 0.05, -0.3)),
+    pytest.param("example3", {}, id="example3"),
+    pytest.param("linear", {"a": 0.7, "b": -0.3}, id="linear-b<0"),
+    pytest.param("linear", {"a": -0.3, "b": 0.7}, id="linear-a<0"),
+]
+
+
+def formula_system(name, params, delay):
+    # example2's epsilon goes through make_example2, which takes any sign
+    if name == "example2" and params:
+        return make_example2(delay, params["epsilon"], DELAYED_UNCERTAINTY)
+    return build_system(name, delay, params)
+
+
+class TestFormulaText:
+    """Each built-in formula is spliced into the block loop as text; the
+    trajectories are the per-step reference's, bit for bit, and a
+    formula installed in its place is called."""
+
+    @pytest.mark.parametrize("kind", ["zero", "sinusoid", "noise"])
+    @pytest.mark.parametrize("name, params", FORMULA_SYSTEMS)
+    def test_matches_the_reference(self, name, params, kind):
+        for seed, (delay, dt, horizon) in enumerate(
+                TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)]):
+            sys = formula_system(name, params, delay)
+            assert sys.pointwise.text
+            x0 = random_history((67, seed), sys.n, delay, 1.0, (0, 2, 8)[seed % 3])
+            assert_matches_reference(sys, x0, parity_input(kind, seed), horizon, dt)
+
+    @pytest.mark.parametrize("delay, dt, horizon",
+                             TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)])
+    def test_example3_overflow_cut(self, delay, dt, horizon):
+        # the spliced x1 ** 3 raises as the called formula did
+        sys = build_system("example3", delay)
+        for threshold in (1e9, math.inf):
+            for seed in range(4):
+                x0 = random_history((53, seed), 2, delay, 100.0,
+                                    (0, 2, 8)[seed % 3])
+                traj = assert_matches_reference(sys, x0, None, horizon, dt,
+                                                threshold)
+                assert traj.status == BLEW_UP
+
+    @pytest.mark.parametrize("delay", [0.0, 0.7])
+    @pytest.mark.parametrize("name, params", FORMULA_SYSTEMS)
+    def test_replaced_formula_is_called(self, name, params, delay):
+        sys = formula_system(name, params, delay)
+        calls = [0]
+        pw = sys.pointwise
+
+        def counted(x, xd, v):
+            calls[0] += 1
+            return pw(x, xd, v)
+
+        x0 = random_history((71, 0), sys.n, delay, 1.0, 2)
+        u = sinusoid_input(1.0, 2.0, 0.3)
+        wrapped = dataclasses.replace(sys, pointwise=counted)
+        assert calls == [1]  # the probe at construction
+        traj = integrate(wrapped, x0, u, 1.4, 0.01)
+        # four stages of each of the 140 steps
+        assert calls == [1 + 4 * 140]
+        plain = integrate(sys, x0, u, 1.4, 0.01)
+        assert np.array_equal(traj.values, plain.values)
 
 
 def first_bad_reference(rows, threshold):

@@ -13,6 +13,7 @@ from krasovskii.histories import (
     zero_history,
 )
 from krasovskii.systems import (
+    DELAYED_UNCERTAINTY,
     DelaySystem,
     UncertaintyPair,
     build_system,
@@ -342,6 +343,34 @@ class TestPointwiseContract:
         assert all(type(c) is float for c in out)
         assert np.array_equal(np.array(out), sys.pointwise(
             np.array(x), np.array(xd), np.array(v)))
+
+    @pytest.mark.parametrize("system", [
+        pytest.param(lambda: make_example1(1.0), id="example1"),
+        pytest.param(lambda: make_example2(1.0), id="example2"),
+        *(pytest.param(lambda eps=eps: make_example2(1.0, eps, DELAYED_UNCERTAINTY),
+                       id=f"example2-delayed-eps={eps}") for eps in (0.05, -0.3)),
+        pytest.param(lambda: make_example3(1.0), id="example3"),
+        pytest.param(lambda: make_linear_baseline(0.7, -0.3, 1.0), id="linear"),
+    ])
+    def test_columns_are_the_float_calls(self, system):
+        # the sweeps' layout: (n, B) views of (B, n) stacks
+        sys = system()
+        rng = np.random.default_rng(73)
+        x, xd = (3.0 * rng.standard_normal((512, sys.n)).T for _ in range(2))
+        v = rng.standard_normal((512, 1)).T
+        cols = np.asarray(sys.pointwise(x, xd, v))
+        rows = np.array([sys.pointwise(x[:, b].tolist(), xd[:, b].tolist(),
+                                       v[:, b].tolist()) for b in range(512)]).T
+        if sys.name != "example3":
+            assert cols.tobytes() == rows.tobytes()
+            return
+        # NumPy may take x1 ** 3 on an array from a SIMD kernel (it does
+        # under AVX-512) whose last bit differs from the C library's pow
+        # that a float's ** calls; the rest of the formula is exact
+        assert cols[0].tobytes() == rows[0].tobytes()
+        scale = (2.0 * abs(x[1]) + abs(x[1]) ** 3 + abs(v[0])
+                 + abs(x[0]) * (x[0] ** 2 + xd[1] ** 2))
+        assert np.all(abs(cols[1] - rows[1]) <= 4 * np.finfo(float).eps * scale)
 
 
 class TestRegistry:

@@ -329,6 +329,40 @@ history.bound = 100
 history.modes = 2
 """
 
+# non-dyadic parameters, and a negative one where the load takes it:
+# the built-in formulas bind them as names, never as text
+SIMULATE_EXAMPLE2_NONDYADIC = """
+command = simulate
+seed = 15
+horizon = 3.0
+step = 0.01
+system.name = example2
+system.delay = {delay}
+system.epsilon = 0.3
+system.uncertainty = delayed
+history.bound = 1.5
+history.modes = 8
+input.kind = sinusoid
+input.amplitude = 0.7
+input.omega = 2.3
+"""
+
+SIMULATE_LINEAR_NEGATIVE_B = """
+command = simulate
+seed = 16
+horizon = 3.0
+step = 0.01
+system.name = linear
+system.delay = 0.3
+system.a = 0.7
+system.b = -0.3
+history.bound = 1.0
+history.modes = 8
+input.kind = noise
+input.amplitude = 0.3
+input.switch_dt = 0.07
+"""
+
 ENVELOPE_LINEAR = """
 command = envelope
 seed = 3
@@ -389,6 +423,11 @@ CONFIGS = {
     "simulate-step-at-stage-time": ("simulate", SIMULATE_STEP_AT_STAGE, ()),
     "simulate-blowup": ("simulate", SIMULATE_BLOWUP, ()),
     "simulate-example3-overflow": ("simulate", SIMULATE_EXAMPLE3_BLOWUP, ()),
+    "simulate-example2-nondyadic-eps": (
+        "simulate", SIMULATE_EXAMPLE2_NONDYADIC.format(delay="0.5"), ()),
+    "simulate-example2-nondyadic-eps-zero-delay": (
+        "simulate", SIMULATE_EXAMPLE2_NONDYADIC.format(delay="0"), ()),
+    "simulate-linear-negative-b": ("simulate", SIMULATE_LINEAR_NEGATIVE_B, ()),
     "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
     "envelope-example1": ("envelope", ENVELOPE_EXAMPLE1, ()),
     "example2-margins": ("example2-margins", EXAMPLE2_MARGINS, ()),
