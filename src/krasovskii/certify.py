@@ -311,16 +311,25 @@ def _sweep(check: str, residual, sampler, budget: int,
     """Draw samples 0..budget-1 in blocks, with sampler.groups(start,
     stop) when the sampler has it and through sampler.sample(i)
     otherwise, and evaluate `residual`, which maps a _Group to its
-    residuals; a non-finite residual skips its sample."""
+    residuals; a non-finite residual skips its sample.  The witness is
+    read from the groups of the first block holding the largest residual,
+    or, without groups, is sampler.sample(i)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    draw = (getattr(sampler, "groups", None)
-            or partial(_groups_of_samples, sampler))
+    groups = getattr(sampler, "groups", None)
+    draw = groups or partial(_groups_of_samples, sampler)
     r = np.empty(budget)
+    best, held = -np.inf, ()
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, budget, _BLOCK):
-            for group in draw(start, min(start + _BLOCK, budget)):
+            stop = min(start + _BLOCK, budget)
+            block = draw(start, stop)
+            for group in block:
                 r[group.indices] = residual(group)
+            top = np.max(r[start:stop], where=np.isfinite(r[start:stop]),
+                         initial=-np.inf)
+            if top > best:
+                best, held = top, block
     finite = np.isfinite(r)
     if not finite.any():
         raise RuntimeError(f"every sample of check {check} was skipped")
@@ -329,10 +338,20 @@ def _sweep(check: str, residual, sampler, budget: int,
     worst_idx = int(np.argmax(np.where(finite, r, -np.inf)))
     worst = float(r[worst_idx])
     if worst > tolerance:
-        witness = sampler.sample(worst_idx)
+        witness = _row(held, worst_idx) if groups else sampler.sample(worst_idx)
         return CheckReport(check, budget, skipped, worst, tolerance,
                            VIOLATED, witness, worst_idx)
     return CheckReport(check, budget, skipped, worst, tolerance, NO_VIOLATION)
+
+
+def _row(groups, i: int) -> tuple:
+    """Sample i read from the group that holds it: the history and
+    read-only input that sample(i) draws, bit for bit."""
+    for g in groups:
+        rows = np.flatnonzero(g.indices == i)
+        if rows.size:
+            return (HistoryFunction._trusted(g.delay, g.grid, g.values[rows[0]]),
+                    g.inputs[rows[0]])
 
 
 def _field(sys: DelaySystem, group: _Group) -> np.ndarray:

@@ -44,6 +44,10 @@ __all__ = [
 # fit_envelope's candidate rates; fit_iss_gain's random histories per
 # amplitude and its tail's share of the horizon
 _ETA_GRID = np.logspace(-3, 1, 200)
+# rates per array in fit_envelope: on 3 001-point trajectories its one
+# temporary is 0.38 MB; blocks of 8, 16 and 32 gave the same bits, and
+# blocks of 16 cut the fit's time by a third against one rate at a time
+_ETA_BLOCK = 16
 _GAIN_HISTORIES = 4
 _TAIL_FRACTION = 0.25
 
@@ -116,14 +120,22 @@ def fit_envelope(trajs: Sequence[Trajectory], k_cap: float = 1e3) -> EnvelopeFit
     for tr in trajs:
         pairs.append((tr.times[tr.start:], np.linalg.norm(
             tr.values[tr.start:], axis=1) / tr.x0.sup_norm()))
-    best = None
-    for eta in _ETA_GRID:
-        k_eta = max(float(np.max(ratio * np.exp(eta * t))) for t, ratio in pairs)
-        if k_eta <= k_cap:
-            best = (float(eta), k_eta)
-    if best is None:
+    # each trajectory's overshoot at _ETA_BLOCK rates per array, then the
+    # worst over trajectories, in their order, as Python's max takes it
+    over = np.empty((len(pairs), _ETA_GRID.shape[0]))
+    for s in range(0, _ETA_GRID.shape[0], _ETA_BLOCK):
+        etas = _ETA_GRID[s:s + _ETA_BLOCK, None]
+        for row, (t, ratio) in zip(over, pairs):
+            scaled = etas * t
+            np.exp(scaled, out=scaled)
+            scaled *= ratio
+            row[s:s + _ETA_BLOCK] = scaled.max(axis=1)
+            del scaled  # before the next one is made
+    k_eta = [max(column) for column in over.T.tolist()]
+    admissible = [j for j, k in enumerate(k_eta) if k <= k_cap]
+    if not admissible:
         raise FitFailure(f"no rate admits an overshoot below {k_cap}")
-    eta, k_raw = best
+    eta, k_raw = float(_ETA_GRID[admissible[-1]]), k_eta[admissible[-1]]
     k = max(k_raw, 1.0)
     slack = math.inf
     for tr, (t, ratio) in zip(trajs, pairs):

@@ -14,11 +14,16 @@ delayed argument a block needs, at t - delay, t + dt/2 - delay and
 t + dt - delay for each of its steps, already lies on computed rows
 when the block starts, so all of them are read in one vectorised pass,
 and its inputs in one `InputSignal.evaluate` call on the array of its
-stage times.  A zero delay runs as one block.  A block steps on local
-Python floats in one loop template, generated on first use per formula
-text, dimensions and zero or positive delay: a built-in formula's text
-is spliced into each stage, its parameters bound as names, and any other
-formula is called on tuples of components.  Each stage state and update
+stage times.  Only the delayed and input components that a formula's
+text names are read and converted (a formula without text reads them
+all), and an input returned as a stride-0 broadcast, as zero and
+constant inputs are, is bound once per block as names.  A zero delay
+runs as one block.  A block steps on local Python floats in one loop
+template, generated on first use per formula text, dimensions and zero
+or positive delay: a built-in formula's text is spliced into each stage,
+its parameters bound as names, and any other formula is called on tuples
+of components.  The block's rows go through one array('d') buffer into
+the trajectory.  Each stage state and update
 is written out in the operation order of the vector form, so the states
 are those NumPy computes, bit for bit.  Where NumPy would return inf or
 nan, Python's `**` and `/` raise instead: an ArithmeticError in a stage
@@ -35,7 +40,9 @@ pure function of t.
 
 from __future__ import annotations
 
+import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Optional
@@ -159,77 +166,104 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     return Trajectory(sys, times, values, status, t_escape, x0, u, dt)
 
 
-def _pointwise_block(step, delay, u, times, values, b0, m, dt):
+def _pointwise_block(stepper, delay, u, times, values, b0, m, dt):
     # RK4 steps from row b0 to row b0 + m of the formula f(x, x_delayed, v),
-    # all delayed arguments and inputs read first, at the 3m stage times.
-    # The last delayed read, (t + dt) - delay of the last step, lies on the
-    # grid node dt before row b0's time, up to rounding; one step more and
-    # a read rounding just past its node would need a row not yet computed.
+    # the delayed arguments and inputs it reads taken first, at the 3m
+    # stage times.  The last delayed read, (t + dt) - delay of the last
+    # step, lies on the grid node dt before row b0's time, up to rounding;
+    # one step more and a read rounding just past its node would need a
+    # row not yet computed.
+    varying, fixed, delayed, inputs = stepper
     half = 0.5 * dt
     tb = times[b0:b0 + m]
     stages = np.concatenate([tb, tb + half, tb + dt])
-    reads = u.evaluate(stages).T.tolist()
-    if delay > 0.0:
-        reads = _interp_rows(times, values, stages - delay).T.tolist() + reads
-    # each component's column at t, at t + dt/2 and at t + dt
+    v = u.evaluate(stages)
+    if v.strides[0] == 0:
+        # a stride-0 broadcast holds one row for every stage time
+        step, v, reads = fixed, v[0].tolist(), []
+    else:
+        step, reads = varying, v.T[inputs].tolist()
+    if delayed:
+        past = values[:b0 + 1].T[delayed, :, None]
+        reads = _interp_rows(times[:b0 + 1], past, stages - delay).reshape(
+            len(delayed), -1).tolist() + reads
+    # each column at t, at t + dt/2 and at t + dt
     cols = [c[i * m:(i + 1) * m] for c in reads for i in range(3)]
     n = values.shape[1]
-    rows = np.reshape(step(values[b0].tolist(), cols, half, dt, dt / 6.0), (-1, n))
-    values[b0 + 1:b0 + 1 + len(rows)] = rows
+    rows = step(values[b0].tolist(), cols, v, m, half, dt, dt / 6.0)
+    values[b0 + 1:b0 + 1 + len(rows) // n] = np.frombuffer(rows).reshape(-1, n)
 
 
 def _stepper(sys):
-    """The block loop of sys's formula: its text spliced into each stage,
-    or, for a formula without text, a call of it."""
+    """The block loops of sys's formula, for a varying and for a constant
+    input, and the delayed and input components it reads: its text
+    spliced into each stage, or, for a formula without text, a call of
+    it, which reads every component."""
     pw = sys.pointwise
     text = getattr(pw, "text", None)
     namespace = {"pw": pw} if text is None else dict(pw.params)
     if text is None:
-        text = (f"{_each('f{j}', sys.n)}= pw(({_each('x{j}', sys.n)}), "
-                f"({_each('xd{j}', sys.n)}), ({_each('v{j}', sys.m)}))")
-    exec(_loop(text, sys.n, sys.m, sys.delay > 0.0), namespace)
-    return namespace["step"]
+        text = (f"{_each('f{j}', range(sys.n))}= pw(({_each('x{j}', range(sys.n))}), "
+                f"({_each('xd{j}', range(sys.n))}), ({_each('v{j}', range(sys.m))}))")
+    code, delayed, inputs = _loop(text, sys.n, sys.m, sys.delay > 0.0)
+    namespace["array"] = array
+    exec(code, namespace)
+    return namespace["varying"], namespace["fixed"], delayed, inputs
 
 
-def _each(form, count):
-    return "".join(form.format(j=j) + ", " for j in range(count))
+def _each(form, indices):
+    return "".join(form.format(j=j) + ", " for j in indices)
 
 
 @lru_cache(maxsize=None)
 def _loop(text, n, m, lagged):
-    """The block loop of a formula text, compiled.  Its locals, which a
-    text's own names must not be: the state y0, ..., stage state s0, ...,
-    delayed reads d1_0, dm_0, d2_0, ... and inputs v1_0, vm_0, v2_0, ...
-    at t, t + dt/2 and t + dt, and stages k1_0, ..., k4_0, ...."""
-    def stage(x, at, k):
-        names = {"x": x, "xd": f"d{at}_" if lagged else x, "v": f"v{at}_", "f": k}
+    """The block loops of a formula text, compiled, and the delayed and
+    input components the text reads.  `varying` reads each input at t,
+    t + dt/2 and t + dt from its columns; `fixed` binds a constant
+    input's components once.  Their locals, which a text's own names
+    must not be: the state y0, ..., stage state s0, ..., delayed reads
+    d1_0, dm_0, d2_0, ... and inputs v1_0, vm_0, v2_0, ... at t, t + dt/2
+    and t + dt, constant inputs u0, ..., and stages k1_0, ..., k4_0, ...."""
+    delayed = sorted({int(j) for j in re.findall(r"\bxd(\d+)\b", text)} if lagged else ())
+    inputs = sorted({int(j) for j in re.findall(r"\bv(\d+)\b", text)})
+
+    def stage(x, at, k, fixed):
+        names = {"x": x, "xd": f"d{at}_" if lagged else x,
+                 "v": "u" if fixed else f"v{at}_", "f": k}
         spliced = re.sub(r"\b(xd|x|v|f)(\d+)\b", lambda g: names[g[1]] + g[2], text)
         return "".join(f"\n            {line}" for line in spliced.splitlines())
 
     def state(h, k):
         return "".join(f"\n            s{j} = y{j} + {h} * {k}{j}" for j in range(n))
 
-    reads = (_each("d1_{j}, dm_{j}, d2_{j}", n) if lagged else "") + _each(
-        "v1_{j}, vm_{j}, v2_{j}", m)
-    stages = (stage("y", 1, "k1_") + state("half", "k1_")
-              + stage("s", "m", "k2_") + state("half", "k2_")
-              + stage("s", "m", "k3_") + state("dt", "k3_") + stage("s", 2, "k4_"))
-    y = _each("y{j}", n)
-    update = _each("y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})", n)
-    source = f"""
-def step(y, cols, half, dt, sixth):
-    {y}= y
-    rows = []
-    for {reads}in zip(*cols):
+    y = _each("y{j}", range(n))
+    update = _each("y{j} + sixth * (k1_{j} + 2.0 * k2_{j} + 2.0 * k3_{j} + k4_{j})", range(n))
+    pushes = "".join(f"\n        push(y{j})" for j in range(n))
+
+    def source(name, fixed):
+        reads = _each("d1_{j}, dm_{j}, d2_{j}", delayed) + (
+            "" if fixed else _each("v1_{j}, vm_{j}, v2_{j}", inputs))
+        stages = (stage("y", 1, "k1_", fixed) + state("half", "k1_")
+                  + stage("s", "m", "k2_", fixed) + state("half", "k2_")
+                  + stage("s", "m", "k3_", fixed) + state("dt", "k3_")
+                  + stage("s", 2, "k4_", fixed))
+        binds = f"\n    {_each('u{j}', range(m))}= u" if fixed else ""
+        return f"""
+def {name}(y, cols, u, count, half, dt, sixth):
+    {y}= y{binds}
+    rows = array("d")
+    push = rows.append
+    for {f"{reads}in zip(*cols)" if reads else "_ in range(count)"}:
         try:{stages}
         except ArithmeticError:
-            rows += [float("nan")] * {n}
+            rows.extend([float("nan")] * {n})
             break
-        {y}= {update}
-        rows += {y}
+        {y}= {update}{pushes}
     return rows
 """
-    return compile(source, f"<rk4 stepper n={n} lagged={lagged}>", "exec")
+    code = compile(source("varying", False) + source("fixed", True),
+                   f"<rk4 stepper n={n} lagged={lagged}>", "exec")
+    return code, delayed, inputs
 
 
 def _field_block(sys, u, times, values, b0, m, dt):
@@ -258,7 +292,11 @@ def _first_bad(rows, threshold):
     """Index of the first row that is not finite or whose norm, as
     np.linalg.norm computes it for that row alone, exceeds threshold;
     None if none."""
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | (_norm(rows) > threshold))
+    if threshold < math.inf:
+        # a row holding nan or inf has no norm <= threshold
+        bad = np.flatnonzero(~(_norm(rows) <= threshold))
+    else:
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | (_norm(rows) > threshold))
     return int(bad[0]) if bad.size else None
 
 

@@ -235,7 +235,10 @@ def make_linear_baseline(a: float, b: float, delay: float) -> DelaySystem:
 # ---------------------------------------------------------------------------
 # input signals
 
+@lru_cache(maxsize=None)
 def zero_input(m: int = 1) -> InputSignal:
+    """The zero input of dimension m, built once per m: an InputSignal is
+    frozen, and building one formats its value into a name."""
     return InputSignal(m, constant_input(np.zeros(m)).evaluate, "zero")
 
 

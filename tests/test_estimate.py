@@ -131,6 +131,27 @@ class TestFitEnvelope:
         fit = fit_envelope(train, k_cap=10.0)
         assert envelope_slack(fit, fresh) >= -1e-9
 
+    @pytest.mark.parametrize("case", ["decay", "example1"])
+    def test_blocked_rates_are_the_rate_loop(self, case):
+        # the grid's 200 rates in blocks, against one rate at a time; the
+        # example1 ensemble has the benchmark's 3 001-point trajectories
+        if case == "decay":
+            trajs, k_cap = decay_ensemble(), 1.02
+        else:
+            trajs = run_ensemble(make_example1(1.0),
+                                 seeded_history_sampler(5, 2, 1.0, 1.0),
+                                 None, 2, 3.0, 1e-3)
+            k_cap = 1e3
+        best = None
+        for eta in np.logspace(-3, 1, 200):
+            k_eta = max(float(np.max(
+                np.linalg.norm(tr.values[tr.start:], axis=1) / tr.x0.sup_norm()
+                * np.exp(eta * tr.times[tr.start:]))) for tr in trajs)
+            if k_eta <= k_cap:
+                best = (float(eta), k_eta)
+        fit = fit_envelope(trajs, k_cap)
+        assert (fit.eta, fit.k) == (best[0], max(best[1], 1.0))
+
     def test_envelope_data_file(self, tmp_path):
         trajs = decay_ensemble(count=2, horizon=2.0)
         fit = fit_envelope(trajs, k_cap=1.02)

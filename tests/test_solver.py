@@ -20,6 +20,7 @@ from krasovskii.solver import (
     COMPLETED,
     _first_bad,
     _initial_grid,
+    _loop,
     export_csv,
     history_norm_series,
     integrate,
@@ -27,6 +28,7 @@ from krasovskii.solver import (
 from krasovskii.systems import (
     DELAYED_UNCERTAINTY,
     DelaySystem,
+    InputSignal,
     build_system,
     constant_input,
     make_example1,
@@ -443,6 +445,77 @@ class TestFormulaText:
         assert np.array_equal(traj.values, plain.values)
 
 
+def sparse_system(delay):
+    """Three states and two inputs, stated as text and as the same
+    callable; the text reads xd2 and v1 only, so a block reads neither
+    xd0, xd1 nor v0."""
+    def pointwise(x, xd, v):
+        return (-x[0] + 0.5 * xd[2] + v[1],
+                -2.0 * x[1] - x[0] * x[2],
+                -0.5 * x[2] + x[0] * x[1] - 0.2 * xd[2] * v[1])
+
+    pointwise.text = ("f0 = -x0 + 0.5 * xd2 + v1\n"
+                      "f1 = -2.0 * x1 - x0 * x2\n"
+                      "f2 = -0.5 * x2 + x0 * x1 - 0.2 * xd2 * v1")
+    pointwise.params = {}
+    return DelaySystem(3, 2, delay,
+                       lambda phi, v: np.array(pointwise(phi.eval(0.0),
+                                                         phi.eval(-delay), v)),
+                       "sparse", pointwise)
+
+
+def copied_input(u):
+    """u's values through an evaluate that returns a fresh array, which
+    the solver reads column by column."""
+    return InputSignal(u.m, lambda t: np.array(u.evaluate(t)), "copied")
+
+
+class TestReadSet:
+    """A block reads only the delayed and input components its formula
+    text names, and binds a constant input once; the trajectories stay
+    the per-step reference's, bit for bit."""
+
+    GRIDS = TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)]
+
+    def test_read_set(self):
+        text = sparse_system(1.0).pointwise.text
+        assert _loop(text, 3, 2, True)[1:] == ([2], [1])
+        assert _loop(text, 3, 2, False)[1:] == ([], [1])
+
+    @pytest.mark.parametrize("delay, dt, horizon", GRIDS)
+    def test_ignored_components(self, delay, dt, horizon):
+        sys = sparse_system(delay)
+        for seed in range(4):
+            x0 = random_history((73, seed), 3, delay, 1.0, (0, 2, 8)[seed % 3])
+            u = piecewise_noise_input((73, seed), 0.5, 0.0437, m=2)
+            traj = assert_matches_reference(sys, x0, u, horizon, dt)
+            assert traj.status == COMPLETED
+
+    @pytest.mark.parametrize("delay, dt, horizon", GRIDS)
+    @pytest.mark.parametrize("value", [[0.35, -0.0], [-0.0, 0.35], [0.0, -0.0]])
+    def test_constant_input_is_its_columns(self, value, delay, dt, horizon):
+        # a constant input is a stride-0 broadcast, bound once per block;
+        # the same values through a fresh array are read as columns
+        u = constant_input(value)
+        assert u.evaluate(np.arange(3.0)).strides[0] == 0
+        assert copied_input(u).evaluate(np.arange(3.0)).strides[0] != 0
+        for seed in range(3):
+            x0 = random_history((79, seed), 3, delay, 1.0, (0, 2, 8)[seed % 3])
+            fixed = assert_matches_reference(sparse_system(delay), x0, u, horizon, dt)
+            read = assert_matches_reference(sparse_system(delay), x0,
+                                            copied_input(u), horizon, dt)
+            assert fixed.values.tobytes() == read.values.tobytes()
+
+    @pytest.mark.parametrize("name, params", FORMULA_SYSTEMS)
+    def test_zero_delay_constant_input_reads_no_column(self, name, params):
+        # at zero delay a constant input leaves the loop no column
+        sys = formula_system(name, params, 0.0)
+        for value in (0.35, -0.0):
+            for seed in range(3):
+                x0 = random_history((83, seed), sys.n, 0.0, 1.0, 0)
+                assert_matches_reference(sys, x0, constant_input(value), 0.57, 0.01)
+
+
 def first_bad_reference(rows, threshold):
     for i, row in enumerate(rows):
         if not np.all(np.isfinite(row)) or np.linalg.norm(row) > threshold:
@@ -497,6 +570,9 @@ class TestKernelEquivalence:
     # the other side of 1e9 from the norm of the row alone
     @example((np.array([[3.0, 4.0], [234177992.15863955, 972193739.9451553]]), 1e9))
     @example((np.array([[605875570.4250425, 795559421.515533]]), 1e9))
+    # at an infinite threshold a finite row whose norm overflows is kept,
+    # and only the finiteness term finds the inf row
+    @example((np.array([[1e200, 0.0], [math.inf, 0.0]]), math.inf))
     def test_first_bad_is_the_row_loop(self, case):
         rows, threshold = case
         with np.errstate(over="ignore", invalid="ignore"):

@@ -267,6 +267,21 @@ input.kind = constant
 input.value = 0.5
 """
 
+# zero delay and a constant input: the solver's loop reads no column
+SIMULATE_LINEAR_CONSTANT_ZERO_DELAY = """
+command = simulate
+seed = 17
+horizon = 2.0
+step = 0.01
+system.name = linear
+system.delay = 0
+system.a = 0.7
+system.b = -0.3
+history.bound = 1.0
+input.kind = constant
+input.value = -0.45
+"""
+
 SIMULATE_ZERO_DELAY = """
 command = simulate
 seed = 10
@@ -419,6 +434,8 @@ CONFIGS = {
     "simulate-linear-noise-seeded": ("simulate", SIMULATE_LINEAR_NOISE,
                                      ("--seed", "9")),
     "simulate-linear-constant": ("simulate", SIMULATE_LINEAR_CONSTANT, ()),
+    "simulate-linear-constant-zero-delay": (
+        "simulate", SIMULATE_LINEAR_CONSTANT_ZERO_DELAY, ()),
     "simulate-zero-delay": ("simulate", SIMULATE_ZERO_DELAY, ()),
     "simulate-step-at-stage-time": ("simulate", SIMULATE_STEP_AT_STAGE, ()),
     "simulate-blowup": ("simulate", SIMULATE_BLOWUP, ()),
