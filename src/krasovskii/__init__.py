@@ -13,7 +13,6 @@ from .histories import (
     constant_history,
     driver_extension,
     random_history,
-    window,
     zero_history,
 )
 from .systems import (

@@ -49,10 +49,9 @@ from .functionals import (
     Functional,
     PowerGain,
     _closed,
-    _sum_last,
+    _form,
+    _qform,
     _values,
-    _Form,
-    _xQy,
     # the single-history evaluators stay importable from this module
     driver_derivative_closed,  # noqa: F401
     driver_derivative_numeric,  # noqa: F401
@@ -280,10 +279,9 @@ class _Group(_Batch):
 
     def __post_init__(self):
         super().__post_init__()
-        squares = _sum_last(self.values * self.values)
         self._keep(inputs=self.inputs, indices=self.indices,
                    point_norm=_norm(self.x0), input_norm=_norm(self.inputs),
-                   sup_norm=np.sqrt(np.max(squares, axis=-1)))
+                   sup_norm=np.max(_norm(self.values), axis=-1))
 
     @property
     def nbytes(self) -> int:
@@ -421,11 +419,11 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
 def _growth_residual(sys, P, sigma, gamma, sign):
     if not isinstance(gamma, PowerGain):
         raise TypeError(f"gamma must be a PowerGain, got {gamma!r}")
-    form = _Form(np.asarray(P, dtype=float))
+    form = _form(np.asarray(P, dtype=float))
 
     def residual(g):
         w = _field(sys, g)
-        lhs = _xQy(g.x0, form, w)
+        lhs = _qform(g.x0, form, w)
         cap = sigma * (g.sup_norm ** 2 + gamma(g.input_norm))
         return _unless_blown_up(w, lhs - cap if sign > 0 else -lhs - cap)
 

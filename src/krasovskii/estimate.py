@@ -22,6 +22,7 @@ from .histories import (
     GAIN_STREAM,
     MODE_CHOICES,
     HistoryFunction,
+    _norm,
     random_history,
     zero_history,
 )
@@ -118,8 +119,8 @@ def fit_envelope(trajs: Sequence[Trajectory], k_cap: float = 1e3) -> EnvelopeFit
             raise ValueError("initial histories must be nonzero")
     pairs = []
     for tr in trajs:
-        pairs.append((tr.times[tr.start:], np.linalg.norm(
-            tr.values[tr.start:], axis=1) / tr.x0.sup_norm()))
+        pairs.append((tr.times[tr.start:],
+                      _norm(tr.values[tr.start:]) / tr.x0.sup_norm()))
     # each trajectory's overshoot at _ETA_BLOCK rates per array, then the
     # worst over trajectories, in their order, as Python's max takes it
     over = np.empty((len(pairs), _ETA_GRID.shape[0]))
@@ -191,8 +192,7 @@ def fit_iss_gain(sys: DelaySystem, amplitudes: Sequence[float], horizon: float,
         worst = 0.0
         for tr in trajs:
             sel = tr.times >= cut
-            worst = max(worst, float(np.max(
-                np.linalg.norm(tr.values[sel], axis=1))))
+            worst = max(worst, float(np.max(_norm(tr.values[sel]))))
         tails[float(s)] = worst
     positive = [(s, tail) for s, tail in tails.items() if s > 0]
     mu0 = max((tail / s for s, tail in positive), default=0.0)
@@ -259,7 +259,7 @@ def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
             continue
         _, norms = history_norm_series(tr)
         # a zero or constant input: its sup on [0, t] is |u(0)| for every t
-        usup = float(np.linalg.norm(tr.u.evaluate(0.0)))
+        usup = float(_norm(tr.u.evaluate(0.0)))
         ratios = (norms - mu0 * usup) / x0_norm
         ell = max(ell, float(np.max(ratios)))
         lam = max(lam, float(ratios[-1]))
@@ -274,7 +274,7 @@ def write_envelope_data(fit: EnvelopeFit, trajs: Sequence[Trajectory],
         fh.write("# t  abs_x  envelope\n")
         for tr in trajs:
             t = tr.times[tr.start:]
-            mag = np.linalg.norm(tr.values[tr.start:], axis=1)
+            mag = _norm(tr.values[tr.start:])
             env = fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t)
             fh.writelines("%.17g %.17g %.17g\n" % row
                           for row in zip(t, mag, env))

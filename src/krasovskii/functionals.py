@@ -48,6 +48,7 @@ from .histories import (
     _edge_tol,
     _eval_on_grid,
     _extend_on_grid,
+    _sum_last,
     driver_extension,  # noqa: F401  (stays importable from this module)
 )
 
@@ -82,70 +83,25 @@ def _symmetric(Q) -> np.ndarray:
     return Q
 
 
-class _Form:
-    """A fixed square matrix Q as the batched forms read it, taken once
-    when its term or check is built: its nonzero entries (i, j, Q_ij) in
-    the order of (i, j), and its columns as strided views of Q.  A
-    contiguous copy of a column would take another BLAS dot kernel,
-    which from n = 4 sums in another order."""
-
-    __slots__ = ("entries", "columns")
-
-    def __init__(self, Q: np.ndarray):
-        self.entries = tuple((i, j, float(q)) for (i, j), q in np.ndenumerate(Q)
-                             if q != 0.0)
-        self.columns = tuple(Q[:, k] for k in range(Q.shape[1]))
+def _form(Q: np.ndarray) -> tuple:
+    """A fixed square matrix Q as _qform reads it, taken once when its
+    term or check is built: its nonzero entries (i, j, Q_ij) in the
+    order of (i, j)."""
+    return tuple((i, j, float(q)) for (i, j), q in np.ndenumerate(Q) if q != 0.0)
 
 
-def _qform(a: np.ndarray, form: _Form, b: np.ndarray | None = None) -> np.ndarray:
+def _qform(a: np.ndarray, form: tuple, b: np.ndarray | None = None) -> np.ndarray:
     """a' Q b (b defaults to a) along the last axis, for every leading
-    index: the grid-node and segment forms.  The terms (a_i Q_ij) b_j
-    are summed in the order of (i, j), skipping zero entries of Q, so a
-    row's value does not depend on the rows evaluated with it."""
+    index, Q given by its _form: the package's one form rule.  The terms
+    (a_i Q_ij) b_j are summed in the order of (i, j), skipping zero
+    entries of Q, so a row's value does not depend on the rows evaluated
+    with it or on the BLAS kernel."""
     b = a if b is None else b
     total = None
-    for i, j, q in form.entries:
+    for i, j, q in form:
         term = a[..., i] * q * b[..., j]
         total = term if total is None else total + term
     return np.zeros(a.shape[:-1]) if total is None else total
-
-
-def _xQy(x: np.ndarray, form: _Form, y: np.ndarray) -> np.ndarray:
-    """x' Q y of each pair of rows, the point-value form: as `x @ Q @ y`
-    computes it for one pair, one BLAS dot per row and column of Q.  The
-    rows are made contiguous, so every batch runs the same dot kernel."""
-    x = np.ascontiguousarray(x)
-    xQ = np.empty(x.shape[:-1] + (len(form.columns),))
-    for k, column in enumerate(form.columns):
-        np.vecdot(x, column, out=xQ[..., k])
-    return np.vecdot(xQ, np.ascontiguousarray(y))
-
-
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """The sum along the last axis, for every leading index, in the order
-    np.sum adds one contiguous 1-d array: left to right below 8 values,
-    eight running sums up to 128, halves above.  NumPy's own reduction
-    over the last axis of a 2-d array may take another order, depending
-    on the shape; written out, a row's sum does not depend on its batch."""
-    n = a.shape[-1]
-    if n < 8:
-        total = np.zeros(a.shape[:-1])
-        for k in range(n):
-            total = total + a[..., k]
-        return total
-    if n <= 128:
-        r = a[..., :8].copy()
-        stop = n - n % 8
-        for i in range(8, stop, 8):
-            r += a[..., i:i + 8]
-        total = (((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3]))
-                 + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])))
-        for k in range(stop, n):
-            total = total + a[..., k]
-        return total
-    half = n // 2
-    half -= half % 8
-    return _sum_last(a[..., :half]) + _sum_last(a[..., half:])
 
 
 class Functional:
@@ -195,11 +151,11 @@ _NO_COMPARE = dict(init=False, repr=False, compare=False)
 class DelayedQuadratic(Functional):
     Q: np.ndarray
     at: float
-    form: _Form = field(**_NO_COMPARE)
+    form: tuple = field(**_NO_COMPARE)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _symmetric(self.Q))
-        object.__setattr__(self, "form", _Form(self.Q))
+        object.__setattr__(self, "form", _form(self.Q))
         if self.at > 0:
             raise ValueError("evaluation point must lie in [-delay, 0]")
 
@@ -215,11 +171,11 @@ class PointQuadratic(DelayedQuadratic):
 class IntegralQuadratic(Functional):
     Q: np.ndarray
     weight: ConstantWeight | ExponentialWeight = field(default_factory=ConstantWeight)
-    form: _Form = field(**_NO_COMPARE)
+    form: tuple = field(**_NO_COMPARE)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _symmetric(self.Q))
-        object.__setattr__(self, "form", _Form(self.Q))
+        object.__setattr__(self, "form", _form(self.Q))
         if np.isscalar(self.weight):
             object.__setattr__(self, "weight", ConstantWeight(float(self.weight)))
 
@@ -231,12 +187,12 @@ class MaxExp(Functional):
     sizes the segment pruning of its evaluation (see _limits)."""
 
     P: np.ndarray
-    form: _Form = field(**_NO_COMPARE)
+    form: tuple = field(**_NO_COMPARE)
     spectrum: tuple = field(**_NO_COMPARE)
 
     def __post_init__(self):
         object.__setattr__(self, "P", _symmetric(self.P))
-        object.__setattr__(self, "form", _Form(self.P))
+        object.__setattr__(self, "form", _form(self.P))
         lam = float(np.min(np.linalg.eigvalsh(self.P)))
         if lam <= 0:
             raise ValueError("max-type term needs a positive definite matrix")
@@ -278,8 +234,7 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
         if V.at < -batch.delay - _edge_tol(batch.delay):
             raise ValueError("evaluation point precedes -delay")
-        x = batch.at(V.at)
-        return _xQy(x, V.form, x)
+        return _qform(batch.at(V.at), V.form)
     if isinstance(V, IntegralQuadratic):
         return _integral(V.form, V.weight.value, V.weight.polynomial, batch)
     if isinstance(V, MaxExp):
@@ -291,7 +246,7 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _integral(form: _Form, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
+def _integral(form: tuple, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
     # per-segment Simpson; exact when the integrand is polynomial of
     # degree <= 3 per segment (constant weight, linear history)
     delay, g, values = batch.delay, batch.grid, batch.values
@@ -471,11 +426,11 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
         slope = w if V.at == 0.0 else _right_slope(batch.grid, batch.values,
                                                    V.at)
-        return 2.0 * _xQy(batch.at(V.at), V.form, slope)
+        return 2.0 * _qform(batch.at(V.at), V.form, slope)
     if isinstance(V, IntegralQuadratic):
         x0, xd, wt = batch.x0, batch.xd, V.weight
-        boundary = (float(wt.value(0.0)) * _xQy(x0, V.form, x0)
-                    - float(wt.value(-batch.delay)) * _xQy(xd, V.form, xd))
+        boundary = (float(wt.value(0.0)) * _qform(x0, V.form)
+                    - float(wt.value(-batch.delay)) * _qform(xd, V.form))
         if wt.polynomial:
             return boundary
         return boundary - _integral(V.form, wt.derivative, False, batch)
@@ -484,7 +439,7 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
     if isinstance(V, Sum):
         return _closed(V.left, batch, w) + _closed(V.right, batch, w)
     if isinstance(V, MaxExp):
-        point = 2.0 * _xQy(batch.x0, V.form, w)
+        point = 2.0 * _qform(batch.x0, V.form, w)
         if batch.grid.shape[0] < 2:
             return point
         return _maxexp_closed(V, batch.grid, batch.values, point)

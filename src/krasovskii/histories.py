@@ -5,7 +5,9 @@ samples on a strictly increasing grid and interpolated piecewise
 linearly between them, the one rule every exact computation of the
 package assumes, computed by the one kernel `_interp_rows`.  The sup
 norm is the supremum of the Euclidean norm |phi(tau)| over the window;
-it is attained at a grid node, so it is computed exactly.
+it is attained at a grid node, so it is computed exactly.  Every norm of
+the package is `_norm`, summed in one fixed order, so no norm depends
+on its batch or on the BLAS kernel.
 
 The module also provides the two-branch extension used to form upper
 right-hand derivatives of functionals along solutions: for a step
@@ -55,7 +57,6 @@ __all__ = [
     "zero_history",
     "random_history",
     "driver_extension",
-    "window",
 ]
 
 
@@ -122,7 +123,7 @@ class HistoryFunction:
     def sup_norm(self) -> float:
         """sup of |phi(tau)| over [-delay, 0], exact: the Euclidean norm
         along a linear segment is convex, so it peaks at an endpoint."""
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(np.max(_norm(self.values)))
 
 
 def constant_history(delay: float, value) -> HistoryFunction:
@@ -193,8 +194,7 @@ def _fourier_histories(draws: np.ndarray, delay: float, norm_bounds: np.ndarray)
             terms = (draws[lo:lo + step].transpose(1, 0, 2)[..., None]
                      * basis[:, None, None, :])
             values[lo:lo + step] = np.add.reduce(terms, axis=0).transpose(0, 2, 1)
-    # the largest of the node norms, as np.linalg.norm computes them
-    peak = np.sqrt(np.add.reduce(values * values, axis=-1).max(axis=-1))
+    peak = _norm(values).max(axis=-1)
     zero = (norm_bounds == 0.0) | (peak == 0.0)
     values *= (norm_bounds / np.where(zero, 1.0, peak))[:, None, None]
     values[zero] = 0.0
@@ -308,23 +308,6 @@ def _extend_on_grid(delay, grid, values, h, w):
     return new_grid, new_values
 
 
-def window(traj, t: float) -> HistoryFunction:
-    """The history x_t(tau) = x(t + tau) extracted from a trajectory.
-
-    `traj` is any object with attributes `times` (increasing, starting
-    at -delay), `values` ((len(times), n) array) and `delay`.
-    """
-    delay = traj.delay
-    times = traj.times
-    values = traj.values
-    tol = _edge_tol(max(delay, abs(times[-1])))
-    if t < -tol or t > times[-1] + tol:
-        raise ValueError(f"t={t} outside the trajectory domain [0, {times[-1]}]")
-    t = min(max(t, 0.0), times[-1])
-    return _window_of_rows(times, values, delay, t, times.shape[0],
-                           _interp_rows(times, values, np.array([t]))[0])
-
-
 def _window_of_rows(times, values, delay, t, stop, last) -> HistoryFunction:
     """x_t on [-delay, 0] from the rows `values` on the increasing grid
     `times`: phi(-delay) = x(t - delay) interpolated, then the nodes
@@ -351,10 +334,38 @@ def _window_of_rows(times, values, delay, t, stop, last) -> HistoryFunction:
 
 
 def _norm(rows: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each row as np.linalg.norm computes it for
-    one vector: the square root of a BLAS dot."""
-    rows = np.ascontiguousarray(rows)
-    return np.sqrt(np.vecdot(rows, rows))
+    """The Euclidean norm along the last axis, for every leading index:
+    the package's one norm rule, the square root of the squares summed
+    by _sum_last, so a row's norm does not depend on its batch or on
+    the BLAS kernel."""
+    return np.sqrt(_sum_last(rows * rows))
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """The sum along the last axis, for every leading index, in the order
+    np.sum adds one contiguous 1-d array: left to right below 8 values,
+    eight running sums up to 128, halves above.  NumPy's own reduction
+    over the last axis of a 2-d array may take another order, depending
+    on the shape; written out, a row's sum does not depend on its batch."""
+    n = a.shape[-1]
+    if n < 8:
+        total = np.zeros(a.shape[:-1])
+        for k in range(n):
+            total = total + a[..., k]
+        return total
+    if n <= 128:
+        r = a[..., :8].copy()
+        stop = n - n % 8
+        for i in range(8, stop, 8):
+            r += a[..., i:i + 8]
+        total = (((r[..., 0] + r[..., 1]) + (r[..., 2] + r[..., 3]))
+                 + ((r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])))
+        for k in range(stop, n):
+            total = total + a[..., k]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _sum_last(a[..., :half]) + _sum_last(a[..., half:])
 
 
 def _interp_rows(times: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:

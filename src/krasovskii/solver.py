@@ -29,9 +29,11 @@ are those NumPy computes, bit for bit.  Where NumPy would return inf or
 nan, Python's `**` and `/` raise instead: an ArithmeticError in a stage
 makes that step's state NaN and ends the block.  Blow-up is
 checked once per block, and the trajectory is cut at the first bad
-step: a state that is not finite or whose norm (np.linalg.norm of that
-state alone) exceeds the threshold; the NaN state is cut at the same
-row, with the same t_escape, as the non-finite state of the NumPy form.
+step: a state that is not finite or whose norm exceeds the threshold,
+the norm being the package's one rule, `histories._norm`, the square
+root of the squares summed in a fixed order; the NaN state is cut at
+the same row, with the same t_escape, as the non-finite state of the
+NumPy form.
 Systems with only a general `field` are stepped one at a time, each RK4
 stage on its own history.  The input is read at every stage time of a
 block, also past a blow-up in it, so `InputSignal.evaluate` must be a
@@ -289,14 +291,14 @@ def _field_block(sys, u, times, values, b0, m, dt):
 
 
 def _first_bad(rows, threshold):
-    """Index of the first row that is not finite or whose norm, as
-    np.linalg.norm computes it for that row alone, exceeds threshold;
-    None if none."""
+    """Index of the first row that is not finite or whose norm, by the
+    one norm rule `histories._norm`, exceeds threshold; None if none."""
     if threshold < math.inf:
         # a row holding nan or inf has no norm <= threshold
         bad = np.flatnonzero(~(_norm(rows) <= threshold))
     else:
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1) | (_norm(rows) > threshold))
+        # no norm exceeds an infinite threshold
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     return int(bad[0]) if bad.size else None
 
 
@@ -323,7 +325,7 @@ def history_norm_series(traj: Trajectory):
     out_idx = np.arange(traj.start, times.shape[0])
     lo = times[out_idx] - traj.delay
     left = np.searchsorted(times, lo, side="left")
-    norms = _window_max(np.linalg.norm(values, axis=1), left, out_idx)
+    norms = _window_max(_norm(values), left, out_idx)
     cut = np.flatnonzero((left > 0) & (times[left] > lo))
     norms[cut] = np.maximum(norms[cut], _norm(_interp_rows(times, values, lo[cut])))
     return times[out_idx], norms
@@ -349,7 +351,7 @@ def export_csv(traj: Trajectory, path) -> None:
     holds exactly on every row."""
     t_out, norms = history_norm_series(traj)
     xs = traj.values[traj.start:]
-    abs_x = np.linalg.norm(xs, axis=1)
+    abs_x = _norm(xs)
     header = ["t", *(f"x_{i + 1}" for i in range(traj.system.n)), "abs_x", "hist_norm"]
     row = ",".join(["%.17g"] * len(header)) + "\r\n"
     table = np.column_stack([t_out, xs, abs_x, norms]).tolist()

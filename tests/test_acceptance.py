@@ -37,7 +37,7 @@ from krasovskii.functionals import (
     square_gain,
     zero_gain,
 )
-from krasovskii.histories import constant_history, random_history, window
+from krasovskii.histories import constant_history, random_history
 from krasovskii.solver import COMPLETED, integrate
 from krasovskii.systems import (
     constant_input,
@@ -47,7 +47,7 @@ from krasovskii.systems import (
     sinusoid_input,
     zero_input,
 )
-from tests.conftest import shift_input, standard_lkf
+from tests.conftest import shift_input, standard_lkf, window
 
 EYE = np.eye(2)
 DELTAS = (0.0, 0.5, 1.0, 2.0, 4.5)

@@ -43,13 +43,13 @@ from krasovskii.functionals import (
     square_gain,
     zero_gain,
 )
-from krasovskii.functionals import _sum_last
 from krasovskii.histories import (
     SAMPLER_STREAM,
     HistoryFunction,
     _eval_on_grid,
     _fourier_histories,
     _norm,
+    _sum_last,
     constant_history,
 )
 from krasovskii.systems import (

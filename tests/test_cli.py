@@ -528,6 +528,20 @@ class TestParityConfigs:
                            match=re.escape(self.tool.REJECTED[name])):
             cli.load_config(raw, command=command, **options)
 
+    # np.exp follows NumPy's own SIMD dispatch, which OPENBLAS_CORETYPE
+    # does not move, so the envelope configs are left out
+    @pytest.mark.parametrize("name", ["example1-tightened",
+                                      "simulate-example1-sinusoid"])
+    def test_reports_do_not_depend_on_the_blas_kernel(self, tmp_path, name):
+        # every norm and form sums in the package's own order, so forcing
+        # OpenBLAS's oldest x86-64 kernels changes no byte of a report
+        env = self.tool._environment(self.tool.ROOT)
+        runs = [self.tool._outputs(dict(env, **extra), tmp_path / side,
+                                   *self.tool.CONFIGS[name])
+                for side, extra in (("default", {}),
+                                    ("prescott", {"OPENBLAS_CORETYPE": "Prescott"}))]
+        assert self.tool._differences(*runs) == []
+
     def test_every_command_is_covered(self):
         assert ({command for command, _, _ in self.tool.CONFIGS.values()}
                 == set(cli._COMMANDS))

@@ -264,10 +264,61 @@ def qform_reference(a, Q, b=None):
 
 
 def xQy_reference(x, Q, y):
-    """x' Q y of each pair of rows, one dot per column of Q."""
-    x = np.ascontiguousarray(x)
-    xQ = np.stack([np.vecdot(x, Q[:, k]) for k in range(Q.shape[0])], axis=-1)
-    return np.vecdot(xQ, np.ascontiguousarray(y))
+    """x' Q y of each pair of rows in Python floats: the terms
+    (x[i] * Q[i][j]) * y[j] over the nonzero entries of Q in the order of
+    (i, j), 0.0 when Q has none."""
+    Q = np.asarray(Q, dtype=float).tolist()
+    out = []
+    for xr, yr in zip(np.asarray(x, dtype=float).tolist(),
+                      np.asarray(y, dtype=float).tolist()):
+        total = None
+        for i, row in enumerate(Q):
+            for j, q in enumerate(row):
+                if q != 0.0:
+                    term = (xr[i] * q) * yr[j]
+                    total = term if total is None else total + term
+        out.append(0.0 if total is None else total)
+    return np.array(out)
+
+
+@st.composite
+def form_cases(draw):
+    """(Q, a, b): an n x n matrix, n = 1..4, not symmetric, with zero and
+    -0.0 entries, and (B, n) rows of ordinary, huge and signed-zero
+    entries."""
+    n, batch = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    zero = st.sampled_from([0.0, -0.0])
+    Q = np.array(draw(st.lists(zero | st.floats(-1e3, 1e3), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    entry = zero | st.floats(-1e10, 1e10) | st.floats(-1e160, 1e160)
+    a, b = (np.array(draw(st.lists(entry, min_size=batch * n,
+                                   max_size=batch * n))).reshape(batch, n)
+            for _ in range(2))
+    return Q, a, b
+
+
+class TestFormRule:
+    """functionals._qform is the package's one form: (a_i Q_ij) b_j over
+    the nonzero entries of Q in (i, j) order, whatever batch holds a row."""
+
+    @settings(max_examples=300)
+    @given(form_cases(), st.data())
+    def test_is_the_float_loop_in_any_batch(self, case, data):
+        Q, a, b = case
+        form = functionals._form(Q)
+        split = data.draw(st.integers(0, a.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for y in (b, a):
+                expected = xQy_reference(a, Q, y).tobytes()
+                assert functionals._qform(a, form, y).tobytes() == expected
+                parts = [functionals._qform(a[:split], form, y[:split]),
+                         functionals._qform(a[split:], form, y[split:])]
+                assert np.concatenate(parts).tobytes() == expected
+                for k in range(a.shape[0]):
+                    row = functionals._qform(a[k], form, y[k])
+                    assert row.tobytes() == expected[8 * k:8 * k + 8]
+            assert (functionals._qform(a, form).tobytes()
+                    == xQy_reference(a, Q, a).tobytes())
 
 
 def maxexp_reference(P, grid, values):

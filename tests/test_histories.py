@@ -16,14 +16,15 @@ from krasovskii.histories import (
     PROBE_STREAM,
     SAMPLER_STREAM,
     HistoryFunction,
+    _norm,
     constant_history,
     driver_extension,
     random_history,
     stream_key,
-    window,
     zero_history,
 )
 from krasovskii.systems import piecewise_noise_input
+from tests.conftest import norm_reference, window
 
 
 def per_mode_reference(seed, n, delay, norm_bound, modes):
@@ -137,6 +138,40 @@ class TestSupNorm:
         taus = (grid[:-1, None] * (1.0 - lam) + grid[1:, None] * lam).ravel()
         between = np.linalg.norm(phi.eval(np.clip(taus, -delay, 0.0)), axis=1)
         assert np.all(between <= sup * (1.0 + 1e-12))
+
+
+@st.composite
+def norm_rows(draw):
+    """(B, n) rows, n = 1..7, of ordinary, tiny, huge and signed-zero
+    entries, so squares underflow, overflow and tie."""
+    n, batch = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    entry = (st.floats(-1e10, 1e10) | st.floats(-1e200, 1e200)
+             | st.floats(-1e-160, 1e-160) | st.sampled_from([0.0, -0.0]))
+    return np.array(draw(st.lists(entry, min_size=batch * n,
+                                  max_size=batch * n))).reshape(batch, n)
+
+
+class TestNormRule:
+    """histories._norm is the package's one norm: the square root of the
+    squares added left to right, whatever batch or layout holds a row."""
+
+    @settings(max_examples=300)
+    @given(norm_rows(), st.data())
+    def test_is_the_float_loop_in_any_batch(self, rows, data):
+        expected = np.array([norm_reference(row) for row in rows])
+        split = data.draw(st.integers(0, rows.shape[0]))
+        # a strided view inside a wider array
+        wide = np.zeros((rows.shape[0], 2 * rows.shape[1]))
+        wide[:, ::2] = rows
+        with np.errstate(over="ignore"):
+            assert _norm(rows).tobytes() == expected.tobytes()
+            for k, row in enumerate(rows):
+                assert _norm(row).tobytes() == expected[k:k + 1].tobytes()
+            assert _norm(wide[:, ::2]).tobytes() == expected.tobytes()
+            parts = [_norm(rows[:split]), _norm(rows[split:])]
+            assert np.concatenate(parts).tobytes() == expected.tobytes()
+            stacked = _norm(np.stack([rows, rows[::-1]]))
+        assert stacked.tobytes() == np.stack([expected, expected[::-1]]).tobytes()
 
 
 class TestDriverExtension:

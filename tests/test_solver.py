@@ -12,7 +12,6 @@ from krasovskii.histories import (
     _interp_rows,
     constant_history,
     random_history,
-    window,
     zero_history,
 )
 from krasovskii.solver import (
@@ -39,7 +38,7 @@ from krasovskii.systems import (
     step_input,
     zero_input,
 )
-from tests.conftest import shift_input
+from tests.conftest import norm_reference, shift_input, window
 
 
 def _interp_row_reference(times, values, t):
@@ -100,7 +99,7 @@ def per_step_reference(sys, x0, u, horizon, dt, blowup_threshold=1e9):
                 y4 = y + dt * k3
                 k4 = pw(y4, y4, u.evaluate(t + dt))
             ynew = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(ynew)) or np.linalg.norm(ynew) > blowup_threshold:
+            if not np.all(np.isfinite(ynew)) or norm_reference(ynew) > blowup_threshold:
                 return times[:base + 1], values[:base + 1], BLEW_UP, float(times[base + 1])
             values[base + 1] = ynew
     return times, values, COMPLETED, None
@@ -464,6 +463,19 @@ def sparse_system(delay):
                        "sparse", pointwise)
 
 
+def echo_system(delay):
+    """dx/dt = v, one state and one input, as text and as the same
+    callable: from the -0.0 history under a -0.0 input every state stays
+    -0.0, so the input's zero sign reaches the states' bits."""
+    def pointwise(x, xd, v):
+        return (v[0],)
+
+    pointwise.text = "f0 = v0"
+    pointwise.params = {}
+    return DelaySystem(1, 1, delay, lambda phi, v: np.array([v[0]]), "echo",
+                       pointwise)
+
+
 def copied_input(u):
     """u's values through an evaluate that returns a fresh array, which
     the solver reads column by column."""
@@ -492,19 +504,27 @@ class TestReadSet:
             assert traj.status == COMPLETED
 
     @pytest.mark.parametrize("delay, dt, horizon", GRIDS)
-    @pytest.mark.parametrize("value", [[0.35, -0.0], [-0.0, 0.35], [0.0, -0.0]])
+    @pytest.mark.parametrize("value", [[0.35, -0.0], [-0.0, 0.35], [0.0, -0.0],
+                                       [-0.0]])
     def test_constant_input_is_its_columns(self, value, delay, dt, horizon):
         # a constant input is a stride-0 broadcast, bound once per block;
-        # the same values through a fresh array are read as columns
+        # the same values through a fresh array are read as columns.  The
+        # one-component input drives echo_system from the -0.0 history
         u = constant_input(value)
         assert u.evaluate(np.arange(3.0)).strides[0] == 0
         assert copied_input(u).evaluate(np.arange(3.0)).strides[0] != 0
-        for seed in range(3):
-            x0 = random_history((79, seed), 3, delay, 1.0, (0, 2, 8)[seed % 3])
-            fixed = assert_matches_reference(sparse_system(delay), x0, u, horizon, dt)
-            read = assert_matches_reference(sparse_system(delay), x0,
-                                            copied_input(u), horizon, dt)
+        if len(value) == 1:
+            sys, starts = echo_system(delay), [constant_history(delay, value)]
+        else:
+            sys = sparse_system(delay)
+            starts = [random_history((79, seed), 3, delay, 1.0, (0, 2, 8)[seed % 3])
+                      for seed in range(3)]
+        for x0 in starts:
+            fixed = assert_matches_reference(sys, x0, u, horizon, dt)
+            read = assert_matches_reference(sys, x0, copied_input(u), horizon, dt)
             assert fixed.values.tobytes() == read.values.tobytes()
+        if len(value) == 1:
+            assert np.all(np.signbit(fixed.values))
 
     @pytest.mark.parametrize("name, params", FORMULA_SYSTEMS)
     def test_zero_delay_constant_input_reads_no_column(self, name, params):
@@ -518,7 +538,7 @@ class TestReadSet:
 
 def first_bad_reference(rows, threshold):
     for i, row in enumerate(rows):
-        if not np.all(np.isfinite(row)) or np.linalg.norm(row) > threshold:
+        if not np.all(np.isfinite(row)) or norm_reference(row) > threshold:
             return i
     return None
 
@@ -566,8 +586,8 @@ def interp_cases(draw):
 class TestKernelEquivalence:
     @settings(max_examples=300)
     @given(blowup_rows())
-    # rows whose norm over a batch, np.linalg.norm(rows, axis=1), lies on
-    # the other side of 1e9 from the norm of the row alone
+    # rows whose norm as a plain sum of squares, np.linalg.norm(rows,
+    # axis=1), lies on the other side of 1e9 from a BLAS dot's norm
     @example((np.array([[3.0, 4.0], [234177992.15863955, 972193739.9451553]]), 1e9))
     @example((np.array([[605875570.4250425, 795559421.515533]]), 1e9))
     # at an infinite threshold a finite row whose norm overflows is kept,
@@ -663,9 +683,9 @@ class TestAccuracy:
 def norm_series_reference(traj):
     """Reference: the window maxima of history_norm_series as a loop over
     the nodes, with a deque of candidate maxima, and the interpolated
-    left-edge term as np.linalg.norm of one vector."""
+    left-edge term as the Python-float norm of one vector."""
     times = traj.times
-    mag = np.linalg.norm(traj.values, axis=1)
+    mag = [norm_reference(row) for row in traj.values]
     out_idx = np.nonzero(times >= -1e-15)[0]
     norms = np.empty(out_idx.shape[0])
     dq = deque()
@@ -686,7 +706,7 @@ def norm_series_reference(traj):
                 g0 = times[left - 1]
                 lam = (lo - g0) / (times[left] - g0)
                 edge = (1.0 - lam) * traj.values[left - 1] + lam * traj.values[left]
-                peak = max(peak, float(np.linalg.norm(edge)))
+                peak = max(peak, norm_reference(edge))
             norms[pos] = peak
             pos += 1
     return times[out_idx], norms
