@@ -1,11 +1,18 @@
 import dataclasses
+import gc
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from krasovskii import estimate
 from krasovskii.certify import two_inequality_to_expiss
 from krasovskii.estimate import (
+    EnvelopeFit,
     FitFailure,
     empirical_two_inequality,
     fit_envelope,
@@ -14,7 +21,12 @@ from krasovskii.estimate import (
     seeded_history_sampler,
     write_envelope_data,
 )
-from krasovskii.histories import CONTRACTION_STREAM, constant_history, zero_history
+from krasovskii.histories import (
+    CONTRACTION_STREAM,
+    _norm,
+    constant_history,
+    zero_history,
+)
 from krasovskii.solver import COMPLETED, history_norm_series, integrate
 from krasovskii.systems import (
     DelaySystem,
@@ -35,6 +47,127 @@ def envelope_slack(fit, trajs):
         gap = min(gap, float(np.min(
             fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t) - mag)))
     return gap
+
+
+def full_overshoots(pairs):
+    """Reference: k(eta) at every grid rate over every point of each
+    (t, r) pair, 16 rates per array, then Python's max over the
+    trajectories, as the fit evaluated it before it pruned to hull
+    candidates."""
+    grid = estimate._ETA_GRID
+    over = np.empty((len(pairs), grid.shape[0]))
+    for s in range(0, grid.shape[0], 16):
+        etas = grid[s:s + 16, None]
+        for row, (t, ratio) in zip(over, pairs):
+            scaled = etas * t
+            np.exp(scaled, out=scaled)
+            scaled *= ratio
+            row[s:s + 16] = scaled.max(axis=1)
+            del scaled
+    return [max(column) for column in over.T.tolist()]
+
+
+def full_fit(trajs, k_cap=1e3):
+    """Reference: fit_envelope with full_overshoots."""
+    for tr in trajs:
+        if tr.status != COMPLETED:
+            raise ValueError("envelope fits need completed trajectories")
+        if tr.x0.sup_norm() == 0.0:
+            raise ValueError("initial histories must be nonzero")
+    pairs = [(tr.times[tr.start:], _norm(tr.values[tr.start:]) / tr.x0.sup_norm())
+             for tr in trajs]
+    k_eta = full_overshoots(pairs)
+    admissible = [j for j, k in enumerate(k_eta) if k <= k_cap]
+    if not admissible:
+        raise FitFailure(f"no rate admits an overshoot below {k_cap}")
+    eta = float(estimate._ETA_GRID[admissible[-1]])
+    k = max(k_eta[admissible[-1]], 1.0)
+    slack = math.inf
+    for tr, (t, ratio) in zip(trajs, pairs):
+        gap = float(np.min(k * np.exp(-eta * t) - ratio)) * tr.x0.sup_norm()
+        slack = min(slack, gap)
+    if -1e-9 * k < slack < 0.0:
+        slack = 0.0
+    return EnvelopeFit(k, eta, slack, len(trajs), k_cap)
+
+
+def write_rows(fit, trajs, path):
+    """Reference: envelope.dat with one % per row."""
+    with open(path, "w") as fh:
+        fh.write("# t  abs_x  envelope\n")
+        for tr in trajs:
+            t = tr.times[tr.start:]
+            mag = _norm(tr.values[tr.start:])
+            env = fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t)
+            fh.writelines("%.17g %.17g %.17g\n" % row
+                          for row in zip(t, mag, env))
+            fh.write("\n")
+
+
+def fake_trajectory(times, magnitudes, sup=1.0):
+    """What the envelope fit and writer read of a trajectory: a completed
+    scalar run with x(t) = magnitudes at times and sup|x0| = sup."""
+    return SimpleNamespace(status=COMPLETED, start=0,
+                           times=np.asarray(times, dtype=float),
+                           values=np.asarray(magnitudes, dtype=float)[:, None],
+                           x0=SimpleNamespace(sup_norm=lambda: sup))
+
+
+def bits(values):
+    """The bytes of floats, every NaN as one NaN: exp overflowing times
+    r = 0 gives a NaN whose sign bit depends on the reduction that passes
+    it on."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+def outcome(fit, trajs, k_cap):
+    """A fit's (k, eta, slack) bits, or the exception it raises."""
+    try:
+        result = fit(trajs, k_cap)
+    except (FitFailure, ValueError) as exc:
+        return type(exc), str(exc)
+    return bits([result.k, result.eta, result.slack])
+
+
+@st.composite
+def series(draw):
+    """(times, |x|, sup|x0|) of one adversarial trajectory for the fit."""
+    n = draw(st.sampled_from([2, 3]) | st.integers(2, 40))
+    # at dt 3 the later points' exp(eta t) overflows, so exp * 0 is NaN
+    dt = draw(st.sampled_from([1e-3, 0.01, 0.25, 3.0]))
+    t = dt * np.arange(n)
+    free = st.floats(0.0, 1e6)
+    head = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(["free", "ties", "flat_tail", "zero_start",
+                                 "zero_tail", "log_concave", "geometric",
+                                 "subnormal"]))
+    sup = draw(st.sampled_from([1.0, 0.37, 1e-3]))
+    if kind == "free":
+        mags = draw(st.lists(free, min_size=n, max_size=n))
+    elif kind == "ties":
+        # exact ties and repeated maxima
+        mags = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                             min_size=n, max_size=n))
+    elif kind == "flat_tail":
+        mags = (draw(st.lists(free, min_size=head, max_size=head))
+                + [draw(st.floats(1e-3, 10.0))] * (n - head))
+    elif kind == "zero_start":
+        mags = [0.0] + draw(st.lists(free, min_size=n - 1, max_size=n - 1))
+    elif kind == "zero_tail":
+        mags = draw(st.lists(free, min_size=head, max_size=head)) + [0.0] * (n - head)
+    elif kind == "log_concave":
+        # every point a hull vertex
+        a, b = draw(st.floats(1e-3, 5.0)), draw(st.floats(-2.0, 10.0))
+        mags = np.exp(-b * t - a * t * t)
+    elif kind == "geometric":
+        # log r on a line: every point within rounding of the chord
+        mags = draw(st.floats(0.1, 10.0)) * np.exp(-draw(st.floats(0.0, 3.0)) * t)
+    else:
+        # ratios below the smallest normal number
+        mags = draw(st.lists(st.floats(1e-150, 1e-9), min_size=n, max_size=n))
+        sup = 1e300
+    return t, np.asarray(mags, dtype=float), sup
 
 
 def decay_ensemble(count=5, horizon=15.0, dt=0.01, scale=1.0):
@@ -152,6 +285,76 @@ class TestFitEnvelope:
         fit = fit_envelope(trajs, k_cap)
         assert (fit.eta, fit.k) == (best[0], max(best[1], 1.0))
 
+    # at dt 3, exp(eta t) overflows and exp * 0 is NaN, on both sides
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=250)
+    @given(ensemble=st.lists(series(), min_size=1, max_size=4),
+           k_cap=st.sampled_from([1.0, 1.02, 10.0, 1e3, 1e300]))
+    @example(ensemble=[(np.arange(5.0), np.zeros(5), 1.0)], k_cap=1e3)
+    @example(ensemble=[(np.arange(3.0), np.array([0.0, 2.0, 1.0]), 1.0),
+                       (np.arange(2.0), np.array([1.0, 0.0]), 1.0)], k_cap=10.0)
+    @example(ensemble=[(3.0 * np.arange(40.0), np.r_[1.0, np.zeros(39)], 1.0)],
+             k_cap=1e3)
+    # r = |x| / sup|x0| overflows to inf at the middle point
+    @example(ensemble=[(np.arange(3.0), np.array([1.0, 1e6, 2.0]), 1e-305)],
+             k_cap=math.inf)
+    def test_pruned_fit_is_the_full_evaluation(self, ensemble, k_cap):
+        # the overshoots on hull candidates only, against every point at
+        # every rate: k(eta), k, eta and slack bit for bit
+        trajs = [fake_trajectory(*s) for s in ensemble]
+        pairs = [(tr.times, _norm(tr.values) / tr.x0.sup_norm()) for tr in trajs]
+        assert bits(estimate._overshoots(pairs)) == bits(full_overshoots(pairs))
+        assert outcome(fit_envelope, trajs, k_cap) == outcome(full_fit, trajs, k_cap)
+
+    @pytest.mark.parametrize("case", ["decay", "example1"])
+    def test_pruned_fit_on_ensembles(self, case):
+        if case == "decay":
+            trajs = decay_ensemble()
+        else:
+            # criterion 09's first trajectories, shortened: hulls of up to
+            # 2 015 vertices
+            trajs = run_ensemble(make_example1(1.0),
+                                 seeded_history_sampler(909, 2, 1.0, 1.0),
+                                 None, 3, 3.0, 1e-3)
+        pairs = [(tr.times[tr.start:],
+                  _norm(tr.values[tr.start:]) / tr.x0.sup_norm()) for tr in trajs]
+        assert bits(estimate._overshoots(pairs)) == bits(full_overshoots(pairs))
+        assert outcome(fit_envelope, trajs, 1e3) == outcome(full_fit, trajs, 1e3)
+
+    def test_fit_leaves_no_reference_cycle(self):
+        # criterion 09's first two trajectories, 20 001 points each; the
+        # second one's hull has 1 059 vertices
+        trajs = run_ensemble(make_example1(1.0),
+                             seeded_history_sampler(909, 2, 1.0, 1.0),
+                             None, 2, 20.0, 1e-3)
+        gc.collect()
+        gc.disable()
+        try:
+            fit_envelope(trajs)
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
+    def test_fit_peak_memory_is_at_most_the_full_loops(self):
+        # every point of a log-concave series is a hull vertex, so the
+        # fit evaluates every point, as the full loop does
+        t = 1e-3 * np.arange(20001)
+        trajs = [fake_trajectory(t, np.exp(-t - 0.1 * t * t))]
+        ratio = _norm(trajs[0].values)
+        assert estimate._candidates(t, ratio).all()
+        peaks = []
+        for fit in (full_fit, fit_envelope):
+            tracemalloc.start()
+            try:
+                fit(trajs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the two differ by Python's bookkeeping (frames, iterators), a few
+        # hundred bytes to a few kB; one more copy of the series is 160 kB
+        assert peaks[1] <= peaks[0] + 8192
+
     def test_envelope_data_file(self, tmp_path):
         trajs = decay_ensemble(count=2, horizon=2.0)
         fit = fit_envelope(trajs, k_cap=1.02)
@@ -162,6 +365,32 @@ class TestFitEnvelope:
         first = [float(x) for x in blocks[0].splitlines()[1].split()]
         assert len(first) == 3
         assert first[2] >= first[1]  # envelope dominates
+
+    @pytest.mark.parametrize("case", ["decay", "example1", "extremes"])
+    def test_block_writer_is_the_row_writer(self, tmp_path, case):
+        if case == "decay":
+            trajs = decay_ensemble()
+            fit = fit_envelope(trajs, k_cap=1.02)
+        elif case == "example1":
+            trajs = run_ensemble(make_example1(1.0),
+                                 seeded_history_sampler(5, 2, 1.0, 1.0),
+                                 None, 3, 3.0, 1e-3)
+            fit = fit_envelope(trajs)
+        else:
+            # |x| of 0.0 and at and above 1e17, where %.17g switches to
+            # exponent notation; |x| itself is never subnormal (a nonzero
+            # square's root is at least 2^-537), so the subnormals are in
+            # the envelope column, exp(-740) and below
+            times = [0.0, 0.5, 74.0, 74.4, 75.0, 1e17, 2.5e17]
+            mags = [0.0, 1e17, 123456789012345678.0, 1e150, 2.5e-160,
+                    5e-324, 0.1]
+            trajs = [fake_trajectory(times, mags, sup=3.0),
+                     fake_trajectory(times[:2], mags[:2])]
+            fit = EnvelopeFit(2.0, 10.0, 0.0, 2, 1e3)
+        write_envelope_data(fit, trajs, tmp_path / "blocks.dat")
+        write_rows(fit, trajs, tmp_path / "rows.dat")
+        assert ((tmp_path / "blocks.dat").read_bytes()
+                == (tmp_path / "rows.dat").read_bytes())
 
 
 class TestFitIssGain:

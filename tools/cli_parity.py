@@ -403,6 +403,21 @@ history.bound = 0.5
 contraction.horizon = 4.0
 """
 
+# ENVELOPE_EXAMPLE1 over horizon 20: its hulls of (t, log r) hold 2 to
+# 133 vertices, so the fit's pruning is checked on maxima inside a hull,
+# not only on the 2-vertex hulls of the shorter configs
+ENVELOPE_EXAMPLE1_LONG = """
+command = envelope
+seed = 12
+horizon = 20.0
+step = 0.01
+ensemble.count = 6
+system.name = example1
+system.delay = 1.0
+history.bound = 0.5
+contraction.horizon = 4.0
+"""
+
 EXAMPLE2_MARGINS = """
 command = example2-margins
 seed = 1
@@ -447,6 +462,7 @@ CONFIGS = {
     "simulate-linear-negative-b": ("simulate", SIMULATE_LINEAR_NEGATIVE_B, ()),
     "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
     "envelope-example1": ("envelope", ENVELOPE_EXAMPLE1, ()),
+    "envelope-example1-long": ("envelope", ENVELOPE_EXAMPLE1_LONG, ()),
     "example2-margins": ("example2-margins", EXAMPLE2_MARGINS, ()),
     "margin-system-name-typo": (
         "margin", MARGIN.format(c=0.0).replace("example1", "exampel1")
