@@ -11,7 +11,9 @@ hull of (t, log r) can attain it: each trajectory is evaluated on those
 candidates alone, giving k(eta) bit for bit as over every point.  The
 certified contraction horizon of the left-growth route is
 astronomically conservative, so empirical runs use a user-chosen
-horizon and the two are reported side by side.
+horizon and the two are reported side by side.  The envelope's plot
+data go through the solver's table writer, which gives the bytes of
+"%.17g" row by row from exact array arithmetic (see `solver`).
 """
 
 from __future__ import annotations
@@ -31,7 +33,13 @@ from .histories import (
     random_history,
     zero_history,
 )
-from .solver import COMPLETED, Trajectory, history_norm_series, integrate
+from .solver import (
+    COMPLETED,
+    Trajectory,
+    _write_table,
+    history_norm_series,
+    integrate,
+)
 from .systems import DelaySystem, InputSignal, constant_input, zero_input
 
 __all__ = [
@@ -64,10 +72,6 @@ _U = 2.0 ** -53
 # where nearly every point is a hull vertex (a log-concave run) the hull
 # adds at most about a quarter to the full evaluation
 _HULL_READS = 4
-# rows per % in write_envelope_data: one call's Python floats, tuple and
-# text take about 0.1 MB; a whole 3 001-row trajectory's took 0.6 MB, and
-# 512 rows format as fast
-_WRITE_ROWS = 512
 # fit_iss_gain's random histories per amplitude and its tail's share of
 # the horizon
 _GAIN_HISTORIES = 4
@@ -393,19 +397,16 @@ def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
 def write_envelope_data(fit: EnvelopeFit, trajs: Sequence[Trajectory],
                         path) -> None:
     """Plot data: per trajectory a block of (t, |x(t)|, envelope(t))
-    rows, blocks separated by blank lines.  The rows are formatted
-    _WRITE_ROWS at a time, by one % over their values as Python floats:
-    the bytes of "%.17g %.17g %.17g\\n" % row, row by row."""
-    line = "%.17g %.17g %.17g\n"
-    with open(path, "w") as fh:
-        fh.write("# t  abs_x  envelope\n")
+    rows, blocks separated by blank lines.  Each block is written by
+    solver._write_table: the bytes of "%.17g %.17g %.17g\\n" % row, row
+    by row."""
+    with open(path, "wb") as fh:
+        fh.write(b"# t  abs_x  envelope\n")
         for tr in trajs:
             t = tr.times[tr.start:]
             rows = np.empty((t.shape[0], 3))
             rows[:, 0] = t
             rows[:, 1] = _norm(tr.values[tr.start:])
             rows[:, 2] = fit.k * tr.x0.sup_norm() * np.exp(-fit.eta * t)
-            for s in range(0, rows.shape[0], _WRITE_ROWS):
-                chunk = rows[s:s + _WRITE_ROWS]
-                fh.write((line * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
-            fh.write("\n")
+            _write_table(fh, rows, " ", "\n")
+            fh.write(b"\n")

@@ -366,7 +366,7 @@ class TestFitEnvelope:
         assert len(first) == 3
         assert first[2] >= first[1]  # envelope dominates
 
-    @pytest.mark.parametrize("case", ["decay", "example1", "extremes"])
+    @pytest.mark.parametrize("case", ["decay", "example1", "extremes", "small"])
     def test_block_writer_is_the_row_writer(self, tmp_path, case):
         if case == "decay":
             trajs = decay_ensemble()
@@ -376,7 +376,7 @@ class TestFitEnvelope:
                                  seeded_history_sampler(5, 2, 1.0, 1.0),
                                  None, 3, 3.0, 1e-3)
             fit = fit_envelope(trajs)
-        else:
+        elif case == "extremes":
             # |x| of 0.0 and at and above 1e17, where %.17g switches to
             # exponent notation; |x| itself is never subnormal (a nonzero
             # square's root is at least 2^-537), so the subnormals are in
@@ -387,6 +387,15 @@ class TestFitEnvelope:
             trajs = [fake_trajectory(times, mags, sup=3.0),
                      fake_trajectory(times[:2], mags[:2])]
             fit = EnvelopeFit(2.0, 10.0, 0.0, 2, 1e3)
+        else:
+            # |x| and the envelope falling through exponent notation
+            # (1e-6 <= value < 1e-4) to values below 1e-6, which % formats,
+            # over 1 201 rows, more than one chunk
+            t = 0.005 * np.arange(1201)
+            mags = 5e-5 * np.exp(-2.0 * t) * (1.0 + 0.5 * np.sin(9.0 * t))
+            trajs = [fake_trajectory(t, mags, sup=4e-5),
+                     fake_trajectory(t[:3], [1e-4, 9.9999999999999991e-05, 1e-6])]
+            fit = EnvelopeFit(1.7, 2.5, 0.0, 2, 1e3)
         write_envelope_data(fit, trajs, tmp_path / "blocks.dat")
         write_rows(fit, trajs, tmp_path / "rows.dat")
         assert ((tmp_path / "blocks.dat").read_bytes()

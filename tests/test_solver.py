@@ -1,15 +1,19 @@
 import csv
 import dataclasses
+import io
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from krasovskii import solver
 from krasovskii.histories import (
     _interp_rows,
+    _norm,
     constant_history,
     random_history,
     zero_history,
@@ -20,6 +24,8 @@ from krasovskii.solver import (
     _first_bad,
     _initial_grid,
     _loop,
+    _slots,
+    _write_table,
     export_csv,
     history_norm_series,
     integrate,
@@ -792,6 +798,19 @@ class TestNormSeries:
         assert np.allclose(norms, np.abs(traj.values[:, 0]), atol=0)
 
 
+def csv_rows(traj, path):
+    """Reference: export_csv with one % per row, as it wrote before its
+    rows went through _write_table."""
+    t_out, norms = history_norm_series(traj)
+    xs = traj.values[traj.start:]
+    header = ["t", *(f"x_{i + 1}" for i in range(traj.system.n)), "abs_x", "hist_norm"]
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    table = np.column_stack([t_out, xs, _norm(xs), norms]).tolist()
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row % tuple(r) for r in table)
+
+
 class TestExport:
     def test_csv_columns_and_values(self, tmp_path):
         sys = make_example1(1.0)
@@ -821,3 +840,148 @@ class TestExport:
         assert rows.shape == (501, 5)
         assert np.all(rows[:, 3] <= rows[:, 4])
         assert np.array_equal(rows[:, 3], np.linalg.norm(rows[:, 1:3], axis=1))
+
+    @pytest.mark.parametrize("delay, dt, horizon",
+                             TestBlockParity.GRIDS + [(0.0, 0.01, 0.57)])
+    @pytest.mark.parametrize("name, params", PARITY_SYSTEMS)
+    def test_csv_is_the_row_writer(self, tmp_path, name, params, delay, dt,
+                                   horizon):
+        sys = build_system(name, delay, params)
+        for seed, kind in enumerate(("zero", "sinusoid", "noise")):
+            x0 = random_history((47, seed), sys.n, delay, 1.0,
+                                (0, 2, 8)[seed] if delay else 0)
+            traj = integrate(sys, x0, parity_input(kind, seed), horizon, dt)
+            export_csv(traj, tmp_path / "table.csv")
+            csv_rows(traj, tmp_path / "rows.csv")
+            assert ((tmp_path / "table.csv").read_bytes()
+                    == (tmp_path / "rows.csv").read_bytes())
+
+    def test_csv_of_small_and_signed_values(self, tmp_path):
+        # a decaying oscillation from 3e-5 in place of a linear run's
+        # states: negative values, exponent notation (1e-6 <= |x| < 1e-4),
+        # values below 1e-6 that % formats, +-0 and a subnormal, over
+        # more rows than one chunk holds
+        traj = integrate(make_linear_baseline(1.0, 0.5, 0.1),
+                         constant_history(0.1, [1.0]), None, 8.0, 0.01)
+        t = traj.times
+        x = 3e-5 * np.cos(5.0 * t) * np.exp(-np.maximum(t, 0.0))
+        x[[20, 21, 22, 400]] = [0.0, -0.0, 5e-324, -1e-6]
+        traj = dataclasses.replace(traj, values=x[:, None])
+        assert np.any((x < 0) & (np.abs(x) > 1e-6) & (np.abs(x) < 1e-4))
+        assert np.any((np.abs(x) < 1e-6) & (x != 0.0))
+        export_csv(traj, tmp_path / "table.csv")
+        csv_rows(traj, tmp_path / "rows.csv")
+        assert ((tmp_path / "table.csv").read_bytes()
+                == (tmp_path / "rows.csv").read_bytes())
+
+
+def table_reference(table, sep, end):
+    """Reference: the rows of a float table, one % per row."""
+    line = sep.join(["%.17g"] * table.shape[1]) + end
+    return "".join(line % tuple(row) for row in table.tolist()).encode()
+
+
+def table_bytes(table, sep, end):
+    fh = io.BytesIO()
+    _write_table(fh, table, sep, end)
+    return fh.getvalue()
+
+
+def covered(x):
+    """The values _slots formats: +-0, and 1e-6 <= |x| < 1e17 exactly
+    (the double nearest 1e-6 lies below it)."""
+    a = np.abs(x)
+    return (a == 0.0) | ((a > 1e-6) & (a < 1e17))
+
+
+def neighbours(x, ulps):
+    """x and the doubles up to ulps steps above and below it."""
+    out = [x]
+    up = down = x
+    for _ in range(ulps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+SEPARATORS = [(" ", "\n"), (",", "\r\n")]
+# every power of ten from 1e-7 to 1e18 and its 6-ulp neighbours, of either
+# sign: the double below 0.1 is 0.099999999999999992, and the doubles
+# nearest 1e-6, 1e-4 and 1e17 sit on the edges of the exponent notation
+# and of the covered range
+POWERS = np.array([sign * v for p in range(-7, 19)
+                   for v in neighbours(float(f"1e{p}"), 6) for sign in (1, -1)])
+# floats of every kind: any bit pattern (NaN, +-inf, +-0, subnormals),
+# hypothesis's edge-seeking floats, decimals from 1e-9 to 1e19, and
+# half-way cases m 2**-(1 + k), whose 17-digit roundings are ties
+FLOATS = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))),
+    st.floats(width=64),
+    st.builds(lambda m, k: m * 10.0 ** k, st.floats(-10.0, 10.0), st.integers(-9, 18)),
+    st.builds(lambda m, k: m * 2.0 ** -(1 + k), st.integers(1, 2 ** 53),
+              st.integers(0, 60)),
+)
+
+
+class TestWriteTable:
+    """_write_table writes the bytes of its rows' %, and formats every
+    covered value by itself."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(values=st.lists(FLOATS, min_size=1, max_size=90),
+           cols=st.integers(1, 5), seps=st.sampled_from(SEPARATORS),
+           rows=st.sampled_from([1, 2, 3, 7, 512]))
+    @example(values=[0.1, 0.09999999999999999, -0.0, 1e-5, 9.99999999999999e-05],
+             cols=1, seps=SEPARATORS[0], rows=512)
+    def test_is_the_row_format(self, values, cols, seps, rows):
+        values += [1.0] * (-len(values) % cols)
+        table = np.array(values).reshape(-1, cols)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_WRITE_ROWS", rows)
+            assert table_bytes(table, *seps) == table_reference(table, *seps)
+        x = table.ravel()
+        assert np.array_equal(_slots(x, np.zeros(1, np.uint64))[1],
+                              covered(x))
+
+    @pytest.mark.parametrize("sep, end", SEPARATORS)
+    @pytest.mark.parametrize("cols", [1, 2, 3])
+    def test_powers_of_ten(self, sep, end, cols):
+        table = POWERS[:POWERS.shape[0] // cols * cols].reshape(-1, cols)
+        assert table_bytes(table, sep, end) == table_reference(table, sep, end)
+        assert np.array_equal(_slots(POWERS, np.zeros(1, np.uint64))[1],
+                              covered(POWERS))
+
+    def test_no_covered_value_carries(self):
+        # _slots takes the 17 digits of P = |x| 10**(16 - E) in [1e16, 1e17)
+        # as they are; a carry to 1e17 would need a double within half a
+        # 17th digit below a power of ten in the covered range
+        for q in range(-5, 18):
+            power = Fraction(10) ** q
+            below = float(power)
+            if Fraction(below) >= power:
+                below = math.nextafter(below, 0.0)
+            assert power - Fraction(below) > power / (2 * 10 ** 17)
+            assert Fraction("%.17g" % below) < power
+
+    def test_ties_round_half_to_even(self):
+        table = np.array([[1125899906842624.25, 1125899906842624.75,
+                           562949953421312.375]])
+        assert table_bytes(table, " ", "\n") == (
+            b"1125899906842624.2 1125899906842624.8 562949953421312.38\n")
+
+    @pytest.mark.parametrize("sep, end", SEPARATORS)
+    def test_rows_across_chunks(self, sep, end):
+        # rows that % formats at a chunk's first and last rows, in the
+        # middle, and in every row of a chunk; one-row tables of each kind
+        size = solver._WRITE_ROWS
+        rng = np.random.default_rng(5)
+        shape = (3 * size + 2, 3)
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 5, shape)
+        table[[0, size - 1, size, size + 7, 3 * size + 1], 1] = [
+            np.nan, 1e-7, -np.inf, 1e17, -5e-324]
+        table[2 * size:3 * size, 0] = 2.5e-300
+        assert table_bytes(table, sep, end) == table_reference(table, sep, end)
+        for row in table[[0, 1, size - 1, 2 * size]]:
+            assert (table_bytes(row[None, :], sep, end)
+                    == table_reference(row[None, :], sep, end))

@@ -391,6 +391,23 @@ history.bound = 1.0
 contraction.horizon = 10.0
 """
 
+# ENVELOPE_LINEAR over horizon 20: |x| falls to about 1e-10 and the
+# envelope to 2e-9, so envelope.dat holds 652 values in exponent notation
+# (1e-6 <= |x| < 1e-4) and 947 below 1e-6, whose 567 rows the writer
+# formats by %; the shorter configs hold none below 1e-6
+ENVELOPE_LINEAR_LONG = """
+command = envelope
+seed = 3
+horizon = 20.0
+step = 0.05
+ensemble.count = 4
+system.name = linear
+system.delay = 0.5
+system.a = 1.0
+history.bound = 1.0
+contraction.horizon = 10.0
+"""
+
 ENVELOPE_EXAMPLE1 = """
 command = envelope
 seed = 12
@@ -461,6 +478,7 @@ CONFIGS = {
         "simulate", SIMULATE_EXAMPLE2_NONDYADIC.format(delay="0"), ()),
     "simulate-linear-negative-b": ("simulate", SIMULATE_LINEAR_NEGATIVE_B, ()),
     "envelope-linear": ("envelope", ENVELOPE_LINEAR, ()),
+    "envelope-linear-long": ("envelope", ENVELOPE_LINEAR_LONG, ()),
     "envelope-example1": ("envelope", ENVELOPE_EXAMPLE1, ()),
     "envelope-example1-long": ("envelope", ENVELOPE_EXAMPLE1_LONG, ()),
     "example2-margins": ("example2-margins", EXAMPLE2_MARGINS, ()),
