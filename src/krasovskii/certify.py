@@ -355,7 +355,8 @@ def _row(groups, i: int) -> tuple:
 def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
     """f(phi, v) of each sample, (B, n): one call of the pointwise
     formula over (n, B) columns, or one general field call per sample.
-    A row is non-finite where the field blew up."""
+    A row is non-finite where the field blew up, NaN where a general
+    field call raised an ArithmeticError; the sweep skips such rows."""
     if sys.pointwise is not None:
         w = np.asarray(sys.pointwise(group.x0.T, group.at(-sys.delay).T,
                                      group.inputs.T), dtype=float)
@@ -368,7 +369,7 @@ def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
         phi = HistoryFunction._trusted(group.delay, group.grid, row)
         try:
             rows[j] = sys.field(phi, v)
-        except (FloatingPointError, OverflowError):
+        except ArithmeticError:
             rows[j] = np.nan
     return rows
 

@@ -309,9 +309,7 @@ def fit_iss_gain(sys: DelaySystem, amplitudes: Sequence[float], horizon: float,
         return hist(i) if i else zero_history(sys.delay, sys.n)
 
     for s in amplitudes:
-        direction = np.zeros(sys.m)
-        direction[0] = 1.0
-        u = constant_input(s * direction)
+        u = constant_input(s * np.eye(sys.m)[0])
         trajs = run_ensemble(sys, sample, lambda i, u=u: u,
                              _GAIN_HISTORIES + 1, horizon, dt)
         if any(tr.status != COMPLETED for tr in trajs):
@@ -371,9 +369,7 @@ def empirical_two_inequality(sys: DelaySystem, horizon: float, budget: int,
         s = input_amplitudes[i % len(input_amplitudes)]
         if s == 0:
             return zero_input(sys.m)
-        direction = np.zeros(sys.m)
-        direction[0] = 1.0
-        return constant_input(s * direction)
+        return constant_input(s * np.eye(sys.m)[0])
 
     trajs = run_ensemble(sys, hist, input_for, budget, horizon, dt)
     ell = -math.inf

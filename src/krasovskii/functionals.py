@@ -48,6 +48,7 @@ from .histories import (
     _edge_tol,
     _eval_on_grid,
     _extend_on_grid,
+    _slope_row,
     _sum_last,
     driver_extension,  # noqa: F401  (stays importable from this module)
 )
@@ -411,13 +412,6 @@ def driver_derivative_closed(V: Functional, phi: HistoryFunction, w) -> float:
     term phi(0)' P phi(0), and its derivative is 2 phi(0)' P w.
     """
     return float(_closed(V, _one(phi), _slope_row(phi, w)[None])[0])
-
-
-def _slope_row(phi: HistoryFunction, w) -> np.ndarray:
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if w.shape != (phi.n,):
-        raise ValueError(f"slope must have shape ({phi.n},)")
-    return w
 
 
 def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:

@@ -238,11 +238,16 @@ def driver_extension(phi: HistoryFunction, h: float, w) -> HistoryFunction:
         return phi
     if h < 0 or h >= phi.delay:
         raise ValueError("step must satisfy 0 <= h < delay")
+    grid, values = _extend_on_grid(phi.delay, phi.grid, phi.values, h,
+                                   _slope_row(phi, w))
+    return HistoryFunction(phi.delay, grid, values)
+
+
+def _slope_row(phi: HistoryFunction, w) -> np.ndarray:
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if w.shape != (phi.n,):
         raise ValueError(f"slope must have shape ({phi.n},)")
-    grid, values = _extend_on_grid(phi.delay, phi.grid, phi.values, h, w)
-    return HistoryFunction(phi.delay, grid, values)
+    return w
 
 
 def _eval_on_grid(delay, grid, values, tau):

@@ -35,9 +35,10 @@ root of the squares summed in a fixed order; the NaN state is cut at
 the same row, with the same t_escape, as the non-finite state of the
 NumPy form.
 Systems with only a general `field` are stepped one at a time, each RK4
-stage on its own history.  The input is read at every stage time of a
-block, also past a blow-up in it, so `InputSignal.evaluate` must be a
-pure function of t.
+stage on its own history, the step's inputs read in one call, and an
+ArithmeticError in a stage making the step's state NaN, as in a block.
+The input is read at every stage time of a block, also past a blow-up
+in it, so `InputSignal.evaluate` must be a pure function of t.
 
 Tables of floats (the trajectory CSV here, the envelope plot data in
 `estimate`) are written by one formatter, `_write_table`, with the bytes
@@ -65,7 +66,7 @@ from typing import Optional
 
 import numpy as np
 
-from .histories import HistoryFunction, _interp_rows, _norm, _window_of_rows
+from .histories import HistoryFunction, _edge_tol, _interp_rows, _norm, _window_of_rows
 from .systems import DelaySystem, InputSignal, zero_input
 
 __all__ = [
@@ -77,8 +78,6 @@ __all__ = [
 
 COMPLETED = "completed"
 BLEW_UP = "blew_up"
-
-_DIV_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     """
     if u is None:
         u = zero_input(sys.m)
-    if abs(x0.delay - sys.delay) > _DIV_TOL * max(1.0, sys.delay):
+    if abs(x0.delay - sys.delay) > _edge_tol(sys.delay):
         raise ValueError(f"history delay {x0.delay} != system delay {sys.delay}")
     if x0.n != sys.n:
         raise ValueError(f"history dimension {x0.n} != system dimension {sys.n}")
@@ -139,13 +138,13 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     delay = sys.delay
     if delay > 0:
         k = int(round(delay / dt))
-        if abs(k * dt - delay) > _DIV_TOL * max(1.0, delay):
+        if abs(k * dt - delay) > _edge_tol(delay):
             raise ValueError(f"dt={dt} must divide the delay {delay}")
         if k < 4:
             raise ValueError("dt must satisfy dt <= delay/4 to keep the "
                              "method of steps explicit")
     nsteps = int(round(horizon / dt))
-    if nsteps < 1 or abs(nsteps * dt - horizon) > _DIV_TOL * max(1.0, horizon):
+    if nsteps < 1 or abs(nsteps * dt - horizon) > _edge_tol(horizon):
         raise ValueError(f"dt={dt} must divide the horizon {horizon}")
 
     neg = _initial_grid(x0, delay, dt)
@@ -283,25 +282,25 @@ def {name}(y, cols, u, count, half, dt, sixth):
 
 
 def _field_block(sys, u, times, values, b0, m, dt):
-    # RK4 steps of the general field, each stage on its own history whose
-    # final node carries the stage state, bridging the (at most one step
-    # wide) gap past the filled rows
-    f = sys.field
-    delay = sys.delay
+    # one RK4 step (m is 1) of the general field, each stage on its own
+    # history whose final node carries the stage state, bridging the one
+    # step wide gap past the filled rows; an ArithmeticError in a stage
+    # makes the state NaN, as in the formula loop
     half = 0.5 * dt
-    for base in range(b0, b0 + m):
-        t = times[base]
-        y = values[base]
-        filled = base + 1
-        k1 = f(_window_of_rows(times, values, delay, t, filled, y),
-               u.evaluate(t))
-        k2 = f(_window_of_rows(times, values, delay, t + half, filled,
-                               y + half * k1), u.evaluate(t + half))
-        k3 = f(_window_of_rows(times, values, delay, t + half, filled,
-                               y + half * k2), u.evaluate(t + half))
-        k4 = f(_window_of_rows(times, values, delay, t + dt, filled,
-                               y + dt * k3), u.evaluate(t + dt))
-        values[base + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    t, y = times[b0], values[b0]
+    v1, vm, v2 = u.evaluate(np.array([t, t + half, t + dt]))
+
+    def stage(s, state, v):
+        return sys.field(_window_of_rows(times, values, sys.delay, s, b0 + 1, state), v)
+
+    try:
+        k1 = stage(t, y, v1)
+        k2 = stage(t + half, y + half * k1, vm)
+        k3 = stage(t + half, y + half * k2, vm)
+        k4 = stage(t + dt, y + dt * k3, v2)
+        values[b0 + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    except ArithmeticError:
+        values[b0 + 1] = np.nan
 
 
 def _first_bad(rows, threshold):
@@ -322,7 +321,7 @@ def _initial_grid(x0: HistoryFunction, delay: float, dt: float) -> np.ndarray:
     k = int(round(delay / dt))
     neg = np.linspace(-delay, 0.0, k + 1)
     spacing = delay / k
-    tol = _DIV_TOL * max(1.0, delay)
+    tol = _edge_tol(delay)
     idx = np.clip(np.round((x0.grid + delay) / spacing).astype(int), 0, k)
     extras = x0.grid[np.abs(x0.grid - neg[idx]) > tol]
     if extras.size == 0:

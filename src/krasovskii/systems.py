@@ -13,9 +13,10 @@ so it is stated once, as the text of a `pointwise` formula f(x(t),
 x(t - delay), v): statements over x0, ..., xd0, ... and v0 that assign
 f0, ..., its parameters bound as names.  The callable generated from the
 text returns a tuple of n components; the sweeps call it on (n, B) and
-(m, B) columns, the field is derived from it, and the solver splices the
-text into its loop, calling only a user formula, which has no text.
-Construction probes a formula with lists of zeros.  Only example2 with a
+(m, B) columns, and the solver splices the text into its loop, calling
+only a user formula, which has no text.  A system given only a formula
+derives its `field`, the formula at phi(0) and phi(-delay), and probes
+the formula once, with lists of zeros.  Only example2 with a
 user-supplied uncertainty pair, which may read the whole history, has a
 general `field` and no `pointwise` formula.  An input is evaluated at a
 float t or, broadcast, at a 1-d array of times, so the solver reads a
@@ -62,12 +63,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DelaySystem:
-    """Immutable system description; `field` must be pure."""
+    """Immutable system description; `field` must be pure.  A system
+    given only a `pointwise` formula derives its `field` from it."""
 
     n: int
     m: int
     delay: float
-    field: Callable[[HistoryFunction, np.ndarray], np.ndarray]
+    field: Optional[Callable[[HistoryFunction, np.ndarray], np.ndarray]] = None
     name: str = ""
     # the formula f(x(t), x(t - delay), v) of a field that reads the
     # history only at 0 and -delay, indexing its arguments' components
@@ -79,10 +81,20 @@ class DelaySystem:
     def __post_init__(self):
         if self.delay < 0:
             raise ValueError("delay must be nonnegative")
-        origin = np.asarray(self.field(zero_history(self.delay, self.n),
-                                       np.zeros(self.m)), dtype=float)
-        if origin.shape != (self.n,) or np.max(np.abs(origin)) > 1e-12:
-            raise ValueError(f"field must satisfy f(0, 0) = 0, got {origin}")
+        if self.field is None and self.pointwise is None:
+            raise ValueError(f"system {self.name!r} needs a field or a pointwise formula")
+        if self.field is None:
+            pointwise, delay = self.pointwise, self.delay
+
+            def field(phi, v):
+                return np.array(pointwise(phi.eval(0.0), phi.eval(-delay), v))
+
+            object.__setattr__(self, "field", field)
+        else:
+            origin = np.asarray(self.field(zero_history(self.delay, self.n),
+                                           np.zeros(self.m)), dtype=float)
+            if origin.shape != (self.n,) or np.max(np.abs(origin)) > 1e-12:
+                raise ValueError(f"field must satisfy f(0, 0) = 0, got {origin}")
         if self.pointwise is not None:
             z = [0.0] * self.n
             try:
@@ -155,15 +167,6 @@ def _formula(text: str, n: int, **params) -> Callable:
     return pointwise
 
 
-def _pointwise_system(n: int, delay: float, name: str, pointwise) -> DelaySystem:
-    """The system whose one formula is pointwise(x(t), x(t - delay), v)."""
-
-    def field(phi, v):
-        return np.array(pointwise(phi.eval(0.0), phi.eval(-delay), v))
-
-    return DelaySystem(n, 1, delay, field, name, pointwise)
-
-
 # the built-in formulas, as text; example1's delayed coupling is x2(t - delay)
 _EXAMPLE1 = """q = x0 * x0 + xd1 * xd1
 f0 = -0.5 * x0 + xd1 + x1 * q
@@ -186,7 +189,7 @@ _LINEAR = "f0 = -a * x0 + b * xd0 + v0"
 
 def make_example1(delay: float) -> DelaySystem:
     """Planar system with a delayed cross-coupling and cubic rotation terms."""
-    return _pointwise_system(2, delay, "example1", _formula(_EXAMPLE1, 2))
+    return DelaySystem(2, 1, delay, None, "example1", _formula(_EXAMPLE1, 2))
 
 
 def make_example2(delay: float, epsilon: float = 0.0,
@@ -205,16 +208,16 @@ def make_example2(delay: float, epsilon: float = 0.0,
     name = f"example2(eps={epsilon:g})"
     if d is not None and d is not DELAYED_UNCERTAINTY:
         d.validate(2, delay)
+    if d is DELAYED_UNCERTAINTY and epsilon != 0.0:
+        return DelaySystem(2, 1, delay, None, name,
+                           _formula(f"{_EXAMPLE2}\n{_DELAYED}", 2, eps=epsilon))
+    plain = DelaySystem(2, 1, delay, None, name, _formula(_EXAMPLE2, 2))
     if d is None or epsilon == 0.0:
-        return _pointwise_system(2, delay, name, _formula(_EXAMPLE2, 2))
-    if d is DELAYED_UNCERTAINTY:
-        return _pointwise_system(2, delay, name,
-                                 _formula(f"{_EXAMPLE2}\n{_DELAYED}", 2, eps=epsilon))
-    core = _formula(_EXAMPLE2, 2)
+        return plain
+    core = plain.field
 
     def field(phi, v):
-        return (np.array(core(phi.eval(0.0), phi.eval(-delay), v))
-                + epsilon * np.array([d.d1(phi), d.d2(phi)]))
+        return core(phi, v) + epsilon * np.array([d.d1(phi), d.d2(phi)])
 
     return DelaySystem(2, 1, delay, field, name)
 
@@ -223,13 +226,13 @@ def make_example3(delay: float) -> DelaySystem:
     """example2 with epsilon = 0 plus an extra -x2^3 term in the second
     equation.  The quartic it induces in x(0)'f(x_t, .) defeats every
     quadratic lower growth bound."""
-    return _pointwise_system(2, delay, "example3", _formula(_EXAMPLE3, 2))
+    return DelaySystem(2, 1, delay, None, "example3", _formula(_EXAMPLE3, 2))
 
 
 def make_linear_baseline(a: float, b: float, delay: float) -> DelaySystem:
     """Scalar dx/dt = -a x(t) + b x(t - delay) + u(t); solvable by hand."""
-    return _pointwise_system(1, delay, f"linear(a={a:g},b={b:g})",
-                             _formula(_LINEAR, 1, a=a, b=b))
+    return DelaySystem(1, 1, delay, name=f"linear(a={a:g},b={b:g})",
+                       pointwise=_formula(_LINEAR, 1, a=a, b=b))
 
 
 # ---------------------------------------------------------------------------

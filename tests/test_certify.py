@@ -448,6 +448,24 @@ class TestChecks:
         assert rep.skipped > 0
         assert rep.samples == 200
 
+    @pytest.mark.parametrize("blow", [
+        pytest.param(lambda: 10.0 ** 400, id="overflow"),
+        pytest.param(lambda: 1.0 / 0.0, id="zero-division"),
+    ])
+    def test_arithmetic_errors_are_skipped_and_counted(self, blow):
+        # any ArithmeticError of a general field skips its sample
+        def fragile(phi, v):
+            if phi.sup_norm() > 5.0:
+                blow()
+            return -phi.eval(0.0)
+
+        sys = DelaySystem(2, 1, 1.0, fragile, "fragile")
+        sampler = sampler_for(sys)
+        rep = check_right_growth(sys, EYE, 1.0, square_gain(), sampler, 200)
+        assert rep.samples == 200
+        assert rep.skipped == sum(sampler.sample(i)[0].sup_norm() > 5.0
+                                  for i in range(200)) > 0
+
     def test_budget_validation(self, lkf):
         sys = make_example1(1.0)
         with pytest.raises(ValueError):

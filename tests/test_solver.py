@@ -334,6 +334,54 @@ class TestArithmeticErrorRule:
         assert_matches_reference(sys, x0, parity_input(kind, seed), horizon, dt)
 
 
+def _x0(phi):
+    return float(phi.eval(0.0)[0])
+
+
+class TestGeneralFieldRule:
+    """A general field steps by the formula path's rules: its inputs are
+    read once per step, and an ArithmeticError in a stage gives a NaN
+    state, cut at the row and t_escape of the formula kernel."""
+
+    @pytest.mark.parametrize("field, formula, start", [
+        # (1e8)**3 is finite; the fourth stage's cube overflows
+        pytest.param(lambda phi, v: np.array([_x0(phi) ** 3, 0.0]),
+                     lambda x, xd, v: (x[0] ** 3, 0.0), [1e8, 0.0],
+                     id="overflow"),
+        pytest.param(lambda phi, v: np.array(
+            [float(phi.eval(0.0)[1]) / (_x0(phi) - 1.0), 0.0]),
+                     lambda x, xd, v: (x[1] / (x[0] - 1.0), 0.0), [1.0, 1.0],
+                     id="zero-division"),
+    ])
+    def test_blows_up_as_the_formula_kernel(self, field, formula, start):
+        x0 = constant_history(1.0, start)
+        general = integrate(DelaySystem(2, 1, 1.0, field), x0, None, 5.0, 0.05)
+        pointwise = integrate(DelaySystem(2, 1, 1.0, pointwise=formula), x0,
+                              None, 5.0, 0.05)
+        for traj in (general, pointwise):
+            assert traj.status == BLEW_UP
+            assert traj.t_escape == 0.05
+        assert np.array_equal(general.times, pointwise.times)
+        assert np.array_equal(general.values, pointwise.values)
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2])
+    def test_one_input_read_per_step(self, delay):
+        noise = piecewise_noise_input(3, 0.5, 0.0437)
+        shapes = []
+
+        def evaluate(t):
+            shapes.append(np.shape(t))
+            return noise.evaluate(t)
+
+        sys = make_example1(delay)
+        x0 = random_history((61, 0), 2, delay, 1.0, 2)
+        general = integrate(dataclasses.replace(sys, pointwise=None), x0,
+                            InputSignal(1, evaluate, "counted"), 0.5, 0.01)
+        assert shapes == [(3,)] * 50
+        assert np.array_equal(general.values,
+                              integrate(sys, x0, noise, 0.5, 0.01).values)
+
+
 def three_state_system(delay):
     """A formula of 3 components driven by a 2-component input, sizes no
     built-in has; Python's x[2] ** 3 overflows from histories of sup norm

@@ -301,6 +301,81 @@ def _rest_field(n):
     return lambda phi, v: np.zeros(n)
 
 
+def formula_field(pointwise, delay):
+    """The field a formula system was once built with, kept as the
+    reference: the formula at phi(0) and phi(-delay)."""
+
+    def field(phi, v):
+        return np.array(pointwise(phi.eval(0.0), phi.eval(-delay), v))
+
+    return field
+
+
+BUILTINS = [
+    pytest.param("example1", {}, id="example1"),
+    pytest.param("example2", {}, id="example2"),
+    pytest.param("example2", {"epsilon": 0.05, "uncertainty": "delayed"},
+                 id="example2-delayed"),
+    pytest.param("example3", {}, id="example3"),
+    pytest.param("linear", {"a": 1.0, "b": 0.5}, id="linear"),
+]
+
+
+class TestDerivedField:
+    """A system given only a formula derives the field that builders
+    once wrote out next to it, bit for bit."""
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("name, params", BUILTINS)
+    def test_builtin_fields_match_the_formula_closure(self, name, params,
+                                                      delay):
+        sys = build_system(name, delay, params)
+        reference = formula_field(sys.pointwise, delay)
+        rng = np.random.default_rng(71)
+        for i in range(30):
+            phi = random_history((73, i), sys.n, delay,
+                                 (0.1, 1.0, 10.0)[i % 3], (0, 2, 8)[i % 3])
+            v = rng.standard_normal(sys.m) * (0.0, 0.5, 2.0)[i % 3]
+            assert sys.field(phi, v).tobytes() == reference(phi, v).tobytes()
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2, 1.0])
+    def test_user_pair_adds_to_the_derived_field(self, delay):
+        d = UncertaintyPair(lambda phi: float(np.mean(phi.values[:, 0])),
+                            lambda phi: float(phi.eval(-phi.delay)[1]))
+        sys = make_example2(delay, 0.05, d)
+        assert sys.pointwise is None
+        core = formula_field(make_example2(delay).pointwise, delay)
+        rng = np.random.default_rng(79)
+        for i in range(30):
+            phi = random_history((83, i), 2, delay, (0.1, 1.0, 10.0)[i % 3],
+                                 (0, 2, 8)[i % 3])
+            v = rng.standard_normal(1)
+            ref = core(phi, v) + 0.05 * np.array([d.d1(phi), d.d2(phi)])
+            assert sys.field(phi, v).tobytes() == ref.tobytes()
+
+    def test_positional_construction(self):
+        formula = make_example1(1.0).pointwise
+        sys = DelaySystem(2, 1, 1.0, None, "positional", formula)
+        assert sys.name == "positional" and sys.pointwise is formula
+        phi = random_history(89, 2, 1.0, 1.0, 2)
+        assert np.array_equal(sys.field(phi, V0),
+                              formula_field(formula, 1.0)(phi, V0))
+
+    def test_neither_callable_is_rejected(self):
+        with pytest.raises(ValueError, match="field or a pointwise formula"):
+            DelaySystem(2, 1, 1.0)
+
+    def test_formula_probed_once(self):
+        calls = []
+
+        def formula(x, xd, v):
+            calls.append(1)
+            return (-x[0],)
+
+        DelaySystem(1, 1, 1.0, pointwise=formula)
+        assert len(calls) == 1
+
+
 class TestPointwiseContract:
     """A formula indexes its arguments' components and returns n of
     them; construction probes it with lists of zeros."""
