@@ -51,6 +51,7 @@ from .functionals import (
     _closed,
     _form,
     _qform,
+    _symmetric,
     _values,
     # the single-history evaluators stay importable from this module
     driver_derivative_closed,  # noqa: F401
@@ -420,7 +421,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
 def _growth_residual(sys, P, sigma, gamma, sign):
     if not isinstance(gamma, PowerGain):
         raise TypeError(f"gamma must be a PowerGain, got {gamma!r}")
-    form = _form(np.asarray(P, dtype=float))
+    form = _form(_symmetric(P))
 
     def residual(g):
         w = _field(sys, g)
@@ -494,7 +495,7 @@ def _fmt(v) -> str:
 
 
 def _eigen_extremes(P) -> tuple[float, float]:
-    eigs = np.linalg.eigvalsh(np.atleast_2d(np.asarray(P, dtype=float)))
+    eigs = np.linalg.eigvalsh(_symmetric(P))
     if eigs[0] <= 0:
         raise ValueError("P must be positive definite")
     return float(eigs[0]), float(eigs[-1])

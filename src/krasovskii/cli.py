@@ -464,7 +464,7 @@ def _cmd_example2(cfg, quiet) -> int:
         m = certify.robustness_margin_example2(delta)
         rows.append(["example2", f"{delta:.17g}", f"{m.eps1:.17g}",
                      f"{m.eps2_closed_form:.17g}", f"{m.eps2_margin:.17g}",
-                     f"{max(m.eps1, m.eps2_margin):.17g}", str(m.crossover)])
+                     f"{m.eps_bar:.17g}", str(m.crossover)])
         _say(quiet, f"delta={delta:g}: eps1={m.eps1:.6g} "
                     f"eps2_closed_form={m.eps2_closed_form:.6g} "
                     f"eps2_margin={m.eps2_margin:.6g} crossover={m.crossover}")

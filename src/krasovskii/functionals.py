@@ -11,8 +11,8 @@ blocks of the history phi:
 
 Trees compose with + and scalar *.  Two derivative evaluators are
 provided: the closed form, exact on piecewise-linear histories for every
-tree, and a finite-step quotient along the two-branch extension,
-maximised over a given decreasing step schedule, which cross-checks it.
+tree, and its cross-check, the largest finite-step quotient over a given
+decreasing step schedule, a loop of eval_functional over driver_extension.
 
 The max-type term is evaluated exactly on piecewise-linear histories:
 on each segment exp(2 tau) times a quadratic is maximised through its
@@ -47,10 +47,9 @@ from .histories import (
     _Batch,
     _edge_tol,
     _eval_on_grid,
-    _extend_on_grid,
     _slope_row,
     _sum_last,
-    driver_extension,  # noqa: F401  (stays importable from this module)
+    driver_extension,
 )
 
 __all__ = [
@@ -465,39 +464,28 @@ def _right_slope(grid, values, tau: float) -> np.ndarray:
 
 def driver_derivative_numeric(V: Functional, phi: HistoryFunction, w,
                               h_schedule) -> float:
-    """max over the decreasing step schedule h_schedule of the extension
-    quotient (V(phi_{h,w}) - V(phi)) / h, approximating the upper limit
-    from above: the cross-check of driver_derivative_closed.  Its error
-    grows with h, so the steps must be small."""
-    hs = _step_schedule(phi.delay, h_schedule)
-    w = _slope_row(phi, w)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("slope must be finite")
-    return float(_numeric(V, _one(phi), w[None], hs)[0])
-
-
-def _step_schedule(delay: float, h_schedule) -> list[float]:
-    if delay <= 0:
+    """max over the decreasing step schedule h_schedule of the quotient
+    (V(driver_extension(phi, h, w)) - V(phi)) / h, approximating the
+    upper limit from above: the cross-check of driver_derivative_closed,
+    one eval_functional per step.  Its error grows with h, so the steps
+    must be small."""
+    if phi.delay <= 0:
         raise ValueError("numeric derivative needs a positive delay")
     hs = [float(h) for h in h_schedule]
-    if not hs or any(h <= 0 or h >= delay for h in hs):
+    if not hs or any(h <= 0 or h >= phi.delay for h in hs):
         raise ValueError("step schedule must be positive and below the delay")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValueError("step schedule must be decreasing")
-    return hs
-
-
-def _numeric(V: Functional, batch: _Batch, w, hs) -> np.ndarray:
-    """Extension quotient of each history of the batch along its slope
-    row of w (B, n), maximised over the steps hs."""
-    base = _values(V, batch)
+    w = _slope_row(phi, w)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("slope must be finite")
+    base = eval_functional(V, phi)
     best = None
     for h in hs:
-        extended = _Batch(batch.delay, *_extend_on_grid(
-            batch.delay, batch.grid, batch.values, h, w))
-        q = (_values(V, extended) - base) / h
-        # Python's max over the steps: a later step wins only when larger
-        best = q if best is None else np.where(q > best, q, best)
+        q = (eval_functional(V, driver_extension(phi, h, w)) - base) / h
+        # a later step wins only when larger, so a NaN never replaces best
+        if best is None or q > best:
+            best = q
     return best
 
 

@@ -9,10 +9,10 @@ it is attained at a grid node, so it is computed exactly.  Every norm of
 the package is `_norm`, summed in one fixed order, so no norm depends
 on its batch or on the BLAS kernel.
 
-The module also provides the two-branch extension used to form upper
-right-hand derivatives of functionals along solutions: for a step
-h in [0, delay) and a direction w, the extended history shifts phi left
-by h and continues linearly with slope w on [-h, 0].
+The module also provides `driver_extension`, the package's one rule for
+the two-branch extension behind the finite-step quotients of upper
+right-hand derivatives: for a step h in [0, delay) and a direction w,
+it shifts one history left by h and continues it with slope w on [-h, 0].
 
 Every random stream of the package is NumPy's own: the generator that
 `np.random.default_rng(key)` builds from its seed key, one per key and
@@ -238,9 +238,14 @@ def driver_extension(phi: HistoryFunction, h: float, w) -> HistoryFunction:
         return phi
     if h < 0 or h >= phi.delay:
         raise ValueError("step must satisfy 0 <= h < delay")
-    grid, values = _extend_on_grid(phi.delay, phi.grid, phi.values, h,
-                                   _slope_row(phi, w))
-    return HistoryFunction(phi.delay, grid, values)
+    w = _slope_row(phi, w)
+    delay, shifted, last = phi.delay, phi.grid - h, phi.values[-1:]
+    tol = _DEDUPE_REL * max(1.0, delay)
+    keep = (shifted > -delay + tol) & (shifted < -h - tol)
+    return HistoryFunction(
+        delay, np.concatenate(([-delay], shifted[keep], [-h, 0.0])),
+        np.concatenate([phi.eval([-delay + h]), phi.values[keep], last,
+                        last + h * w]))
 
 
 def _slope_row(phi: HistoryFunction, w) -> np.ndarray:
@@ -296,21 +301,6 @@ class _Batch:
             return self.x0
         return self.xd if tau == -self.delay else _eval_on_grid(
             self.delay, self.grid, self.values, tau)
-
-
-def _extend_on_grid(delay, grid, values, h, w):
-    """The extension by the step h of each history of `values`
-    (..., len(grid), n) on the shared `grid`, with its slope row of w
-    (..., n): the new shared grid and the extended values."""
-    tol = _DEDUPE_REL * max(1.0, delay)
-    shifted = grid - h
-    keep = (shifted > -delay + tol) & (shifted < -h - tol)
-    head = _eval_on_grid(delay, grid, values, np.array([-delay + h]))
-    last = values[..., -1:, :]
-    new_grid = np.concatenate(([-delay], shifted[keep], [-h, 0.0]))
-    new_values = np.concatenate(
-        [head, values[..., keep, :], last, last + h * w[..., None, :]], axis=-2)
-    return new_grid, new_values
 
 
 def _window_of_rows(times, values, delay, t, stop, last) -> HistoryFunction:

@@ -64,7 +64,9 @@ __all__ = [
 @dataclass(frozen=True)
 class DelaySystem:
     """Immutable system description; `field` must be pure.  A system
-    given only a `pointwise` formula derives its `field` from it."""
+    given only a `pointwise` formula derives its `field` from it, marked
+    with that formula, and derives it again when given another formula
+    (dataclasses.replace(sys, pointwise=...))."""
 
     n: int
     m: int
@@ -83,12 +85,15 @@ class DelaySystem:
             raise ValueError("delay must be nonnegative")
         if self.field is None and self.pointwise is None:
             raise ValueError(f"system {self.name!r} needs a field or a pointwise formula")
-        if self.field is None:
+        stale = self.pointwise is not None and getattr(
+            self.field, "formula", self.pointwise) is not self.pointwise
+        if self.field is None or stale:
             pointwise, delay = self.pointwise, self.delay
 
             def field(phi, v):
                 return np.array(pointwise(phi.eval(0.0), phi.eval(-delay), v))
 
+            field.formula = pointwise
             object.__setattr__(self, "field", field)
         else:
             origin = np.asarray(self.field(zero_history(self.delay, self.n),
@@ -133,12 +138,13 @@ class UncertaintyPair:
     def validate(self, n: int, delay: float) -> None:
         """Probe |d_i(phi)| <= sup|phi| on seeded random histories, a
         contract check, not a proof.  Probe i, for i < 100, is
-        random_history(stream_key(0, PROBE_STREAM, i), n, delay,
-        NORM_SCALES[i % 3], MODE_CHOICES[(i // 3) % 3]); the ValueError
-        names the first probe that fails."""
+        random_history(stream_key(0, PROBE_STREAM, i), n, delay, s, m),
+        (s, m) running through NORM_SCALES x MODE_CHOICES, s fastest; the
+        ValueError names the first probe that fails."""
         for i in range(100):
+            j, k = divmod(i, len(NORM_SCALES))
             phi = random_history(stream_key(0, PROBE_STREAM, i), n, delay,
-                                 NORM_SCALES[i % 3], MODE_CHOICES[(i // 3) % 3])
+                                 NORM_SCALES[k], MODE_CHOICES[j % len(MODE_CHOICES)])
             cap = phi.sup_norm() * (1.0 + 1e-9) + 1e-15
             for tag, d in (("d1", self.d1), ("d2", self.d2)):
                 if abs(float(d(phi))) > cap:

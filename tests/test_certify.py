@@ -154,6 +154,32 @@ class TestMarginRight:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+class TestSymmetricIntake:
+    """Every P the margins and growth checks take goes through the one
+    intake rule of the functionals, functionals._symmetric."""
+
+    NONSYMMETRIC = [[1.0, 5.0], [0.0, 1.0]]
+
+    def test_margins_reject_a_nonsymmetric_P(self):
+        # eigvalsh reads one triangle: this P once gave p_m = p_M = 1
+        with pytest.raises(ValueError, match="symmetric"):
+            margin_right(0.5, 1.0, self.NONSYMMETRIC, 1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            margin_left(1.0, 3.0, 0.5, 3.0, self.NONSYMMETRIC, 1.0)
+
+    @pytest.mark.parametrize("check", [check_right_growth, check_left_growth])
+    def test_growth_checks_reject_a_nonsymmetric_P(self, check):
+        sys = make_example1(1.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            check(sys, self.NONSYMMETRIC, 1.0, square_gain(), sampler_for(sys), 64)
+
+    def test_a_symmetric_P_keeps_its_bits(self):
+        P = np.array([[1.5, 0.1 + 0.2], [0.1 + 0.2, 0.7]])
+        eigs = np.linalg.eigvalsh(P)
+        rep = margin_right(0.5, 1.0, P, 1.0)
+        assert (rep.outputs["p_m"], rep.outputs["p_M"]) == (eigs[0], eigs[-1])
+
+
 class TestMarginMonotonicity:
     @settings(max_examples=60)
     @given(a_lower=st.floats(0.1, 10.0), ratio=st.floats(1.0, 10.0),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from krasovskii import functionals
+from krasovskii import functionals, histories
 from krasovskii.functionals import (
     ConstantWeight,
     DelayedQuadratic,
@@ -547,6 +547,97 @@ class TestNumericDerivative:
             driver_derivative_numeric(V, phi, np.ones(1), (1e-3, 1e-2))
         with pytest.raises(ValueError):
             driver_derivative_numeric(V, phi, np.ones(1), (2.0,))
+
+
+def extend_on_grid_reference(delay, grid, values, h, w):
+    """The extension by the step h of each history of `values`
+    (..., len(grid), n) on the shared `grid`, with its slope row of w
+    (..., n): the batch kernel the package once kept beside
+    driver_extension, as a reference."""
+    tol = histories._DEDUPE_REL * max(1.0, delay)
+    shifted = grid - h
+    keep = (shifted > -delay + tol) & (shifted < -h - tol)
+    head = histories._eval_on_grid(delay, grid, values, np.array([-delay + h]))
+    last = values[..., -1:, :]
+    new_grid = np.concatenate(([-delay], shifted[keep], [-h, 0.0]))
+    new_values = np.concatenate(
+        [head, values[..., keep, :], last, last + h * w[..., None, :]], axis=-2)
+    return new_grid, new_values
+
+
+def numeric_reference(V, batch, w, hs):
+    """The extension quotient of each history of the batch along its
+    slope row of w (B, n), maximised over the steps hs: the batch kernel
+    driver_derivative_numeric once called, as a reference."""
+    base = functionals._values(V, batch)
+    best = None
+    for h in hs:
+        extended = _Batch(batch.delay, *extend_on_grid_reference(
+            batch.delay, batch.grid, batch.values, h, w))
+        q = (functionals._values(V, extended) - base) / h
+        best = q if best is None else np.where(q > best, q, best)
+    return best
+
+
+def quotient_terms(delay):
+    P = np.array([[2.0, 0.3], [0.3, 1.0]])
+    point = PointQuadratic(P)
+    return {
+        "point-and-integral": point + IntegralQuadratic(P, ConstantWeight(2.0)),
+        "delayed": DelayedQuadratic(P, -0.3 * delay),
+        "integral-exponential": IntegralQuadratic(P, ExponentialWeight(1.5, 0.7)),
+        "max": MaxExp(np.array([[1.0, 0.4], [0.4, 0.5]])),
+        "combined": combine_W(point, 0.25, P),
+    }
+
+
+# step fractions of the delay, among them multiples of the grid spacing
+# of 2 and 8 modes, where a shifted node falls on -h and is dropped
+STEP_FRACTIONS = (st.sampled_from([0.5, 0.25, 0.125, 1 / 16, 1 / 64, 0.9])
+                  | st.floats(1e-6, 0.99))
+
+
+class TestOneExtensionRule:
+    """driver_extension and driver_derivative_numeric, one history and
+    one step at a time, give the bits of the batch kernels they replace."""
+
+    @pytest.mark.parametrize("kind", sorted(quotient_terms(1.0)))
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), modes=st.sampled_from([0, 2, 8]),
+           norm=st.sampled_from([0.01, 1.0, 10.0]),
+           delay=st.sampled_from([0.2, 1.0]),
+           fractions=st.lists(STEP_FRACTIONS, min_size=1, max_size=3,
+                              unique=True))
+    def test_quotient_and_extension_are_the_batch_kernels(
+            self, kind, seed, modes, norm, delay, fractions):
+        hs = tuple(sorted((f * delay for f in fractions), reverse=True))
+        assume(all(b < a for a, b in zip(hs, hs[1:])))
+        V = quotient_terms(delay)[kind]
+        phi = random_history((seed, 2), 2, delay, norm, modes)
+        w = norm * np.random.default_rng(seed).standard_normal(2)
+        quotient = driver_derivative_numeric(V, phi, w, hs)
+        reference = numeric_reference(V, functionals._one(phi), w[None], hs)
+        assert np.float64(quotient).tobytes() == reference.tobytes()
+        for h in hs:
+            ext = driver_extension(phi, h, w)
+            grid, values = extend_on_grid_reference(delay, phi.grid,
+                                                    phi.values, h, w)
+            assert ext.grid.tobytes() == grid.tobytes()
+            assert ext.values.tobytes() == values.tobytes()
+
+    def test_overflowing_extension_raises(self):
+        # the extension's last node, 1e308 + 0.9 * 1e308, overflows: the
+        # batch kernel's quotient was nan, the public extension raises
+        phi = constant_history(1.0, [1e308])
+        w = np.array([1e308])
+        V = PointQuadratic(np.eye(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(numeric_reference(V, functionals._one(phi),
+                                              w[None], (0.9,))[0])
+            with pytest.raises(ValueError, match="values must be finite"):
+                driver_extension(phi, 0.9, w)
+            with pytest.raises(ValueError, match="values must be finite"):
+                driver_derivative_numeric(V, phi, w, (0.9,))
 
 
 class TestCombined:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -360,6 +361,28 @@ class TestDerivedField:
         phi = random_history(89, 2, 1.0, 1.0, 2)
         assert np.array_equal(sys.field(phi, V0),
                               formula_field(formula, 1.0)(phi, V0))
+
+    def test_replaced_formula_derives_the_field_again(self):
+        phi = constant_history(1.0, [1.0, 2.0])
+        sys = dataclasses.replace(make_example1(1.0),
+                                  pointwise=make_example3(1.0).pointwise)
+        assert tuple(sys.pointwise([1.0, 2.0], [1.0, 2.0], [0.0])) == (10.5, -17.0)
+        assert sys.field(phi, V0).tolist() == [10.5, -17.0]
+
+    def test_replace_keeps_a_field_of_its_formula(self):
+        sys = make_example1(1.0)
+        assert dataclasses.replace(sys) == sys
+        # the general path of a formula system keeps its derived field
+        assert dataclasses.replace(sys, pointwise=None).field is sys.field
+
+        def field(phi, v):
+            return sys.field(phi, v)
+
+        def pointwise(x, xd, v):
+            return sys.pointwise(x, xd, v)
+
+        both = dataclasses.replace(sys, field=field, pointwise=pointwise)
+        assert both.field is field and both.pointwise is pointwise
 
     def test_neither_callable_is_rejected(self):
         with pytest.raises(ValueError, match="field or a pointwise formula"):

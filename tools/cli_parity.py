@@ -2,7 +2,7 @@
 
     python tools/cli_parity.py --against DIR
 
-Runs one fixed set of configs, covering every subcommand and four
+Runs one fixed set of configs, covering every subcommand and five
 configs that must be rejected at load (REJECTED), once with the
 `krasovskii` package of this source tree and once with that of the tree
 at DIR (its package in DIR/src), each run in a fresh directory with
@@ -494,13 +494,17 @@ CONFIGS = {
     "certify-field-the-kind-ignores": ("certify", EXAMPLE1
                                        + "lkf.term.1.lag = 0.5\n",
                                        ("--quiet",)),
+    # a second constants.P line would be rejected as a duplicate key
+    "certify-nonsymmetric-P": ("certify", EXAMPLE1.replace(
+        "constants.P = 1 0; 0 1", "constants.P = 1 0.5; 0 1"), ("--quiet",)),
 }
 
 # the configs that must exit 2 at load, and the field each must name
 REJECTED = {"margin-system-name-typo": "'system.name'",
             "margin-foreign-parameter": "'system.a'",
             "margin-lag-beyond-delay": "'lkf.term.1.lag'",
-            "certify-field-the-kind-ignores": "'lkf.term.1.lag'"}
+            "certify-field-the-kind-ignores": "'lkf.term.1.lag'",
+            "certify-nonsymmetric-P": "'constants.P'"}
 
 
 def _environment(tree: Path) -> dict:
