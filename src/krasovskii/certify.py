@@ -50,8 +50,8 @@ from .functionals import (
     PowerGain,
     _closed,
     _form,
+    _positive_definite,
     _qform,
-    _symmetric,
     _values,
     # the single-history evaluators stay importable from this module
     driver_derivative_closed,  # noqa: F401
@@ -421,7 +421,7 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
 def _growth_residual(sys, P, sigma, gamma, sign):
     if not isinstance(gamma, PowerGain):
         raise TypeError(f"gamma must be a PowerGain, got {gamma!r}")
-    form = _form(_symmetric(P))
+    form = _form(_positive_definite(P)[0])
 
     def residual(g):
         w = _field(sys, g)
@@ -495,9 +495,7 @@ def _fmt(v) -> str:
 
 
 def _eigen_extremes(P) -> tuple[float, float]:
-    eigs = np.linalg.eigvalsh(_symmetric(P))
-    if eigs[0] <= 0:
-        raise ValueError("P must be positive definite")
+    eigs = _positive_definite(P)[1]
     return float(eigs[0]), float(eigs[-1])
 
 

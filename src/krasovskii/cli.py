@@ -91,20 +91,14 @@ def _gain(text):
     return functionals.PowerGain(*map(_number(), parts[1:]))
 
 
-def _positive_definite(P) -> bool:
-    try:
-        return np.min(np.linalg.eigvalsh(functionals._symmetric(P))) > 0
-    except ValueError:  # not square or not symmetric
-        return False
-
-
 _positive = _number(0, above=True)
 _vector = _array("a finite vector like '1 0'",
                  lambda s: [float(x) for x in s.split()])
 _matrix = _array("a finite matrix like '1 0; 0 1'",
                  lambda s: [[float(x) for x in r.split()] for r in s.split(";")])
 _pd_matrix = _parser("a symmetric positive definite matrix like '1 0; 0 1'",
-                     _matrix, _positive_definite)
+                     lambda s: functionals._positive_definite(_matrix(s))[0],
+                     lambda P: True)
 
 # one declaration per key: (parser, default text or None for no default)
 _KEYS = {

@@ -45,7 +45,6 @@ import numpy as np
 from .histories import (
     HistoryFunction,
     _Batch,
-    _edge_tol,
     _eval_on_grid,
     _slope_row,
     _sum_last,
@@ -76,11 +75,21 @@ def _symmetric(Q) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[0] != Q.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(Q, Q.T, atol=1e-12 * (1.0 + np.abs(Q).max())):
+    if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(Q).max())):
         raise ValueError("matrix must be symmetric")
     Q = 0.5 * (Q + Q.T)
     Q.flags.writeable = False
     return Q
+
+
+def _positive_definite(P) -> tuple[np.ndarray, np.ndarray]:
+    """(_symmetric(P), its eigenvalues ascending): the package's one rule
+    for a positive definite P, raising ValueError for any other P."""
+    P = _symmetric(P)
+    eigs = np.linalg.eigvalsh(P)
+    if not eigs[0] > 0:
+        raise ValueError("matrix must be positive definite")
+    return P, eigs
 
 
 def _form(Q: np.ndarray) -> tuple:
@@ -191,15 +200,13 @@ class MaxExp(Functional):
     spectrum: tuple = field(**_NO_COMPARE)
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _symmetric(self.P))
-        object.__setattr__(self, "form", _form(self.P))
-        lam = float(np.min(np.linalg.eigvalsh(self.P)))
-        if lam <= 0:
-            raise ValueError("max-type term needs a positive definite matrix")
+        P, eigs = _positive_definite(self.P)
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "form", _form(P))
         # eigvalsh is backward stable: its eigenvalues are exact to within
         # a small multiple of n u ||P||
-        frobenius = float(np.linalg.norm(self.P))
-        lam -= 16 * self.P.shape[0] * _U * frobenius
+        frobenius = float(np.linalg.norm(P))
+        lam = float(eigs[0]) - 16 * P.shape[0] * _U * frobenius
         object.__setattr__(self, "spectrum", (frobenius, max(lam, 0.0)))
 
 
@@ -232,8 +239,6 @@ def eval_functional(V: Functional, phi: HistoryFunction) -> float:
 
 def _values(V: Functional, batch: _Batch) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
-        if V.at < -batch.delay - _edge_tol(batch.delay):
-            raise ValueError("evaluation point precedes -delay")
         return _qform(batch.at(V.at), V.form)
     if isinstance(V, IntegralQuadratic):
         return _integral(V.form, V.weight.value, V.weight.polynomial, batch)

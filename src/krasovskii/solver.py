@@ -12,8 +12,9 @@ in blocks of k - 1 steps, k = delay/dt (Bellen & Zennaro, *Numerical
 Methods for Delay Differential Equations*, OUP 2003, ch. 3): every
 delayed argument a block needs, at t - delay, t + dt/2 - delay and
 t + dt - delay for each of its steps, already lies on computed rows
-when the block starts, so all of them are read in one vectorised pass,
-and its inputs in one `InputSignal.evaluate` call on the array of its
+when the block starts, so all of them are read in one vectorised pass.
+Inputs are read once per block, for either kind of system, by one
+`InputSignal.evaluate` call in `integrate` on the array of the block's
 stage times.  Only the delayed and input components that a formula's
 text names are read and converted (a formula without text reads them
 all), and an input returned as a stride-0 broadcast, as zero and
@@ -34,9 +35,9 @@ the norm being the package's one rule, `histories._norm`, the square
 root of the squares summed in a fixed order; the NaN state is cut at
 the same row, with the same t_escape, as the non-finite state of the
 NumPy form.
-Systems with only a general `field` are stepped one at a time, each RK4
-stage on its own history, the step's inputs read in one call, and an
-ArithmeticError in a stage making the step's state NaN, as in a block.
+Systems with only a general `field` are stepped in blocks of one step,
+each RK4 stage on its own history, and an ArithmeticError in a stage
+makes the step's state NaN, as in a formula's block.
 The input is read at every stage time of a block, also past a blow-up
 in it, so `InputSignal.evaluate` must be a pure function of t.
 
@@ -167,7 +168,9 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     with np.errstate(over="ignore", invalid="ignore"):
         for b0 in range(zero_idx, end, span):
             m = min(span, end - b0)
-            run_block(u, times, values, b0, m, dt)
+            tb = times[b0:b0 + m]
+            stages = np.concatenate([tb, tb + 0.5 * dt, tb + dt])
+            run_block(stages, u.evaluate(stages), times, values, b0, m, dt)
             bad = _first_bad(values[b0 + 1:b0 + 1 + m], blowup_threshold)
             if bad is not None:
                 status = BLEW_UP
@@ -181,18 +184,14 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     return Trajectory(sys, times, values, status, t_escape, x0, u, dt)
 
 
-def _pointwise_block(stepper, delay, u, times, values, b0, m, dt):
-    # RK4 steps from row b0 to row b0 + m of the formula f(x, x_delayed, v),
-    # the delayed arguments and inputs it reads taken first, at the 3m
-    # stage times.  The last delayed read, (t + dt) - delay of the last
-    # step, lies on the grid node dt before row b0's time, up to rounding;
-    # one step more and a read rounding just past its node would need a
-    # row not yet computed.
+def _pointwise_block(stepper, delay, stages, v, times, values, b0, m, dt):
+    # RK4 steps from row b0 to row b0 + m of the formula f(x, x_delayed, v)
+    # given its inputs v at the 3m stage times, its delayed reads taken
+    # first.  The last delayed read, (t + dt) - delay of the last step,
+    # lies on the grid node dt before row b0's time, up to rounding; one
+    # step more and a read rounding just past its node would need a row
+    # not yet computed.
     varying, fixed, delayed, inputs = stepper
-    half = 0.5 * dt
-    tb = times[b0:b0 + m]
-    stages = np.concatenate([tb, tb + half, tb + dt])
-    v = u.evaluate(stages)
     if v.strides[0] == 0:
         # a stride-0 broadcast holds one row for every stage time
         step, v, reads = fixed, v[0].tolist(), []
@@ -205,7 +204,7 @@ def _pointwise_block(stepper, delay, u, times, values, b0, m, dt):
     # each column at t, at t + dt/2 and at t + dt
     cols = [c[i * m:(i + 1) * m] for c in reads for i in range(3)]
     n = values.shape[1]
-    rows = step(values[b0].tolist(), cols, v, m, half, dt, dt / 6.0)
+    rows = step(values[b0].tolist(), cols, v, m, 0.5 * dt, dt, dt / 6.0)
     values[b0 + 1:b0 + 1 + len(rows) // n] = np.frombuffer(rows).reshape(-1, n)
 
 
@@ -281,23 +280,23 @@ def {name}(y, cols, u, count, half, dt, sixth):
     return code, delayed, inputs
 
 
-def _field_block(sys, u, times, values, b0, m, dt):
-    # one RK4 step (m is 1) of the general field, each stage on its own
+def _field_block(sys, stages, v, times, values, b0, m, dt):
+    # one RK4 step (m is 1) of the general field, given its stage times
+    # t, t + dt/2, t + dt and the inputs v there, each stage on its own
     # history whose final node carries the stage state, bridging the one
     # step wide gap past the filled rows; an ArithmeticError in a stage
     # makes the state NaN, as in the formula loop
     half = 0.5 * dt
-    t, y = times[b0], values[b0]
-    v1, vm, v2 = u.evaluate(np.array([t, t + half, t + dt]))
+    (t, tm, t2), (v1, vm, v2), y = stages, v, values[b0]
 
     def stage(s, state, v):
         return sys.field(_window_of_rows(times, values, sys.delay, s, b0 + 1, state), v)
 
     try:
         k1 = stage(t, y, v1)
-        k2 = stage(t + half, y + half * k1, vm)
-        k3 = stage(t + half, y + half * k2, vm)
-        k4 = stage(t + dt, y + dt * k3, v2)
+        k2 = stage(tm, y + half * k1, vm)
+        k3 = stage(tm, y + half * k2, vm)
+        k4 = stage(t2, y + dt * k3, v2)
         values[b0 + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     except ArithmeticError:
         values[b0 + 1] = np.nan

@@ -88,10 +88,10 @@ class DelaySystem:
         stale = self.pointwise is not None and getattr(
             self.field, "formula", self.pointwise) is not self.pointwise
         if self.field is None or stale:
-            pointwise, delay = self.pointwise, self.delay
+            pointwise = self.pointwise
 
             def field(phi, v):
-                return np.array(pointwise(phi.eval(0.0), phi.eval(-delay), v))
+                return np.array(pointwise(phi.eval(0.0), phi.eval(-phi.delay), v))
 
             field.formula = pointwise
             object.__setattr__(self, "field", field)

@@ -156,9 +156,22 @@ class TestMarginRight:
 
 class TestSymmetricIntake:
     """Every P the margins and growth checks take goes through the one
-    intake rule of the functionals, functionals._symmetric."""
+    intake rule of the functionals, functionals._positive_definite."""
 
     NONSYMMETRIC = [[1.0, 5.0], [0.0, 1.0]]
+    INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
+
+    def test_margins_reject_an_indefinite_P(self):
+        with pytest.raises(ValueError, match="^matrix must be positive definite$"):
+            margin_right(0.5, 1.0, self.INDEFINITE, 1.0)
+        with pytest.raises(ValueError, match="^matrix must be positive definite$"):
+            margin_left(1.0, 3.0, 0.5, 3.0, self.INDEFINITE, 1.0)
+
+    @pytest.mark.parametrize("check", [check_right_growth, check_left_growth])
+    def test_growth_checks_reject_an_indefinite_P(self, check):
+        sys = make_example1(1.0)
+        with pytest.raises(ValueError, match="^matrix must be positive definite$"):
+            check(sys, self.INDEFINITE, 1.0, square_gain(), sampler_for(sys), 64)
 
     def test_margins_reject_a_nonsymmetric_P(self):
         # eigvalsh reads one triangle: this P once gave p_m = p_M = 1

@@ -99,6 +99,89 @@ class TestEval:
             phi = random_history((77, i), 2, 1.0, 2.0, i % 5)
             assert eval_functional(lkf, phi) >= 0.0
 
+    def test_lag_beyond_the_window_raises(self):
+        # the one range check is the read's, with the 1e-9 max(1, delay)
+        # tolerance of the window
+        phi = random_history(5, 2, 1.0, 1.0, 2)
+        w = np.array([0.3, -0.2])
+        for at in (-1.5, -1.0 - 2e-9):
+            V = DelayedQuadratic(np.eye(2), at)
+            with pytest.raises(ValueError, match="outside"):
+                eval_functional(V, phi)
+            with pytest.raises(ValueError, match="outside"):
+                driver_derivative_closed(V, phi, w)
+        edge = DelayedQuadratic(np.eye(2), -1.0 - 5e-10)
+        assert eval_functional(edge, phi) == eval_functional(
+            DelayedQuadratic(np.eye(2), -1.0), phi)
+
+
+def positive_definite_reference(P) -> bool:
+    """The CLI's constants.P rule before the package had one intake."""
+    try:
+        return np.min(np.linalg.eigvalsh(functionals._symmetric(P))) > 0
+    except ValueError:  # not square or not symmetric
+        return False
+
+
+@st.composite
+def intake_cases(draw):
+    """Square matrices B B' + shift I, near singular for small shifts and
+    rank-deficient B, or indefinite for negative ones, with one
+    off-diagonal entry moved by a multiple of _symmetric's atol; and the
+    odd non-square one."""
+    n = draw(st.integers(1, 3))
+    if draw(st.integers(0, 19)) == 0:
+        return np.ones((n, n + 1))
+    entries = st.floats(-10.0, 10.0, allow_nan=False)
+    B = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    rank = draw(st.integers(0, n))
+    B[:, rank:] = 0.0
+    shift = draw(st.sampled_from([0.0, 1e-300, 1e-16, 1e-12, 1e-3, 1.0, -1e-16, -1.0]))
+    P = B @ B.T + shift * np.eye(n)
+    if n > 1:
+        atol = 1e-12 * (1.0 + np.abs(P).max())
+        P[0, 1] += draw(st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0, 1e5])) * atol
+    return P
+
+
+class TestPositiveDefiniteIntake:
+    """One function decides positive definiteness for every P: the terms,
+    the margins, the growth checks and the CLI's constants.P."""
+
+    INDEFINITE = [[1.0, 2.0], [2.0, 1.0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(P=intake_cases())
+    @example(P=np.array([[2.0, 1.0 + 2e-12], [1.0, 2.0]]))
+    @example(P=np.array([[1.0, 1.0], [1.0, 1.0]]))
+    @example(P=np.array([[1e-300, 0.0], [0.0, 1.0]]))
+    def test_accepts_what_the_three_rules_accepted(self, P):
+        accepted = positive_definite_reference(P)
+        try:
+            Q, eigs = functionals._positive_definite(P)
+        except ValueError:
+            assert not accepted
+            with pytest.raises(ValueError):
+                MaxExp(P)
+            return
+        assert accepted
+        S = functionals._symmetric(P)
+        assert Q.tobytes() == S.tobytes()
+        assert eigs.tobytes() == np.linalg.eigvalsh(S).tobytes()
+        assert MaxExp(P).P.tobytes() == S.tobytes()
+
+    def test_indefinite_P_is_rejected_by_the_max_type_term(self):
+        with pytest.raises(ValueError, match="matrix must be positive definite"):
+            MaxExp(self.INDEFINITE)
+
+    def test_symmetry_has_no_relative_tolerance(self):
+        # atol is 1e-12 (1 + max|Q|) = 3e-12 here; np.allclose's default
+        # rtol of 1e-5 would let an asymmetry of 9e-6 be averaged away
+        with pytest.raises(ValueError, match="symmetric"):
+            functionals._symmetric([[2.0, 1.000009], [1.0, 2.0]])
+        Q = functionals._symmetric([[2.0, 1.0 + 2e-12], [1.0, 2.0]])
+        assert Q[0, 1] == Q[1, 0] == 0.5 * ((1.0 + 2e-12) + 1.0)
+
 
 class TestMaxExpExactness:
     def test_maxexp_needs_pd(self):

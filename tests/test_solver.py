@@ -340,8 +340,9 @@ def _x0(phi):
 
 class TestGeneralFieldRule:
     """A general field steps by the formula path's rules: its inputs are
-    read once per step, and an ArithmeticError in a stage gives a NaN
-    state, cut at the row and t_escape of the formula kernel."""
+    read once per step, as a formula's are once per block, and an
+    ArithmeticError in a stage gives a NaN state, cut at the row and
+    t_escape of the formula kernel."""
 
     @pytest.mark.parametrize("field, formula, start", [
         # (1e8)**3 is finite; the fourth stage's cube overflows
@@ -380,6 +381,26 @@ class TestGeneralFieldRule:
         assert shapes == [(3,)] * 50
         assert np.array_equal(general.values,
                               integrate(sys, x0, noise, 0.5, 0.01).values)
+
+    @pytest.mark.parametrize("delay, blocks", [(0.0, [50]), (0.2, [19, 19, 12])])
+    def test_formula_kernel_reads_inputs_once_per_block(self, delay, blocks):
+        noise = piecewise_noise_input(3, 0.5, 0.0437)
+        seen = []
+
+        def evaluate(t):
+            seen.append(np.array(t, copy=True))
+            return noise.evaluate(t)
+
+        sys = make_example1(delay)
+        x0 = random_history((61, 1), 2, delay, 1.0, 2)
+        traj = integrate(sys, x0, InputSignal(1, evaluate, "counted"), 0.5, 0.01)
+        assert [t.shape[0] for t in seen] == [3 * m for m in blocks]
+        b0 = traj.start
+        for t, m in zip(seen, blocks):
+            tb = traj.times[b0:b0 + m]
+            assert t.tobytes() == np.concatenate([tb, tb + 0.005, tb + 0.01]).tobytes()
+            b0 += m
+        assert np.array_equal(traj.values, integrate(sys, x0, noise, 0.5, 0.01).values)
 
 
 def three_state_system(delay):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from krasovskii.histories import (
     PROBE_STREAM,
+    HistoryFunction,
     constant_history,
     random_history,
     stream_key,
@@ -368,6 +369,15 @@ class TestDerivedField:
                                   pointwise=make_example3(1.0).pointwise)
         assert tuple(sys.pointwise([1.0, 2.0], [1.0, 2.0], [0.0])) == (10.5, -17.0)
         assert sys.field(phi, V0).tolist() == [10.5, -17.0]
+
+    def test_replaced_delay_reads_the_history_at_its_own_delay(self):
+        sys = dataclasses.replace(make_example1(1.0), delay=2.0)
+        phi = HistoryFunction(2.0, [-2.0, -1.0, 0.0],
+                              [[0.0, 5.0], [0.0, 1.0], [1.0, 2.0]])
+        # phi(0) = (1, 2) and phi(-2) = (0, 5); phi(-1) = (0, 1) gave (4.5, -6)
+        expected = sys.pointwise([1.0, 2.0], [0.0, 5.0], [0.0])
+        assert tuple(expected) == (56.5, -30.0)
+        assert sys.field(phi, V0).tolist() == [56.5, -30.0]
 
     def test_replace_keeps_a_field_of_its_formula(self):
         sys = make_example1(1.0)

@@ -2,7 +2,7 @@
 
     python tools/cli_parity.py --against DIR
 
-Runs one fixed set of configs, covering every subcommand and five
+Runs one fixed set of configs, covering every subcommand and six
 configs that must be rejected at load (REJECTED), once with the
 `krasovskii` package of this source tree and once with that of the tree
 at DIR (its package in DIR/src), each run in a fresh directory with
@@ -465,6 +465,10 @@ CONFIGS = {
     "simulate-linear-noise": ("simulate", SIMULATE_LINEAR_NOISE, ()),
     "simulate-linear-noise-seeded": ("simulate", SIMULATE_LINEAR_NOISE,
                                      ("--seed", "9")),
+    # each block's stage times span more than twice as many noise segments
+    # as there are times, so every block takes the input's per-time path
+    "simulate-linear-noise-fine": ("simulate", SIMULATE_LINEAR_NOISE.replace(
+        "input.switch_dt = 0.1", "input.switch_dt = 0.001"), ()),
     "simulate-linear-constant": ("simulate", SIMULATE_LINEAR_CONSTANT, ()),
     "simulate-linear-constant-zero-delay": (
         "simulate", SIMULATE_LINEAR_CONSTANT_ZERO_DELAY, ()),
@@ -497,6 +501,8 @@ CONFIGS = {
     # a second constants.P line would be rejected as a duplicate key
     "certify-nonsymmetric-P": ("certify", EXAMPLE1.replace(
         "constants.P = 1 0; 0 1", "constants.P = 1 0.5; 0 1"), ("--quiet",)),
+    "certify-indefinite-P": ("certify", EXAMPLE1.replace(
+        "constants.P = 1 0; 0 1", "constants.P = 1 2; 2 1"), ("--quiet",)),
 }
 
 # the configs that must exit 2 at load, and the field each must name
@@ -504,7 +510,8 @@ REJECTED = {"margin-system-name-typo": "'system.name'",
             "margin-foreign-parameter": "'system.a'",
             "margin-lag-beyond-delay": "'lkf.term.1.lag'",
             "certify-field-the-kind-ignores": "'lkf.term.1.lag'",
-            "certify-nonsymmetric-P": "'constants.P'"}
+            "certify-nonsymmetric-P": "'constants.P'",
+            "certify-indefinite-P": "'constants.P'"}
 
 
 def _environment(tree: Path) -> dict:
