@@ -5,18 +5,20 @@ and report the worst residual of the tested inequality together with a
 witness when it is violated.  A "no violation found" verdict is
 sampling evidence, never a proof.
 
-A sweep draws its samples in blocks and evaluates them in groups: the
-samples of a block whose histories share a grid, stacked into
-(B, len(grid), n) values and (B, m) inputs.  A group takes the reads
-that every check and functional term needs once, when it is built:
-phi(0), phi(-delay), |phi(0)|, sup|phi| and |v|.
-`FalsificationSampler.groups(start, stop)` draws a block straight into
-its groups, one Fourier kernel call per mode class, and keeps it, up to
-_MEMO_BYTES of arrays per sampler: every check that sweeps the same
-sampler reads one draw pass and one set of reads.  Kept groups are
-shared, so their arrays are read-only.  Any other sampler needs only
-sample(i), the history and input vector of index i, drawn one index at
-a time and grouped by grid.  Either way sample i is row i mod _PAGE of
+A sweep draws its samples in blocks and evaluates each block once.  A
+block is stacked into groups, the samples whose histories share a grid,
+each with (B, len(grid), n) values and (B, m) inputs.  A group takes the
+reads that every check and functional term needs once, when it is
+built: phi(0), phi(-delay), |phi(0)|, sup|phi| and |v|.  The block
+joins them, so every term and check that reads only these runs once on
+the whole block, and only what reads a grid runs group by group (see
+functionals).  `FalsificationSampler.groups(start, stop)` draws a block
+straight into its groups, one Fourier kernel call per mode class, and
+keeps it, up to _MEMO_BYTES of arrays per sampler: every check that
+sweeps the same sampler reads one draw pass and one set of reads.  Kept
+blocks are shared, so their arrays are read-only.  Any other sampler
+needs only sample(i), the history and input vector of index i, drawn
+one index at a time and grouped by grid.  Either way sample i is row i mod _PAGE of
 its page, drawn whole from the page's own generator,
 np.random.default_rng((seed, SAMPLER_STREAM, page)).  Every residual is
 computed as it would be alone, so a verdict, its witness index and the
@@ -65,6 +67,7 @@ from .histories import (
     HistoryFunction,
     _Batch,
     _fourier_histories,
+    _join,
     _norm,
     random_history,  # noqa: F401  (still importable from this module)
     stream_key,
@@ -150,8 +153,9 @@ class FalsificationSampler:
     _memo: _Memo = field(default_factory=_Memo, init=False, compare=False,
                          repr=False)
 
-    def groups(self, start: int, stop: int) -> tuple:
-        """Samples start..stop-1, stacked into one _Group per grid.
+    def groups(self, start: int, stop: int) -> _Block:
+        """Samples start..stop-1 as a _Block, an iterable of one _Group
+        per grid.
 
         The block is drawn once and kept for the next call with the same
         bounds, while the kept blocks' arrays total at most _MEMO_BYTES;
@@ -166,9 +170,9 @@ class FalsificationSampler:
                 memo.nbytes += size
         return block
 
-    def _draw(self, start: int, stop: int) -> tuple:
+    def _draw(self, start: int, stop: int) -> _Block:
         """Samples start..stop-1 drawn afresh, one _Group per grid."""
-        return tuple(_Group(self.delay, *s) for s in self._stacks(start, stop))
+        return _Block(_Group(self.delay, *s) for s in self._stacks(start, stop))
 
     def _stacks(self, start: int, stop: int):
         """Samples start..stop-1 drawn afresh: (grid, values, inputs,
@@ -257,7 +261,8 @@ class CheckReport:
 
 
 # samples drawn per block of a sweep; a block's samples are evaluated
-# together, one group per shared grid.  Every group pays each NumPy
+# together, and what reads a grid runs once per group, one per shared
+# grid.  When every term ran per group, each group paid each NumPy
 # call's fixed cost once: the two W sweeps of 10^4 example1 samples took
 # 58-65 ms in 256-sample blocks (120 groups), 47-53 ms in 512 and 35 ms
 # in 1024 (30 groups), and no less in 2048 or 4096, while their
@@ -282,12 +287,45 @@ class _Group(_Batch):
         super().__post_init__()
         self._keep(inputs=self.inputs, indices=self.indices,
                    point_norm=_norm(self.x0), input_norm=_norm(self.inputs),
-                   sup_norm=np.max(_norm(self.values), axis=-1))
+                   sup_norm=_norm(self.values).max(axis=-1))
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in vars(self).values()
                    if isinstance(a, np.ndarray))
+
+
+# the reads of a block that need no grid, joined over its groups
+_READS = ("x0", "xd", "inputs", "indices", "point_norm", "sup_norm",
+          "input_norm")
+
+
+class _Block:
+    """The samples of one block: its groups, one per grid, as `parts`,
+    and each of _READS of all of them, the groups' arrays joined in the
+    order of the groups.  Each group then reads its rows of the joined
+    arrays, so a block keeps one read-only copy of every read.  A block
+    is a batch in parts for the evaluators, and iterates over its
+    groups."""
+
+    def __init__(self, groups):
+        self.parts = parts = tuple(groups)
+        self.delay = parts[0].delay
+        if any(g.delay != self.delay for g in parts):
+            raise ValueError("the histories of a sweep must share one delay")
+        ends = np.cumsum([g.indices.shape[0] for g in parts]).tolist()
+        for name in _READS:
+            joined = _join([getattr(g, name) for g in parts])
+            joined.flags.writeable = False
+            setattr(self, name, joined)
+            if len(parts) > 1:
+                for g, lo, hi in zip(parts, [0] + ends, ends):
+                    object.__setattr__(g, name, joined[lo:hi])
+
+    at = _Batch.at
+
+    def __iter__(self):
+        return iter(self.parts)
 
 
 def _groups_of_samples(sampler, start: int, stop: int) -> list:
@@ -309,10 +347,11 @@ def _sweep(check: str, residual, sampler, budget: int,
            tolerance: float) -> CheckReport:
     """Draw samples 0..budget-1 in blocks, with sampler.groups(start,
     stop) when the sampler has it and through sampler.sample(i)
-    otherwise, and evaluate `residual`, which maps a _Group to its
-    residuals; a non-finite residual skips its sample.  The witness is
-    read from the groups of the first block holding the largest residual,
-    or, without groups, is sampler.sample(i)."""
+    otherwise, and evaluate `residual`, which maps a _Block to its
+    residuals; groups that are not a _Block already are joined into
+    one.  A non-finite residual skips its sample.  The witness is read
+    from the groups of the first block holding the largest residual, or,
+    without groups, is sampler.sample(i)."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     groups = getattr(sampler, "groups", None)
@@ -323,10 +362,11 @@ def _sweep(check: str, residual, sampler, budget: int,
         for start in range(0, budget, _BLOCK):
             stop = min(start + _BLOCK, budget)
             block = draw(start, stop)
-            for group in block:
-                r[group.indices] = residual(group)
-            top = np.max(r[start:stop], where=np.isfinite(r[start:stop]),
-                         initial=-np.inf)
+            if not isinstance(block, _Block):
+                block = _Block(block)
+            r[block.indices] = residual(block)
+            top = r[start:stop].max(where=np.isfinite(r[start:stop]),
+                                    initial=-np.inf)
             if top > best:
                 best, held = top, block
     finite = np.isfinite(r)
@@ -353,21 +393,24 @@ def _row(groups, i: int) -> tuple:
                     g.inputs[rows[0]])
 
 
-def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
+def _field(sys: DelaySystem, block: _Block) -> np.ndarray:
     """f(phi, v) of each sample, (B, n): one call of the pointwise
-    formula over (n, B) columns, or one general field call per sample.
-    A row is non-finite where the field blew up, NaN where a general
-    field call raised an ArithmeticError; the sweep skips such rows."""
+    formula over the block's (n, B) columns, or one general field call
+    per sample, group by group.  A row is non-finite where the field
+    blew up, NaN where a general field call raised an ArithmeticError;
+    the sweep skips such rows."""
+    size = block.x0.shape[0]
     if sys.pointwise is not None:
-        w = np.asarray(sys.pointwise(group.x0.T, group.at(-sys.delay).T,
-                                     group.inputs.T), dtype=float)
-        if w.shape != (sys.n, group.values.shape[0]):
+        w = np.asarray(sys.pointwise(block.x0.T, block.at(-sys.delay).T,
+                                     block.inputs.T), dtype=float)
+        if w.shape != (sys.n, size):
             raise ValueError(f"the pointwise formula of {sys.name!r} does not "
                              "broadcast over (n, B) columns")
         return np.ascontiguousarray(w.T)
-    rows = np.empty((group.values.shape[0], sys.n))
-    for j, (row, v) in enumerate(zip(group.values, group.inputs)):
-        phi = HistoryFunction._trusted(group.delay, group.grid, row)
+    rows = np.empty((size, sys.n))
+    phis = (HistoryFunction._trusted(g.delay, g.grid, row)
+            for g in block.parts for row in g.values)
+    for j, (phi, v) in enumerate(zip(phis, block.inputs)):
         try:
             rows[j] = sys.field(phi, v)
         except ArithmeticError:
@@ -377,7 +420,7 @@ def _field(sys: DelaySystem, group: _Group) -> np.ndarray:
 
 def _unless_blown_up(w: np.ndarray, r: np.ndarray) -> np.ndarray:
     # a sample whose field blew up is skipped, whatever its residual reads
-    return np.where(np.all(np.isfinite(w), axis=-1), r, np.nan)
+    return np.where(np.isfinite(w).all(axis=-1), r, np.nan)
 
 
 def check_sandwich(V: Functional, a_lower: Optional[float], a_upper: float,
@@ -388,12 +431,12 @@ def check_sandwich(V: Functional, a_lower: Optional[float], a_upper: float,
     The lower bound is skipped when a_lower is None (the right-growth
     route needs only the upper one)."""
 
-    def residual(g):
-        val = _values(V, g)
-        upper = val - a_upper * g.sup_norm ** rho
+    def residual(b):
+        val = _values(V, b)
+        upper = val - a_upper * b.sup_norm ** rho
         if a_lower is None:
             return upper
-        lower = a_lower * g.point_norm ** rho - val
+        lower = a_lower * b.point_norm ** rho - val
         # Python's max(upper, lower): lower only when strictly larger
         return np.where(lower > upper, lower, upper)
 
@@ -409,11 +452,11 @@ def check_pointwise_dissipation(sys: DelaySystem, V: Functional, a: float,
     if not isinstance(gamma, PowerGain):
         raise TypeError(f"gamma must be a PowerGain, got {gamma!r}")
 
-    def residual(g):
-        w = _field(sys, g)
-        d = _closed(V, g, w)
-        return _unless_blown_up(w, d + a * g.point_norm ** 2
-                                - c * g.sup_norm ** 2 - gamma(g.input_norm))
+    def residual(b):
+        w = _field(sys, b)
+        d = _closed(V, b, w)
+        return _unless_blown_up(w, d + a * b.point_norm ** 2
+                                - c * b.sup_norm ** 2 - gamma(b.input_norm))
 
     return _sweep("pointwise-dissipation", residual, sampler, budget, tolerance)
 
@@ -423,10 +466,10 @@ def _growth_residual(sys, P, sigma, gamma, sign):
         raise TypeError(f"gamma must be a PowerGain, got {gamma!r}")
     form = _form(_positive_definite(P)[0])
 
-    def residual(g):
-        w = _field(sys, g)
-        lhs = _qform(g.x0, form, w)
-        cap = sigma * (g.sup_norm ** 2 + gamma(g.input_norm))
+    def residual(b):
+        w = _field(sys, b)
+        lhs = _qform(b.x0, form, w)
+        cap = sigma * (b.sup_norm ** 2 + gamma(b.input_norm))
         return _unless_blown_up(w, lhs - cap if sign > 0 else -lhs - cap)
 
     return residual

@@ -39,6 +39,7 @@ result is the bits of solving every segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +47,8 @@ from .histories import (
     HistoryFunction,
     _Batch,
     _eval_on_grid,
+    _join,
+    _per_part,
     _slope_row,
     _sum_last,
     driver_extension,
@@ -75,7 +78,11 @@ def _symmetric(Q) -> np.ndarray:
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
     if Q.shape[0] != Q.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(Q).max())):
+    T, atol = Q.T, 1e-12 * (1.0 + abs(Q).max())
+    # np.allclose(Q, T, rtol=0, atol=atol) by NumPy's own isclose formula
+    with np.errstate(invalid="ignore"):
+        close = ((abs(Q - T) <= atol) & np.isfinite(T)) | (Q == T)
+    if not close.all():
         raise ValueError("matrix must be symmetric")
     Q = 0.5 * (Q + Q.T)
     Q.flags.writeable = False
@@ -132,7 +139,7 @@ class ConstantWeight:
     c: float = 1.0
 
     def value(self, tau):
-        return np.full_like(np.asarray(tau, dtype=float), self.c)
+        return np.full(np.shape(tau), self.c, dtype=float)
 
     polynomial = True
 
@@ -225,9 +232,12 @@ class Sum(Functional):
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# The evaluators work on a `_Batch`, histories on one shared grid whose
-# reads phi(0) and phi(-delay) are taken once, for every term; each result
-# is a (B,) array.  The public single-history functions are batches of one.
+# The evaluators work on a `_Batch` in parts, each part histories on one
+# shared grid.  A term that reads only phi(0) and phi(-delay), taken once
+# for every term, runs once on the whole batch; integrals, reads at other
+# lags, right slopes and the max-type term's node phase run part by part.
+# Each result is a (B,) array in the order of the parts.  The public
+# single-history functions are batches of one, on one grid.
 
 def _one(phi: HistoryFunction) -> _Batch:
     return _Batch(phi.delay, phi.grid, phi.values[None])
@@ -241,9 +251,10 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
         return _qform(batch.at(V.at), V.form)
     if isinstance(V, IntegralQuadratic):
-        return _integral(V.form, V.weight.value, V.weight.polynomial, batch)
+        return _per_part(batch, partial(_integral, V.form, V.weight.value,
+                                        V.weight.polynomial))
     if isinstance(V, MaxExp):
-        return _maxexp(V, batch.grid, batch.values)[0]
+        return _maxexp(V, batch)[0]
     if isinstance(V, Scale):
         return V.k * _values(V.inner, batch)
     if isinstance(V, Sum):
@@ -251,18 +262,20 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _integral(form: tuple, weight_fn, polynomial, batch: _Batch) -> np.ndarray:
+def _integral(form: tuple, weight_fn, polynomial, part: _Batch) -> np.ndarray:
     # per-segment Simpson; exact when the integrand is polynomial of
     # degree <= 3 per segment (constant weight, linear history)
-    delay, g, values = batch.delay, batch.grid, batch.values
+    delay, g, values = part.delay, part.grid, part.values
     if delay == 0.0 or g.shape[0] < 2:
         return np.zeros(values.shape[0])
     if polynomial:
         mids = 0.5 * (values[:, :-1] + values[:, 1:])
-        fa = weight_fn(g[:-1]) * _qform(values[:, :-1], form)
+        # the weighted node forms, whose first and last N - 1 are each
+        # segment's two ends
+        nodes = weight_fn(g) * _qform(values, form)
         fm = weight_fn(0.5 * (g[:-1] + g[1:])) * _qform(mids, form)
-        fb = weight_fn(g[1:]) * _qform(values[:, 1:], form)
-        return _sum_last(np.diff(g) / 6.0 * (fa + 4.0 * fm + fb))
+        return _sum_last((g[1:] - g[:-1]) / 6.0
+                         * (nodes[:, :-1] + 4.0 * fm + nodes[:, 1:]))
     # refined composite Simpson with 8 panels on each segment, the
     # segments summed in order
     ts = np.linspace(g[:-1], g[1:], 17, axis=-1)
@@ -284,43 +297,62 @@ _TINY = 2.0 ** -1022
 _HUGE = float(np.finfo(float).max)
 
 
-def _maxexp(V: MaxExp, grid, values):
+def _maxexp(V: MaxExp, batch: _Batch):
     """M = max over tau of f(tau) = exp(2 tau) phi(tau)' P phi(tau) for
-    each history, exact on piecewise-linear histories: (M, f at the
-    nodes (B, len(grid)), rest), where rest is the maximum of f over
-    the window without its node -delay (-inf at zero delay).  A
-    non-finite node makes M non-finite; a NaN segment peak is ignored.
+    each history, exact on piecewise-linear histories: (M, f, rest),
+    where f holds each part's f at its nodes (B_part, len(grid)) and
+    rest is the maximum of f over the window without its node -delay
+    (-inf at zero delay).  A non-finite node makes M non-finite; a NaN
+    segment peak is ignored.
 
-    Interior maxima are solved only on candidate segments.  P is
-    positive definite, so on a segment q = phi' P phi is convex and
-    f <= exp(2 tau_right) max(q_left, q_right).  A segment is skipped
-    when that bound, inflated by a margin, is below its row's rest at
-    the nodes: no computed value of f inside it can then exceed rest,
-    so M, f and rest are the bits of solving every segment (see
-    _limits for the margin).  Each row's peak is scattered with
-    np.maximum.at, which keeps a NaN as np.max does."""
-    g = grid
-    q = _qform(values, V.form)
-    e = np.exp(2.0 * g)
-    f = e * q
-    rest = np.max(f[:, 1:], axis=-1, initial=-np.inf)
-    if g.shape[0] < 2:
-        return np.maximum(f[:, 0], rest), f, rest
-    L = np.diff(g)
-    # a row with an infinite node meets inf - inf or 0 * inf here
-    with np.errstate(invalid="ignore"):
-        inflate, lim = _limits(V, values.shape[-1], g, L, q, rest)
-        rows, seg = np.nonzero(~(np.maximum(q[:, :-1], q[:, 1:])
-                                 * (e[1:] * inflate) < lim[:, None]))
+    The node phase runs part by part: the node forms, f, rest, the
+    margin of _limits and the candidate segments.  Interior maxima are
+    solved only on candidates.  P is positive definite, so on a segment
+    q = phi' P phi is convex and f <= exp(2 tau_right) max(q_left,
+    q_right).  A segment is skipped when that bound, inflated by a
+    margin, is below its row's rest at the nodes: no computed value of f
+    inside it can then exceed rest, so M, f and rest are the bits of
+    solving every segment (see _limits for the margin).  The candidates
+    of all parts are solved together, and each row's peak is scattered
+    with np.maximum.at, which keeps a NaN as np.max does."""
+    fs, rests, found, offset = [], [], [], 0
+    for part in batch.parts:
+        g, values = part.grid, part.values
+        q = _qform(values, V.form)
+        e = np.exp(2.0 * g)
+        f = e * q
+        rest = f[:, 1:].max(axis=-1, initial=-np.inf)
+        fs.append(f)
+        rests.append(rest)
+        if g.shape[0] >= 2:
+            L = g[1:] - g[:-1]
+            # a row with an infinite node meets inf - inf or 0 * inf here
+            with np.errstate(invalid="ignore"):
+                inflate, lim = _limits(V, values.shape[-1], g, L, q, rest)
+                rows, seg = np.nonzero(~(np.maximum(q[:, :-1], q[:, 1:])
+                                         * (e[1:] * inflate) < lim[:, None]))
+            # each candidate's row of the batch, length, left node, value
+            # there, slope and node form
+            u, L = values[rows, seg], L[seg]
+            found.append((rows + offset, L, g[seg], u,
+                          (values[rows, seg + 1] - u) / L[:, None],
+                          q[rows, seg]))
+        offset += values.shape[0]
+    rest = _join(rests)
+    if found:
+        rest = _segment_peaks(V, rest, *(_join(c) for c in zip(*found)))
+    return np.maximum(_join([f[:, 0] for f in fs]), rest), tuple(fs), rest
+
+
+def _segment_peaks(V: MaxExp, rest, rows, L, g0, u, d, gam):
+    """rest raised to the interior maxima of the candidate segments:
+    each a segment of length L from g0 of row `rows` of the batch, whose
+    history is u + t d, with node form gam at g0."""
     # exact interior maxima: on each segment the integrand is
     # exp(2 tau) (alpha t^2 + beta t + gamma); critical points solve
     # 2 alpha t^2 + 2(alpha + beta) t + (beta + 2 gamma) = 0
-    L, g0 = L[seg], g[seg]
-    u = values[rows, seg]
-    d = (values[rows, seg + 1] - u) / L[:, None]
     alpha = _qform(d, V.form)
     beta = 2.0 * _qform(u, V.form, d)
-    gam = q[rows, seg]
     A = 2.0 * alpha
     B = 2.0 * (alpha + beta)
     C = beta + 2.0 * gam
@@ -345,7 +377,7 @@ def _maxexp(V: MaxExp, grid, values):
             np.maximum.at(peak, rows[ok], val)
             # Python's max(rest, peak): a NaN peak leaves rest
             rest = np.where(peak > rest, peak, rest)
-    return np.maximum(f[:, 0], rest), f, rest
+    return rest
 
 
 def _limits(V: MaxExp, n: int, g, L, q, rest):
@@ -389,7 +421,7 @@ def _limits(V: MaxExp, n: int, g, L, q, rest):
     floor = _TINY * (32 * n * n * (1 + frobenius) * (1 + longest) ** 2
                      * (1 + 1 / lam) + 80)
     big = _HUGE / (64 * n * n * kappa) * short * short
-    Q = np.max(q, axis=-1)
+    Q = q.max(axis=-1)
     # (rest - floor)(1 - 4u) rounds to at most rest - floor
     lim = (rest - floor * (1.0 + Q)) * (1.0 - 4 * _U)
     return 1.0 + m, np.where((Q <= big) & (lim > 0.0), lim, -np.inf)
@@ -422,8 +454,8 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
     """Closed-form derivative of each history of the batch along its
     slope row of w (B, n)."""
     if isinstance(V, DelayedQuadratic):
-        slope = w if V.at == 0.0 else _right_slope(batch.grid, batch.values,
-                                                   V.at)
+        slope = w if V.at == 0.0 else _per_part(
+            batch, lambda p: _right_slope(p.grid, p.values, V.at))
         return 2.0 * _qform(batch.at(V.at), V.form, slope)
     if isinstance(V, IntegralQuadratic):
         x0, xd, wt = batch.x0, batch.xd, V.weight
@@ -431,30 +463,39 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
                     - float(wt.value(-batch.delay)) * _qform(xd, V.form))
         if wt.polynomial:
             return boundary
-        return boundary - _integral(V.form, wt.derivative, False, batch)
+        return boundary - _per_part(batch, partial(_integral, V.form,
+                                                   wt.derivative, False))
     if isinstance(V, Scale):
         return V.k * _closed(V.inner, batch, w)
     if isinstance(V, Sum):
         return _closed(V.left, batch, w) + _closed(V.right, batch, w)
     if isinstance(V, MaxExp):
         point = 2.0 * _qform(batch.x0, V.form, w)
-        if batch.grid.shape[0] < 2:
+        if batch.delay == 0.0:
             return point
-        return _maxexp_closed(V, batch.grid, batch.values, point)
+        return _maxexp_closed(V, batch, point)
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _maxexp_closed(V: MaxExp, grid, values, point) -> np.ndarray:
+def _maxexp_closed(V: MaxExp, batch: _Batch, point) -> np.ndarray:
     """D+M of MaxExp(P) at a positive delay, by the rule and tie rule of
-    driver_derivative_closed; `point` is 2 phi(0)' P w."""
-    M, f, rest = _maxexp(V, grid, values)
+    driver_derivative_closed; `point` is 2 phi(0)' P w.  Each part gives
+    f at -delay and at 0, phi(-delay) and its first segment's slope; the
+    rule runs once on the whole batch."""
+    M, f, rest = _maxexp(V, batch)
+    parts = batch.parts
+    f_start = _join([nodes[:, 0] for nodes in f])
+    f_end = _join([nodes[:, -1] for nodes in f])
+    slope = _per_part(batch, lambda p: _right_slope(p.grid, p.values,
+                                                    p.grid[0]))
     tie = M - 1e-9 * np.abs(M)
-    d_start = 2.0 * f[:, 0] + 2.0 * np.exp(2.0 * grid[0]) * _qform(
-        values[:, 0], V.form, _right_slope(grid, values, grid[0]))
+    # every part's window starts at -delay
+    d_start = 2.0 * f_start + 2.0 * np.exp(2.0 * parts[0].grid[0]) * _qform(
+        _join([p.values[:, 0] for p in parts]), V.form, slope)
     d = np.where(rest >= tie, 0.0, -np.inf)
-    d = np.where(f[:, 0] >= tie, np.maximum(d, d_start), d)
+    d = np.where(f_start >= tie, np.maximum(d, d_start), d)
     # rest includes the node 0, so d >= 0 already where f(0) ties
-    d = np.where(f[:, -1] >= tie, np.maximum(d, 2.0 * M + point), d)
+    d = np.where(f_end >= tie, np.maximum(d, 2.0 * M + point), d)
     return d - 2.0 * M
 
 
@@ -520,7 +561,7 @@ class PowerGain:
 
     def __call__(self, s):
         """gamma(s) of a scalar, or of each entry of an array."""
-        if np.any(np.less(s, 0)):
+        if np.less(s, 0).any():
             raise ValueError("gains are defined for s >= 0")
         if self.coefficient == 0.0:
             return np.zeros_like(s) if isinstance(s, np.ndarray) else 0.0

@@ -262,7 +262,7 @@ def _eval_on_grid(delay, grid, values, tau):
     tau = np.asarray(tau, dtype=float)
     t = np.atleast_1d(tau)
     tol = _edge_tol(delay)
-    if np.any(t < -delay - tol) or np.any(t > tol):
+    if (t < -delay - tol).any() or (t > tol).any():
         raise ValueError(f"tau outside [-{delay}, 0]")
     t = np.minimum(np.maximum(t, -delay), 0.0)
     if grid.shape[0] == 1:
@@ -277,7 +277,14 @@ class _Batch:
     """Histories on one shared grid, the batch evaluators' input: values
     (B, len(grid), n) and the reads x0 = phi(0) and xd = phi(-delay)
     (B, n), taken once, when the batch is built.  Batches may be shared,
-    so the values and the reads are read-only."""
+    so the values and the reads are read-only.
+
+    An evaluator takes any batch in parts: it reads x0 and xd, and
+    anything else that does not need a grid, on the whole batch, and
+    reads each of `parts`, batches on one grid, for what does, joining
+    their results in the order of the parts (`_per_part`).  A batch on
+    one grid is its own one part; certify's sweep block has one part per
+    grid."""
 
     delay: float
     grid: np.ndarray
@@ -296,11 +303,27 @@ class _Batch:
 
     def at(self, tau: float) -> np.ndarray:
         """phi(tau) of each history, (B, n), as _eval_on_grid reads it:
-        the kept read at 0 and at -delay, any other lag afresh."""
+        the kept read at 0 and at -delay, any other lag afresh, part by
+        part."""
         if tau == 0.0:
             return self.x0
-        return self.xd if tau == -self.delay else _eval_on_grid(
-            self.delay, self.grid, self.values, tau)
+        return self.xd if tau == -self.delay else _per_part(
+            self, lambda p: _eval_on_grid(p.delay, p.grid, p.values, tau))
+
+    @property
+    def parts(self) -> tuple:
+        return (self,)
+
+
+def _per_part(batch, read) -> np.ndarray:
+    """read(part) of each part of the batch, joined in the order of the
+    parts: one array of the batch's rows."""
+    return _join([read(part) for part in batch.parts])
+
+
+def _join(arrays: list) -> np.ndarray:
+    """The arrays joined along the first axis; a lone array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _window_of_rows(times, values, delay, t, stop, last) -> HistoryFunction:

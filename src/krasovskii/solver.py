@@ -346,14 +346,18 @@ def history_norm_series(traj: Trajectory):
 def _window_max(a: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """max(a[lo[k]:hi[k] + 1]) for each k, lo <= hi: each window is
     covered by two spans of 2^j entries, whose maxima are built by
-    doubling j (a sparse table, one level at a time)."""
+    doubling j (a sparse table, one level at a time).  Only the levels
+    that hold windows are read."""
     level = np.frexp(hi - lo + 1)[1] - 1
+    held = np.bincount(level).tolist()
     out = np.empty(lo.shape[0])
     table = a
-    for j in range(int(level.max()) + 1):
-        k = np.flatnonzero(level == j)
-        out[k] = np.maximum(table[lo[k]], table[hi[k] + 1 - (1 << j)])
-        table = np.maximum(table[:-(1 << j)], table[1 << j:])
+    for j, count in enumerate(held):
+        if count:
+            k = np.flatnonzero(level == j)
+            out[k] = np.maximum(table[lo[k]], table[hi[k] + 1 - (1 << j)])
+        if j + 1 < len(held):
+            table = np.maximum(table[:-(1 << j)], table[1 << j:])
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import partial
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from krasovskii import certify
+from krasovskii import certify, functionals
 from krasovskii.certify import (
     CheckReport,
     FalsificationSampler,
@@ -32,11 +33,16 @@ from krasovskii.certify import (
     two_inequality_to_expiss,
 )
 from krasovskii.functionals import (
+    ConstantWeight,
     DelayedQuadratic,
     ExponentialWeight,
     IntegralQuadratic,
+    MaxExp,
     PointQuadratic,
     Scale,
+    Sum,
+    _form,
+    _qform,
     combine_W,
     driver_derivative_closed,
     eval_functional,
@@ -1072,6 +1078,433 @@ class TestStoredReads:
             # the memo's byte count covers the kept reads
             assert g.nbytes == sum(a.nbytes for a in (
                 g.grid, g.values, g.inputs, g.indices, *fresh.values()))
+
+    @pytest.mark.parametrize("delay", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("source", ["draw", "adaptor", "wrapper"])
+    def test_block_reads_are_one_copy(self, source, delay):
+        # a block's reads are its groups' fresh reads joined in the order
+        # of its groups, read-only, and each group's reads are its rows
+        # of them, so the memo keeps no second copy
+        sampler = FalsificationSampler(11, 2, 1, delay)
+        if source == "draw":
+            block = sampler._draw(0, 300)
+        elif source == "adaptor":
+            block = certify._Block(certify._groups_of_samples(
+                MemoSampler(11, 2, delay), 0, 300))
+        else:
+            block = certify._Block(ZeroInputs(sampler).groups(0, 300))
+        groups = list(block)
+        assert groups == list(block.parts) and len(groups) == (
+            1 if delay == 0.0 else 3)
+        assert np.array_equal(np.sort(block.indices), np.arange(300))
+        for name in certify._READS:
+            joined = getattr(block, name)
+            fresh = []
+            for g in groups:
+                kept = getattr(g, name)
+                assert kept.base is joined or (len(groups) == 1
+                                               and kept is joined), name
+                fresh.append(getattr(dataclasses.replace(g), name))
+            assert joined.tobytes() == np.concatenate(fresh).tobytes(), name
+            with pytest.raises(ValueError, match="read-only"):
+                joined[0] = 0
+        assert block.at(0.0) is block.x0
+        assert block.at(-delay) is (block.xd if delay else block.x0)
+        lag = -0.37 * delay
+        assert block.at(lag).tobytes() == np.concatenate(
+            [_eval_on_grid(delay, g.grid, g.values, lag) for g in groups]
+        ).tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            block.at(-delay - 1e-6)
+        # the groups' bytes are the block's: every read counted once
+        assert sum(g.nbytes for g in block) == sum(
+            getattr(block, name).nbytes for name in certify._READS) + sum(
+            g.grid.nbytes + g.values.nbytes for g in groups)
+
+
+    def test_a_block_has_one_delay(self):
+        # a block reads phi(-delay) once for all its groups, so a sampler
+        # whose histories differ in delay is refused, not misread
+        class MixedDelays:
+            def sample(self, i):
+                delay = 1.0 if i % 2 else 0.5
+                return constant_history(delay, [1.0, 2.0]), np.zeros(1)
+
+        with pytest.raises(ValueError, match="one delay"):
+            check_sandwich(PointQuadratic(EYE), 1.0, 3.0, 2.0, MixedDelays(),
+                           4)
+
+
+# ---------------------------------------------------------------------------
+# one pass per block against the per-group loop
+#
+# The reference evaluates each group of a block on its own, as every
+# term, field and check did before blocks were evaluated whole: the
+# per-group sweep loop, its residuals, and the max-type kernel of one grid.
+
+def group_at(g, tau):
+    if tau == 0.0:
+        return g.x0
+    return g.xd if tau == -g.delay else _eval_on_grid(g.delay, g.grid,
+                                                      g.values, tau)
+
+
+def group_integral(form, weight_fn, polynomial, g):
+    delay, grid, values = g.delay, g.grid, g.values
+    if delay == 0.0 or grid.shape[0] < 2:
+        return np.zeros(values.shape[0])
+    if polynomial:
+        mids = 0.5 * (values[:, :-1] + values[:, 1:])
+        fa = weight_fn(grid[:-1]) * _qform(values[:, :-1], form)
+        fm = weight_fn(0.5 * (grid[:-1] + grid[1:])) * _qform(mids, form)
+        fb = weight_fn(grid[1:]) * _qform(values[:, 1:], form)
+        return _sum_last(np.diff(grid) / 6.0 * (fa + 4.0 * fm + fb))
+    ts = np.linspace(grid[:-1], grid[1:], 17, axis=-1)
+    rows = _eval_on_grid(delay, grid, values, ts.ravel())
+    f = weight_fn(ts) * _qform(rows, form).reshape((values.shape[0],)
+                                                   + ts.shape)
+    odd_sum = _sum_last(f[..., 1:-1:2])
+    even_sum = _sum_last(f[..., 2:-2:2])
+    h = (grid[1:] - grid[:-1]) / 16
+    per_segment = h / 3.0 * (f[..., 0] + f[..., -1] + 4.0 * odd_sum
+                             + 2.0 * even_sum)
+    return np.cumsum(per_segment, axis=-1)[:, -1]
+
+
+def group_maxexp(V, g, values):
+    """The pruned max-type kernel of one grid g: (M, f, rest)."""
+    q = _qform(values, V.form)
+    e = np.exp(2.0 * g)
+    f = e * q
+    rest = np.max(f[:, 1:], axis=-1, initial=-np.inf)
+    if g.shape[0] < 2:
+        return np.maximum(f[:, 0], rest), f, rest
+    L = np.diff(g)
+    with np.errstate(invalid="ignore"):
+        inflate, lim = functionals._limits(V, values.shape[-1], g, L, q, rest)
+        rows, seg = np.nonzero(~(np.maximum(q[:, :-1], q[:, 1:])
+                                 * (e[1:] * inflate) < lim[:, None]))
+    L, g0 = L[seg], g[seg]
+    u = values[rows, seg]
+    d = (values[rows, seg + 1] - u) / L[:, None]
+    alpha = _qform(d, V.form)
+    beta = 2.0 * _qform(u, V.form, d)
+    gam = q[rows, seg]
+    A = 2.0 * alpha
+    B = 2.0 * (alpha + beta)
+    C = beta + 2.0 * gam
+    scale = np.abs(A) + np.abs(B) + np.abs(C) + 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = B * B - 4.0 * A * C
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        quad = np.abs(A) > 1e-14 * scale
+        lin = (~quad) & (np.abs(B) > 1e-14 * scale)
+        real = quad & ~(disc < 0)
+        roots = (np.where(real, (-B - sq) / (2.0 * A),
+                          np.where(lin, -C / B, np.nan)),
+                 np.where(real, (-B + sq) / (2.0 * A), np.nan))
+        for t in roots:
+            ok = np.isfinite(t) & (t > 0.0) & (t < L)
+            if not ok.any():
+                continue
+            t = t[ok]
+            val = np.exp(2.0 * (g0[ok] + t)) * (alpha[ok] * t * t
+                                                 + beta[ok] * t + gam[ok])
+            peak = np.full(rest.shape, -np.inf)
+            np.maximum.at(peak, rows[ok], val)
+            rest = np.where(peak > rest, peak, rest)
+    return np.maximum(f[:, 0], rest), f, rest
+
+
+def group_slope(grid, values, tau):
+    if grid.shape[0] < 2:
+        return np.zeros((values.shape[0], values.shape[-1]))
+    idx = int(np.searchsorted(grid, tau, side="right"))
+    idx = min(max(idx, 1), grid.shape[0] - 1)
+    return ((values[:, idx] - values[:, idx - 1])
+            / (grid[idx] - grid[idx - 1]))
+
+
+def group_values(V, g):
+    if isinstance(V, DelayedQuadratic):
+        return _qform(group_at(g, V.at), V.form)
+    if isinstance(V, IntegralQuadratic):
+        return group_integral(V.form, V.weight.value, V.weight.polynomial, g)
+    if isinstance(V, MaxExp):
+        return group_maxexp(V, g.grid, g.values)[0]
+    if isinstance(V, Scale):
+        return V.k * group_values(V.inner, g)
+    return group_values(V.left, g) + group_values(V.right, g)
+
+
+def group_closed(V, g, w):
+    if isinstance(V, DelayedQuadratic):
+        slope = w if V.at == 0.0 else group_slope(g.grid, g.values, V.at)
+        return 2.0 * _qform(group_at(g, V.at), V.form, slope)
+    if isinstance(V, IntegralQuadratic):
+        wt = V.weight
+        boundary = (float(wt.value(0.0)) * _qform(g.x0, V.form)
+                    - float(wt.value(-g.delay)) * _qform(g.xd, V.form))
+        if wt.polynomial:
+            return boundary
+        return boundary - group_integral(V.form, wt.derivative, False, g)
+    if isinstance(V, Scale):
+        return V.k * group_closed(V.inner, g, w)
+    if isinstance(V, Sum):
+        return group_closed(V.left, g, w) + group_closed(V.right, g, w)
+    point = 2.0 * _qform(g.x0, V.form, w)
+    if g.grid.shape[0] < 2:
+        return point
+    M, f, rest = group_maxexp(V, g.grid, g.values)
+    tie = M - 1e-9 * np.abs(M)
+    d_start = 2.0 * f[:, 0] + 2.0 * np.exp(2.0 * g.grid[0]) * _qform(
+        g.values[:, 0], V.form, group_slope(g.grid, g.values, g.grid[0]))
+    d = np.where(rest >= tie, 0.0, -np.inf)
+    d = np.where(f[:, 0] >= tie, np.maximum(d, d_start), d)
+    d = np.where(f[:, -1] >= tie, np.maximum(d, 2.0 * M + point), d)
+    return d - 2.0 * M
+
+
+def group_field(sys, g):
+    if sys.pointwise is not None:
+        w = np.asarray(sys.pointwise(g.x0.T, group_at(g, -sys.delay).T,
+                                     g.inputs.T), dtype=float)
+        return np.ascontiguousarray(w.T)
+    rows = np.empty((g.values.shape[0], sys.n))
+    for j, (row, v) in enumerate(zip(g.values, g.inputs)):
+        try:
+            rows[j] = sys.field(HistoryFunction._trusted(g.delay, g.grid, row),
+                                v)
+        except ArithmeticError:
+            rows[j] = np.nan
+    return rows
+
+
+def group_residual(check, sys, V, P, gamma):
+    """The residual of one group for each check, with its constants as
+    the block tests set them."""
+    form = _form(P)
+
+    def residual(g):
+        if check == "sandwich":
+            val = group_values(V, g)
+            upper = val - 3.0 * g.sup_norm ** 2.0
+            lower = 0.5 * g.point_norm ** 2.0 - val
+            return np.where(lower > upper, lower, upper)
+        w = group_field(sys, g)
+        if check == "dissipation":
+            r = (group_closed(V, g, w) + 0.5 * g.point_norm ** 2
+                 - 0.01 * g.sup_norm ** 2 - gamma(g.input_norm))
+        else:
+            lhs = _qform(g.x0, form, w)
+            cap = 1.0 * (g.sup_norm ** 2 + gamma(g.input_norm))
+            r = lhs - cap if check == "right-growth" else -lhs - cap
+        return np.where(np.all(np.isfinite(w), axis=-1), r, np.nan)
+
+    return residual
+
+
+def block_check(check, sys, V, P, gamma, sampler, budget):
+    if check == "sandwich":
+        return check_sandwich(V, 0.5, 3.0, 2.0, sampler, budget)
+    if check == "dissipation":
+        return check_pointwise_dissipation(sys, V, 0.5, 0.01, gamma, sampler,
+                                           budget)
+    growth = check_right_growth if check == "right-growth" else \
+        check_left_growth
+    return growth(sys, P, 1.0, gamma, sampler, budget)
+
+
+def per_group_sweep(name, residual, sampler, budget, tolerance=1e-9):
+    """The sweep loop that evaluates each group of a block on its own:
+    (its report, the residuals)."""
+    groups = getattr(sampler, "groups", None)
+    draw = groups or partial(certify._groups_of_samples, sampler)
+    r = np.empty(budget)
+    best, held = -np.inf, ()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, budget, certify._BLOCK):
+            stop = min(start + certify._BLOCK, budget)
+            block = list(draw(start, stop))
+            for group in block:
+                r[group.indices] = residual(group)
+            top = np.max(r[start:stop], where=np.isfinite(r[start:stop]),
+                         initial=-np.inf)
+            if top > best:
+                best, held = top, block
+    finite = np.isfinite(r)
+    if not finite.any():
+        raise RuntimeError(f"every sample of check {name} was skipped")
+    skipped = budget - int(np.count_nonzero(finite))
+    worst_idx = int(np.argmax(np.where(finite, r, -np.inf)))
+    worst = float(r[worst_idx])
+    if worst > tolerance:
+        witness = (certify._row(held, worst_idx) if groups
+                   else sampler.sample(worst_idx))
+        return CheckReport(name, budget, skipped, worst, tolerance, VIOLATED,
+                           witness, worst_idx), r
+    return CheckReport(name, budget, skipped, worst, tolerance,
+                       NO_VIOLATION), r
+
+
+class ZeroInputs:
+    """Criterion 05's sampler: each group of the inner block with its
+    inputs replaced by zeros."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sample(self, i):
+        phi, _ = self.inner.sample(i)
+        return phi, np.zeros(1)
+
+    def groups(self, start, stop):
+        return [dataclasses.replace(g, inputs=np.zeros_like(g.inputs))
+                for g in self.inner.groups(start, stop)]
+
+
+def ill_conditioned_P():
+    """A non-diagonal P of condition number 1e14, past the range where
+    the max-type kernel prunes any segment."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    R = np.array([[c, -s], [s, c]])
+    P = R @ np.diag([1.0, 1e-14]) @ R.T
+    return 0.5 * (P + P.T)
+
+
+BLOCK_P = np.array([[2.0, 0.3], [0.3, 1.0]])
+CHECK_NAMES = {"sandwich": "sandwich", "dissipation": "pointwise-dissipation",
+               "right-growth": "right-growth", "left-growth": "left-growth"}
+
+
+def block_terms(delay):
+    return {
+        "point": PointQuadratic(BLOCK_P),
+        "delayed-half": DelayedQuadratic(BLOCK_P, -0.5 * delay),
+        "delayed-0.3": DelayedQuadratic(BLOCK_P, -0.3),
+        "integral-constant": IntegralQuadratic(BLOCK_P, ConstantWeight(2.0)),
+        "integral-exponential": IntegralQuadratic(
+            BLOCK_P, ExponentialWeight(1.5, 0.7)),
+        "max": MaxExp(BLOCK_P),
+        "max-ill": MaxExp(ill_conditioned_P()),
+        "W": combine_W(standard_lkf(), 0.02, BLOCK_P),
+    }
+
+
+def block_samplers(seed, delay):
+    return {
+        "draw": FalsificationSampler(seed, 2, 1, delay),
+        "adaptor": MemoSampler(seed, 2, delay),
+        "wrapper": ZeroInputs(FalsificationSampler(seed, 2, 1, delay)),
+    }
+
+
+class TestOnePassPerBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           delay=st.sampled_from([0.0, 0.2, 1.0, 3.0]),
+           budget=st.sampled_from([1, 64, 1024, 1025, 1500])
+           | st.integers(1, 1500),
+           source=st.sampled_from(["draw", "adaptor", "wrapper"]),
+           system=st.sampled_from(["example1", "example2-user-pair"]),
+           term=st.sampled_from(["point", "delayed-half", "delayed-0.3",
+                                 "integral-constant", "integral-exponential",
+                                 "max", "max-ill", "W"]),
+           check=st.sampled_from(["sandwich", "dissipation", "right-growth",
+                                  "left-growth"]))
+    @example(seed=20260809, delay=1.0, budget=1500, source="draw",
+             system="example1", term="W", check="dissipation")
+    @example(seed=11, delay=3.0, budget=1025, source="adaptor",
+             system="example2-user-pair", term="max-ill", check="sandwich")
+    @example(seed=5, delay=0.2, budget=700, source="wrapper",
+             system="example1", term="delayed-0.3", check="dissipation")
+    @example(seed=7, delay=0.0, budget=300, source="draw",
+             system="example2-user-pair", term="integral-exponential",
+             check="left-growth")
+    def test_block_equals_the_per_group_loop(self, seed, delay, budget,
+                                             source, system, term, check):
+        sys = parity_systems(delay)[system]
+        V = block_terms(delay)[term]
+        P = V.P if isinstance(V, MaxExp) else BLOCK_P
+        gamma = square_gain(0.5)
+        recorded = {}
+        sweep = certify._sweep
+
+        def recording(name, residual, sampler, budget, tolerance):
+            r = recorded[name] = np.full(budget, -1.0)
+
+            def block_residual(block):
+                out = residual(block)
+                r[block.indices] = out
+                return out
+
+            return sweep(name, block_residual, sampler, budget, tolerance)
+
+        outcomes = []
+        for run in ("block", "reference"):
+            sampler = block_samplers(seed, delay)[source]
+            try:
+                if run == "block":
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(certify, "_sweep", recording)
+                        rep = block_check(check, sys, V, P, gamma, sampler,
+                                          budget)
+                    (r,) = recorded.values()
+                else:
+                    rep, r = per_group_sweep(
+                        CHECK_NAMES[check],
+                        group_residual(check, sys, V, P, gamma), sampler,
+                        budget)
+            except (ValueError, RuntimeError) as exc:
+                outcomes.append((type(exc), str(exc)))
+                continue
+            outcomes.append((report_bits(rep), r.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           delay=st.sampled_from([0.0, 0.2, 1.0, 3.0]),
+           stop=st.integers(1, 1024),
+           source=st.sampled_from(["draw", "adaptor", "wrapper"]),
+           system=st.sampled_from(["example1", "example2-user-pair"]))
+    @example(seed=20260809, delay=1.0, stop=576, source="draw",
+             system="example1")
+    def test_terms_equal_the_per_group_terms(self, seed, delay, stop, source,
+                                             system):
+        # every term's value and closed-form derivative on a block, and
+        # the field, are the per-group results joined in group order
+        sys = parity_systems(delay)[system]
+        sampler = block_samplers(seed, delay)[source]
+        if source == "adaptor":
+            block = certify._Block(certify._groups_of_samples(sampler, 0,
+                                                              stop))
+        else:
+            block = certify._Block(sampler.groups(0, stop))
+        w = certify._field(sys, block)
+        assert w.tobytes() == np.concatenate(
+            [group_field(sys, g) for g in block]).tobytes()
+        for name, V in block_terms(delay).items():
+            if name == "delayed-0.3" and delay < 0.3:
+                with pytest.raises(ValueError, match="outside"):
+                    functionals._values(V, block)
+                continue
+            with np.errstate(all="ignore"):
+                got = (functionals._values(V, block),
+                       functionals._closed(V, block, w))
+                ref = [], []
+                for g, rows in zip(block, group_rows(block)):
+                    ref[0].append(group_values(V, g))
+                    ref[1].append(group_closed(V, g, w[rows]))
+            for a, b in zip(got, ref):
+                assert a.tobytes() == np.concatenate(b).tobytes(), name
+
+
+def group_rows(block):
+    """The rows of each group in its block."""
+    lo = 0
+    for g in block:
+        yield slice(lo, lo + g.indices.shape[0])
+        lo += g.indices.shape[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -144,6 +146,29 @@ def intake_cases(draw):
     return P
 
 
+# entries at the edges of the float range and of the symmetry test
+SYMMETRY_EDGES = (0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308,
+                  -1e308, 2.0 ** -1074, -(2.0 ** -1074), 2.0 ** -1022)
+
+
+@st.composite
+def symmetry_cases(draw):
+    """1x1 to 3x3 matrices of edge or arbitrary entries; half of them
+    mirrored to exact symmetry, then one entry moved by a multiple of
+    _symmetric's atol."""
+    n = draw(st.integers(1, 3))
+    entry = st.sampled_from(SYMMETRY_EDGES) | st.floats()
+    Q = np.array(draw(st.lists(entry, min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        Q = np.where(np.tri(n, dtype=bool), Q, Q.T)
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        with np.errstate(all="ignore"):
+            atol = 1e-12 * (1.0 + np.abs(Q).max())
+            Q[i, j] += draw(st.sampled_from([0.0, 0.5, 1.0, 1.001, 1e5])) * atol
+    return Q
+
+
 class TestPositiveDefiniteIntake:
     """One function decides positive definiteness for every P: the terms,
     the margins, the growth checks and the CLI's constants.P."""
@@ -173,6 +198,29 @@ class TestPositiveDefiniteIntake:
     def test_indefinite_P_is_rejected_by_the_max_type_term(self):
         with pytest.raises(ValueError, match="matrix must be positive definite"):
             MaxExp(self.INDEFINITE)
+
+    @settings(max_examples=500, deadline=None)
+    @given(Q=symmetry_cases())
+    @example(Q=np.array([[1.0, np.inf], [np.inf, 1.0]]))
+    @example(Q=np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    @example(Q=np.array([[1.0, np.inf], [1e308, 1.0]]))
+    @example(Q=np.array([[0.0, -0.0], [0.0, 2.0 ** -1074]]))
+    def test_symmetry_decisions_are_np_allclose(self, Q):
+        # the reference: np.allclose with no relative tolerance, which
+        # warns of a non-finite atol
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            close = np.allclose(Q, Q.T, rtol=0.0,
+                                atol=1e-12 * (1.0 + np.abs(Q).max()))
+        try:
+            with np.errstate(all="ignore"):
+                S = functionals._symmetric(Q)
+        except ValueError:
+            assert not close
+            return
+        assert close
+        with np.errstate(all="ignore"):
+            assert S.tobytes() == (0.5 * (Q + Q.T)).tobytes()
 
     def test_symmetry_has_no_relative_tolerance(self):
         # atol is 1e-12 (1 + max|Q|) = 3e-12 here; np.allclose's default
@@ -290,7 +338,8 @@ class TestMaxExpDerivative:
         phi = HistoryFunction(delay, phi.grid, phi.values * np.exp(
             -tilt * (phi.grid + delay))[:, None])
         w = w_scale * rng.standard_normal(2)
-        M, f, rest = functionals._maxexp(MaxExp(P), phi.grid, phi.values[None])
+        M, (f,), rest = functionals._maxexp(
+            MaxExp(P), _Batch(delay, phi.grid, phi.values[None]))
         M, f_start, f_end, rest = M[0], f[0, 0], f[0, -1], rest[0]
         # away from ties: f(-delay) apart from the maximum over the rest
         # of the window, and f(0) either that maximum or apart from it
@@ -542,7 +591,8 @@ class TestPrunedMaxExp:
                        rng.integers(n)] = bad
         w = 10.0 ** rng.uniform(-2.0, 3.0) * rng.standard_normal((count, n))
         with np.errstate(all="ignore"):
-            got = functionals._maxexp(V, grid, values)
+            M, (f,), rest = functionals._maxexp(V, _Batch(delay, grid, values))
+            got = M, f, rest
             ref = maxexp_reference(V.P, grid, values)
             for a, b in zip(got, ref):
                 assert a.tobytes() == b.tobytes()

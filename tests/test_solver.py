@@ -787,6 +787,31 @@ def norm_series_reference(traj):
     return times[out_idx], norms
 
 
+class TestWindowMax:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), size=st.integers(1, 300),
+           levels=st.sets(st.integers(0, 8), min_size=1),
+           count=st.integers(1, 40))
+    @example(seed=1, size=300, levels={0, 5, 8}, count=40)
+    @example(seed=2, size=1, levels={0}, count=3)
+    def test_equals_the_brute_force_maximum(self, seed, size, levels, count):
+        # windows of a few levels, 2^j <= length < 2^(j+1), the levels
+        # between them absent
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(size) ** 2
+        lengths = []
+        for j in rng.choice(sorted(levels), count).tolist():
+            top = min(2 ** (j + 1) - 1, size)
+            if 2 ** j <= top:
+                lengths.append(int(rng.integers(2 ** j, top + 1)))
+        if not lengths:
+            lengths = [1]
+        lo = np.array([int(rng.integers(0, size - n + 1)) for n in lengths])
+        hi = lo + np.array(lengths) - 1
+        brute = np.array([a[i:k + 1].max() for i, k in zip(lo, hi)])
+        assert solver._window_max(a, lo, hi).tobytes() == brute.tobytes()
+
+
 def assert_same_norm_series(traj):
     t_out, norms = history_norm_series(traj)
     t_ref, n_ref = norm_series_reference(traj)
