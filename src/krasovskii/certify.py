@@ -6,19 +6,20 @@ witness when it is violated.  A "no violation found" verdict is
 sampling evidence, never a proof.
 
 A sweep draws its samples in blocks and evaluates each block once.  A
-block is stacked into groups, the samples whose histories share a grid,
-each with (B, len(grid), n) values and (B, m) inputs.  A group takes the
-reads that every check and functional term needs once, when it is
-built: phi(0), phi(-delay), |phi(0)|, sup|phi| and |v|.  The block
-joins them, so every term and check that reads only these runs once on
-the whole block, and only what reads a grid runs group by group (see
-functionals).  `FalsificationSampler.groups(start, stop)` draws a block
-straight into its groups, one Fourier kernel call per mode class, and
-keeps it, up to _MEMO_BYTES of arrays per sampler: every check that
-sweeps the same sampler reads one draw pass and one set of reads.  Kept
-blocks are shared, so their arrays are read-only.  Any other sampler
-needs only sample(i), the history and input vector of index i, drawn
-one index at a time and grouped by grid.  Either way sample i is row i mod _PAGE of
+block is a batch (histories._Batch) whose parts are its groups, the
+samples whose histories share a grid, each holding only its draw:
+(B, len(grid), n) values, (B, m) inputs and indices.  The block takes
+the reads that every check and functional term needs once, when it is
+built: phi(0), phi(-delay), |phi(0)|, sup|phi| and |v|.  So every term
+and check that reads only these runs once on the whole block, and only
+what reads a grid runs group by group (see functionals).
+`FalsificationSampler.groups(start, stop)` draws a block straight into
+its groups, one Fourier kernel call per mode class, and keeps it, up to
+_MEMO_BYTES of arrays per sampler: every check that sweeps the same
+sampler reads one draw pass and one set of reads.  Kept blocks are
+shared, so their arrays are read-only.  Any other sampler needs only
+sample(i), the history and input vector of index i, drawn one index at
+a time and grouped by grid.  Either way sample i is row i mod _PAGE of
 its page, drawn whole from the page's own generator,
 np.random.default_rng((seed, SAMPLER_STREAM, page)).  Every residual is
 computed as it would be alone, so a verdict, its witness index and the
@@ -66,8 +67,8 @@ from .histories import (
     SAMPLER_STREAM,
     HistoryFunction,
     _Batch,
+    _Part,
     _fourier_histories,
-    _join,
     _norm,
     random_history,  # noqa: F401  (still importable from this module)
     stream_key,
@@ -164,10 +165,9 @@ class FalsificationSampler:
         block = memo.get((start, stop))
         if block is None:
             block = self._draw(start, stop)
-            size = sum(g.nbytes for g in block)
-            if memo.nbytes + size <= _MEMO_BYTES:
+            if memo.nbytes + block.nbytes <= _MEMO_BYTES:
                 memo[start, stop] = block
-                memo.nbytes += size
+                memo.nbytes += block.nbytes
         return block
 
     def _draw(self, start: int, stop: int) -> _Block:
@@ -272,60 +272,39 @@ _BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class _Group(_Batch):
-    """Samples of one block on one grid: the batch of their histories,
-    their inputs (B, m) and indices, and the norms the checks read,
-    |phi(0)|, sup|phi| and |v| (B,), taken once, when it is built."""
+class _Group(_Part):
+    """Samples of one block on one grid, as drawn: a part of its block,
+    with their inputs (B, m) and indices."""
 
     inputs: np.ndarray
     indices: np.ndarray
-    point_norm: np.ndarray = field(init=False)
-    sup_norm: np.ndarray = field(init=False)
-    input_norm: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        super().__post_init__()
-        self._keep(inputs=self.inputs, indices=self.indices,
-                   point_norm=_norm(self.x0), input_norm=_norm(self.inputs),
-                   sup_norm=_norm(self.values).max(axis=-1))
+
+class _Block(_Batch):
+    """The samples of one block, a batch whose parts are its groups, one
+    per grid.  It joins their inputs and indices and takes the norms the
+    checks read, |phi(0)|, sup|phi| and |v| (B,), once, when it is built:
+    sup|phi| group by group, the others on the joined rows.  Blocks are
+    shared, so every array of a block and its groups is read-only."""
+
+    def __init__(self, groups):
+        super().__init__(groups)
+        self.inputs = self.per_part(lambda g: g.inputs)
+        self.indices = self.per_part(lambda g: g.indices)
+        self.point_norm, self.input_norm = _norm(self.x0), _norm(self.inputs)
+        self.sup_norm = self.per_part(lambda g: _norm(g.values).max(axis=-1))
+        for array in self._arrays():
+            array.flags.writeable = False
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in vars(self).values()
-                   if isinstance(a, np.ndarray))
+        return sum(a.nbytes for a in self._arrays())
 
-
-# the reads of a block that need no grid, joined over its groups
-_READS = ("x0", "xd", "inputs", "indices", "point_norm", "sup_norm",
-          "input_norm")
-
-
-class _Block:
-    """The samples of one block: its groups, one per grid, as `parts`,
-    and each of _READS of all of them, the groups' arrays joined in the
-    order of the groups.  Each group then reads its rows of the joined
-    arrays, so a block keeps one read-only copy of every read.  A block
-    is a batch in parts for the evaluators, and iterates over its
-    groups."""
-
-    def __init__(self, groups):
-        self.parts = parts = tuple(groups)
-        self.delay = parts[0].delay
-        if any(g.delay != self.delay for g in parts):
-            raise ValueError("the histories of a sweep must share one delay")
-        ends = np.cumsum([g.indices.shape[0] for g in parts]).tolist()
-        for name in _READS:
-            joined = _join([getattr(g, name) for g in parts])
-            joined.flags.writeable = False
-            setattr(self, name, joined)
-            if len(parts) > 1:
-                for g, lo, hi in zip(parts, [0] + ends, ends):
-                    object.__setattr__(g, name, joined[lo:hi])
-
-    at = _Batch.at
-
-    def __iter__(self):
-        return iter(self.parts)
+    def _arrays(self):
+        """Every array the block and its groups hold, each once."""
+        return {id(a): a for holder in (self, *self.parts)
+                for a in vars(holder).values()
+                if isinstance(a, np.ndarray)}.values()
 
 
 def _groups_of_samples(sampler, start: int, stop: int) -> list:
@@ -409,7 +388,7 @@ def _field(sys: DelaySystem, block: _Block) -> np.ndarray:
         return np.ascontiguousarray(w.T)
     rows = np.empty((size, sys.n))
     phis = (HistoryFunction._trusted(g.delay, g.grid, row)
-            for g in block.parts for row in g.values)
+            for g in block for row in g.values)
     for j, (phi, v) in enumerate(zip(phis, block.inputs)):
         try:
             rows[j] = sys.field(phi, v)

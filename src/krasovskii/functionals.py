@@ -48,7 +48,7 @@ from .histories import (
     _Batch,
     _eval_on_grid,
     _join,
-    _per_part,
+    _Part,
     _slope_row,
     _sum_last,
     driver_extension,
@@ -232,15 +232,15 @@ class Sum(Functional):
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# The evaluators work on a `_Batch` in parts, each part histories on one
-# shared grid.  A term that reads only phi(0) and phi(-delay), taken once
-# for every term, runs once on the whole batch; integrals, reads at other
-# lags, right slopes and the max-type term's node phase run part by part.
-# Each result is a (B,) array in the order of the parts.  The public
-# single-history functions are batches of one, on one grid.
+# The evaluators take one batch type, `_Batch`, histories in parts on one
+# grid each.  A term that reads only phi(0) and phi(-delay), the batch's
+# reads, runs once on the whole batch; integrals, reads at other lags,
+# right slopes and the max-type term's node phase run part by part.  Each
+# result is a (B,) array in the order of the parts.  The public
+# single-history functions pass a batch of one part.
 
 def _one(phi: HistoryFunction) -> _Batch:
-    return _Batch(phi.delay, phi.grid, phi.values[None])
+    return _Batch([_Part(phi.delay, phi.grid, phi.values[None])])
 
 
 def eval_functional(V: Functional, phi: HistoryFunction) -> float:
@@ -251,8 +251,8 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
         return _qform(batch.at(V.at), V.form)
     if isinstance(V, IntegralQuadratic):
-        return _per_part(batch, partial(_integral, V.form, V.weight.value,
-                                        V.weight.polynomial))
+        return batch.per_part(partial(_integral, V.form, V.weight.value,
+                                      V.weight.polynomial))
     if isinstance(V, MaxExp):
         return _maxexp(V, batch)[0]
     if isinstance(V, Scale):
@@ -262,7 +262,7 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _integral(form: tuple, weight_fn, polynomial, part: _Batch) -> np.ndarray:
+def _integral(form: tuple, weight_fn, polynomial, part: _Part) -> np.ndarray:
     # per-segment Simpson; exact when the integrand is polynomial of
     # degree <= 3 per segment (constant weight, linear history)
     delay, g, values = part.delay, part.grid, part.values
@@ -316,7 +316,7 @@ def _maxexp(V: MaxExp, batch: _Batch):
     of all parts are solved together, and each row's peak is scattered
     with np.maximum.at, which keeps a NaN as np.max does."""
     fs, rests, found, offset = [], [], [], 0
-    for part in batch.parts:
+    for part in batch:
         g, values = part.grid, part.values
         q = _qform(values, V.form)
         e = np.exp(2.0 * g)
@@ -454,8 +454,8 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
     """Closed-form derivative of each history of the batch along its
     slope row of w (B, n)."""
     if isinstance(V, DelayedQuadratic):
-        slope = w if V.at == 0.0 else _per_part(
-            batch, lambda p: _right_slope(p.grid, p.values, V.at))
+        slope = w if V.at == 0.0 else batch.per_part(
+            lambda p: _right_slope(p.grid, p.values, V.at))
         return 2.0 * _qform(batch.at(V.at), V.form, slope)
     if isinstance(V, IntegralQuadratic):
         x0, xd, wt = batch.x0, batch.xd, V.weight
@@ -463,8 +463,8 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
                     - float(wt.value(-batch.delay)) * _qform(xd, V.form))
         if wt.polynomial:
             return boundary
-        return boundary - _per_part(batch, partial(_integral, V.form,
-                                                   wt.derivative, False))
+        return boundary - batch.per_part(partial(_integral, V.form,
+                                                 wt.derivative, False))
     if isinstance(V, Scale):
         return V.k * _closed(V.inner, batch, w)
     if isinstance(V, Sum):
@@ -486,8 +486,8 @@ def _maxexp_closed(V: MaxExp, batch: _Batch, point) -> np.ndarray:
     parts = batch.parts
     f_start = _join([nodes[:, 0] for nodes in f])
     f_end = _join([nodes[:, -1] for nodes in f])
-    slope = _per_part(batch, lambda p: _right_slope(p.grid, p.values,
-                                                    p.grid[0]))
+    slope = batch.per_part(lambda p: _right_slope(p.grid, p.values,
+                                                  p.grid[0]))
     tie = M - 1e-9 * np.abs(M)
     # every part's window starts at -delay
     d_start = 2.0 * f_start + 2.0 * np.exp(2.0 * parts[0].grid[0]) * _qform(

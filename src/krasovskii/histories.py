@@ -25,8 +25,8 @@ histories draws from the one strata table, NORM_SCALES x MODE_CHOICES.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -273,52 +273,49 @@ def _eval_on_grid(delay, grid, values, tau):
 
 
 @dataclass(frozen=True, eq=False)
-class _Batch:
-    """Histories on one shared grid, the batch evaluators' input: values
-    (B, len(grid), n) and the reads x0 = phi(0) and xd = phi(-delay)
-    (B, n), taken once, when the batch is built.  Batches may be shared,
-    so the values and the reads are read-only.
-
-    An evaluator takes any batch in parts: it reads x0 and xd, and
-    anything else that does not need a grid, on the whole batch, and
-    reads each of `parts`, batches on one grid, for what does, joining
-    their results in the order of the parts (`_per_part`).  A batch on
-    one grid is its own one part; certify's sweep block has one part per
-    grid."""
+class _Part:
+    """Histories on one shared grid: values (B, len(grid), n)."""
 
     delay: float
     grid: np.ndarray
     values: np.ndarray
-    x0: np.ndarray = field(init=False)
-    xd: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        read = partial(_eval_on_grid, self.delay, self.grid, self.values)
-        self._keep(values=self.values, x0=read(0.0), xd=read(-self.delay))
 
-    def _keep(self, **arrays):
-        for name, array in arrays.items():
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+class _Batch:
+    """Histories in parts of one delay, the batch evaluators' one input,
+    and the read-only reads x0 = phi(0) and xd = phi(-delay) (B, n),
+    taken part by part when it is built and joined in the order of the
+    parts.  An evaluator reads x0 and xd, and anything else that needs no
+    grid, on the whole batch, and each part for what does (`per_part`).
+    A lone history is a batch of one part; certify's sweep block has one
+    part per grid.  Iterating a batch yields its parts."""
+
+    def __init__(self, parts):
+        self.parts = parts = tuple(parts)
+        self.delay = parts[0].delay
+        if any(p.delay != self.delay for p in parts):
+            raise ValueError("the histories of a sweep must share one delay")
+        self.x0, self.xd = self._read(0.0), self._read(-self.delay)
+        self.x0.flags.writeable = self.xd.flags.writeable = False
+
+    def __iter__(self):
+        return iter(self.parts)
 
     def at(self, tau: float) -> np.ndarray:
         """phi(tau) of each history, (B, n), as _eval_on_grid reads it:
-        the kept read at 0 and at -delay, any other lag afresh, part by
-        part."""
+        the kept read at 0 and at -delay, any other lag afresh."""
         if tau == 0.0:
             return self.x0
-        return self.xd if tau == -self.delay else _per_part(
-            self, lambda p: _eval_on_grid(p.delay, p.grid, p.values, tau))
+        return self.xd if tau == -self.delay else self._read(tau)
 
-    @property
-    def parts(self) -> tuple:
-        return (self,)
+    def _read(self, tau: float) -> np.ndarray:
+        return self.per_part(
+            lambda p: _eval_on_grid(p.delay, p.grid, p.values, tau))
 
-
-def _per_part(batch, read) -> np.ndarray:
-    """read(part) of each part of the batch, joined in the order of the
-    parts: one array of the batch's rows."""
-    return _join([read(part) for part in batch.parts])
+    def per_part(self, read) -> np.ndarray:
+        """read(part) of each part, joined in the order of the parts: one
+        array of the batch's rows."""
+        return _join([read(part) for part in self.parts])
 
 
 def _join(arrays: list) -> np.ndarray:

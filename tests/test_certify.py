@@ -961,7 +961,7 @@ def report_bits(rep):
 
 
 def memo_bytes(sampler):
-    return sum(g.nbytes for block in sampler._memo.values() for g in block)
+    return sum(block.nbytes for block in sampler._memo.values())
 
 
 class TestSharedSampler:
@@ -1003,9 +1003,8 @@ class TestSharedSampler:
     def test_blocks_past_the_cap_are_not_kept(self, monkeypatch, blocks_kept):
         monkeypatch.setattr(certify, "_BLOCK", 256)
         budget = 600  # blocks (0, 256), (256, 512) and (512, 600)
-        sizes = [sum(g.nbytes for g in FalsificationSampler(
-            5, 2, 1, 1.0)._draw(start, min(start + 256, budget)))
-            for start in (0, 256)]
+        sizes = [FalsificationSampler(5, 2, 1, 1.0)._draw(
+            start, min(start + 256, budget)).nbytes for start in (0, 256)]
         cap = sum(sizes[:blocks_kept])
         monkeypatch.setattr(certify, "_MEMO_BYTES", cap)
         sampler = FalsificationSampler(5, 2, 1, 1.0)
@@ -1042,49 +1041,89 @@ class TestSharedSampler:
         assert len(sampler._memo) == math.ceil(10_000 / certify._BLOCK)
         assert sampler._memo.nbytes <= 8 << 20
 
+    def test_memo_counts_every_buffer(self):
+        # the memo's count is no less than the distinct buffers its kept
+        # blocks and their groups hold, each array followed to the buffer
+        # it views
+        sampler = FalsificationSampler(20260809, 2, 1, 1.0)
+        for start in range(0, 10_000, certify._BLOCK):
+            sampler.groups(start, min(start + certify._BLOCK, 10_000))
+        buffers = {}
+        for block in sampler._memo.values():
+            for holder in (block, *block):
+                for array in vars(holder).values():
+                    if not isinstance(array, np.ndarray):
+                        continue
+                    while isinstance(array.base, np.ndarray):
+                        array = array.base
+                    buffers[id(array)] = array
+        held = sum(a.nbytes for a in buffers.values())
+        assert held <= sampler._memo.nbytes <= 8 << 20
+
+
+# the reads a block takes when it is built, beside its groups' draws
+BLOCK_READS = ("x0", "xd", "inputs", "indices", "point_norm", "sup_norm",
+               "input_norm")
+
+
+def fresh_reads(g):
+    """Every read of BLOCK_READS of one group, taken afresh."""
+    read = partial(_eval_on_grid, g.delay, g.grid, g.values)
+    return {"x0": read(0.0), "xd": read(-g.delay), "inputs": g.inputs,
+            "indices": g.indices, "point_norm": _norm(read(0.0)),
+            "sup_norm": np.sqrt(np.max(_sum_last(g.values * g.values),
+                                       axis=-1)),
+            "input_norm": _norm(g.inputs)}
+
 
 class TestStoredReads:
     @pytest.mark.parametrize("delay", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("source", ["draw", "adaptor"])
     def test_reads_are_the_fresh_reads(self, source, delay):
-        # every read a group keeps is the read a check took before it was
-        # kept, bit for bit, and none of them can be written
+        # every read a block keeps is the read a check took before it was
+        # kept, group by group in the order of the groups, bit for bit,
+        # none of them can be written, and the groups hold only their draw
         if source == "draw":
-            groups = FalsificationSampler(11, 2, 1, delay)._draw(0, 300)
+            block = FalsificationSampler(11, 2, 1, delay)._draw(0, 300)
         else:
-            groups = certify._groups_of_samples(MemoSampler(11, 2, delay),
-                                                0, 300)
+            block = certify._Block(certify._groups_of_samples(
+                MemoSampler(11, 2, delay), 0, 300))
+        groups = list(block)
         assert sum(len(g.indices) for g in groups) == 300
         for g in groups:
-            read = partial(_eval_on_grid, delay, g.grid, g.values)
-            fresh = {"x0": read(0.0), "xd": read(-delay),
-                     "point_norm": _norm(read(0.0)),
-                     "sup_norm": np.sqrt(np.max(
-                         _sum_last(g.values * g.values), axis=-1)),
-                     "input_norm": _norm(g.inputs)}
-            for name, array in fresh.items():
-                kept = getattr(g, name)
-                assert kept.shape == array.shape, name
-                assert kept.tobytes() == array.tobytes(), name
-                with pytest.raises(ValueError, match="read-only"):
-                    kept[0] = 0
-            # at zero delay the two reads are one, and at() returns x0
-            assert g.at(0.0) is g.x0
-            assert g.at(-delay) is (g.xd if delay else g.x0)
-            lag = -0.37 * delay
-            assert g.at(lag).tobytes() == read(lag).tobytes()
-            with pytest.raises(ValueError, match="outside"):
-                g.at(-delay - 1e-6)
-            # the memo's byte count covers the kept reads
-            assert g.nbytes == sum(a.nbytes for a in (
-                g.grid, g.values, g.inputs, g.indices, *fresh.values()))
+            assert set(vars(g)) == {"delay", "grid", "values", "inputs",
+                                    "indices"}
+        fresh = [fresh_reads(g) for g in groups]
+        for name in BLOCK_READS:
+            kept = getattr(block, name)
+            array = np.concatenate([f[name] for f in fresh])
+            assert kept.shape == array.shape, name
+            assert kept.tobytes() == array.tobytes(), name
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 0
+        # at zero delay the two reads are one, and at() returns x0
+        assert block.at(0.0) is block.x0
+        assert block.at(-delay) is (block.xd if delay else block.x0)
+        lag = -0.37 * delay
+        assert block.at(lag).tobytes() == np.concatenate(
+            [_eval_on_grid(delay, g.grid, g.values, lag) for g in groups]
+        ).tobytes()
+        with pytest.raises(ValueError, match="outside"):
+            block.at(-delay - 1e-6)
+        # the memo's byte count covers the draws and the kept reads
+        held = {id(a): a for a in (
+            *(getattr(block, name) for name in BLOCK_READS),
+            *(a for g in groups for a in (g.grid, g.values, g.inputs,
+                                          g.indices)))}
+        assert block.nbytes == sum(a.nbytes for a in held.values())
 
     @pytest.mark.parametrize("delay", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("source", ["draw", "adaptor", "wrapper"])
     def test_block_reads_are_one_copy(self, source, delay):
         # a block's reads are its groups' fresh reads joined in the order
-        # of its groups, read-only, and each group's reads are its rows
-        # of them, so the memo keeps no second copy
+        # of its groups, read-only, and kept by the block alone: a group
+        # holds no read, and a block of one group joins nothing, so its
+        # inputs and indices are the group's own arrays
         sampler = FalsificationSampler(11, 2, 1, delay)
         if source == "draw":
             block = sampler._draw(0, 300)
@@ -1097,15 +1136,15 @@ class TestStoredReads:
         assert groups == list(block.parts) and len(groups) == (
             1 if delay == 0.0 else 3)
         assert np.array_equal(np.sort(block.indices), np.arange(300))
-        for name in certify._READS:
+        for name in BLOCK_READS:
             joined = getattr(block, name)
-            fresh = []
             for g in groups:
-                kept = getattr(g, name)
-                assert kept.base is joined or (len(groups) == 1
-                                               and kept is joined), name
-                fresh.append(getattr(dataclasses.replace(g), name))
-            assert joined.tobytes() == np.concatenate(fresh).tobytes(), name
+                if name in ("inputs", "indices"):
+                    assert (getattr(g, name) is joined) == (len(groups) == 1)
+                else:
+                    assert not hasattr(g, name), name
+            assert joined.tobytes() == np.concatenate(
+                [fresh_reads(g)[name] for g in groups]).tobytes(), name
             with pytest.raises(ValueError, match="read-only"):
                 joined[0] = 0
         assert block.at(0.0) is block.x0
@@ -1116,11 +1155,13 @@ class TestStoredReads:
         ).tobytes()
         with pytest.raises(ValueError, match="outside"):
             block.at(-delay - 1e-6)
-        # the groups' bytes are the block's: every read counted once
-        assert sum(g.nbytes for g in block) == sum(
-            getattr(block, name).nbytes for name in certify._READS) + sum(
-            g.grid.nbytes + g.values.nbytes for g in groups)
-
+        # the block's bytes: every read once, and each group's draw, whose
+        # inputs and indices are a second copy only when the block joined
+        assert block.nbytes == sum(
+            getattr(block, name).nbytes for name in BLOCK_READS) + sum(
+            g.grid.nbytes + g.values.nbytes for g in groups) + (
+            0 if len(groups) == 1 else
+            sum(g.inputs.nbytes + g.indices.nbytes for g in groups))
 
     def test_a_block_has_one_delay(self):
         # a block reads phi(-delay) once for all its groups, so a sampler
@@ -1139,14 +1180,12 @@ class TestStoredReads:
 # one pass per block against the per-group loop
 #
 # The reference evaluates each group of a block on its own, as every
-# term, field and check did before blocks were evaluated whole: the
-# per-group sweep loop, its residuals, and the max-type kernel of one grid.
+# term, field and check did before blocks were evaluated whole, and takes
+# each read of a group afresh: the per-group sweep loop, its residuals,
+# and the max-type kernel of one grid.
 
 def group_at(g, tau):
-    if tau == 0.0:
-        return g.x0
-    return g.xd if tau == -g.delay else _eval_on_grid(g.delay, g.grid,
-                                                      g.values, tau)
+    return _eval_on_grid(g.delay, g.grid, g.values, tau)
 
 
 def group_integral(form, weight_fn, polynomial, g):
@@ -1243,8 +1282,9 @@ def group_closed(V, g, w):
         return 2.0 * _qform(group_at(g, V.at), V.form, slope)
     if isinstance(V, IntegralQuadratic):
         wt = V.weight
-        boundary = (float(wt.value(0.0)) * _qform(g.x0, V.form)
-                    - float(wt.value(-g.delay)) * _qform(g.xd, V.form))
+        boundary = (float(wt.value(0.0)) * _qform(group_at(g, 0.0), V.form)
+                    - float(wt.value(-g.delay))
+                    * _qform(group_at(g, -g.delay), V.form))
         if wt.polynomial:
             return boundary
         return boundary - group_integral(V.form, wt.derivative, False, g)
@@ -1252,7 +1292,7 @@ def group_closed(V, g, w):
         return V.k * group_closed(V.inner, g, w)
     if isinstance(V, Sum):
         return group_closed(V.left, g, w) + group_closed(V.right, g, w)
-    point = 2.0 * _qform(g.x0, V.form, w)
+    point = 2.0 * _qform(group_at(g, 0.0), V.form, w)
     if g.grid.shape[0] < 2:
         return point
     M, f, rest = group_maxexp(V, g.grid, g.values)
@@ -1267,7 +1307,8 @@ def group_closed(V, g, w):
 
 def group_field(sys, g):
     if sys.pointwise is not None:
-        w = np.asarray(sys.pointwise(g.x0.T, group_at(g, -sys.delay).T,
+        w = np.asarray(sys.pointwise(group_at(g, 0.0).T,
+                                     group_at(g, -sys.delay).T,
                                      g.inputs.T), dtype=float)
         return np.ascontiguousarray(w.T)
     rows = np.empty((g.values.shape[0], sys.n))
@@ -1286,18 +1327,19 @@ def group_residual(check, sys, V, P, gamma):
     form = _form(P)
 
     def residual(g):
+        reads = fresh_reads(g)
         if check == "sandwich":
             val = group_values(V, g)
-            upper = val - 3.0 * g.sup_norm ** 2.0
-            lower = 0.5 * g.point_norm ** 2.0 - val
+            upper = val - 3.0 * reads["sup_norm"] ** 2.0
+            lower = 0.5 * reads["point_norm"] ** 2.0 - val
             return np.where(lower > upper, lower, upper)
         w = group_field(sys, g)
         if check == "dissipation":
-            r = (group_closed(V, g, w) + 0.5 * g.point_norm ** 2
-                 - 0.01 * g.sup_norm ** 2 - gamma(g.input_norm))
+            r = (group_closed(V, g, w) + 0.5 * reads["point_norm"] ** 2
+                 - 0.01 * reads["sup_norm"] ** 2 - gamma(reads["input_norm"]))
         else:
-            lhs = _qform(g.x0, form, w)
-            cap = 1.0 * (g.sup_norm ** 2 + gamma(g.input_norm))
+            lhs = _qform(reads["x0"], form, w)
+            cap = 1.0 * (reads["sup_norm"] ** 2 + gamma(reads["input_norm"]))
             r = lhs - cap if check == "right-growth" else -lhs - cap
         return np.where(np.all(np.isfinite(w), axis=-1), r, np.nan)
 

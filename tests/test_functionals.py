@@ -25,6 +25,7 @@ from krasovskii.functionals import (
 from krasovskii.histories import (
     HistoryFunction,
     _Batch,
+    _Part,
     constant_history,
     driver_extension,
     random_history,
@@ -339,7 +340,7 @@ class TestMaxExpDerivative:
             -tilt * (phi.grid + delay))[:, None])
         w = w_scale * rng.standard_normal(2)
         M, (f,), rest = functionals._maxexp(
-            MaxExp(P), _Batch(delay, phi.grid, phi.values[None]))
+            MaxExp(P), _Batch([_Part(delay, phi.grid, phi.values[None])]))
         M, f_start, f_end, rest = M[0], f[0, 0], f[0, -1], rest[0]
         # away from ties: f(-delay) apart from the maximum over the rest
         # of the window, and f(0) either that maximum or apart from it
@@ -374,7 +375,7 @@ class TestMaxExpDerivative:
             P = random_spd(rng, n)
             values = rng.standard_normal((7, 1, n))
             w = rng.standard_normal((7, n))
-            batch = _Batch(0.0, np.zeros(1), values)
+            batch = _Batch([_Part(0.0, np.zeros(1), values)])
             assert np.array_equal(
                 functionals._closed(MaxExp(P), batch, w),
                 functionals._closed(PointQuadratic(P), batch, w))
@@ -492,7 +493,8 @@ def maxexp_closed_reference(P, batch, w):
     """D+ of the max-type term by the argmax and tie rule, on the
     reference kernel."""
     point = 2.0 * xQy_reference(batch.x0, P, w)
-    grid, values = batch.grid, batch.values
+    (part,) = batch
+    grid, values = part.grid, part.values
     if grid.shape[0] < 2:
         return point
     M, f, rest = maxexp_reference(P, grid, values)
@@ -591,12 +593,13 @@ class TestPrunedMaxExp:
                        rng.integers(n)] = bad
         w = 10.0 ** rng.uniform(-2.0, 3.0) * rng.standard_normal((count, n))
         with np.errstate(all="ignore"):
-            M, (f,), rest = functionals._maxexp(V, _Batch(delay, grid, values))
+            M, (f,), rest = functionals._maxexp(
+                V, _Batch([_Part(delay, grid, values)]))
             got = M, f, rest
             ref = maxexp_reference(V.P, grid, values)
             for a, b in zip(got, ref):
                 assert a.tobytes() == b.tobytes()
-            batch = _Batch(delay, grid, values)
+            batch = _Batch([_Part(delay, grid, values)])
             assert (functionals._closed(V, batch, w).tobytes()
                     == maxexp_closed_reference(V.P, batch, w).tobytes())
 
@@ -705,8 +708,9 @@ def numeric_reference(V, batch, w, hs):
     base = functionals._values(V, batch)
     best = None
     for h in hs:
-        extended = _Batch(batch.delay, *extend_on_grid_reference(
-            batch.delay, batch.grid, batch.values, h, w))
+        (part,) = batch
+        extended = _Batch([_Part(batch.delay, *extend_on_grid_reference(
+            batch.delay, part.grid, part.values, h, w))])
         q = (functionals._values(V, extended) - base) / h
         best = q if best is None else np.where(q > best, q, best)
     return best

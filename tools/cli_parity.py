@@ -450,6 +450,9 @@ CONFIGS = {
     "example1-seeded": ("certify", EXAMPLE1, ("--seed", "7", "--budget", "500")),
     # the acceptance size: four checks share every kept group
     "example1-acceptance": ("certify", EXAMPLE1, ("--budget", "10000")),
+    # one sample: a block of one group and one row, whose joined reads
+    # are the group's own arrays
+    "example1-one-sample": ("certify", EXAMPLE1, ("--budget", "1")),
     "example1-tightened": ("certify", TIGHTENED, ()),
     "W-delay-1": ("certify", W_CERTIFY.format(delay="1.0"), ()),
     "W-delay-0": ("certify", W_CERTIFY.format(delay="0"), ()),
