@@ -39,7 +39,7 @@ result is the bits of solving every segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -90,12 +90,21 @@ def _symmetric(Q) -> np.ndarray:
 
 
 def _positive_definite(P) -> tuple[np.ndarray, np.ndarray]:
-    """(_symmetric(P), its eigenvalues ascending): the package's one rule
-    for a positive definite P, raising ValueError for any other P."""
-    P = _symmetric(P)
+    """(_symmetric(P), its eigenvalues ascending), both read-only: the
+    package's one rule for a positive definite P, raising ValueError for
+    any other P.  Kept for the last 32 float arrays by shape and bytes; a
+    P that raised is decided afresh on every call."""
+    P = np.asarray(P, dtype=float)
+    return _positive_definite_of(P.shape, P.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _positive_definite_of(shape, data):
+    P = _symmetric(np.frombuffer(data).reshape(shape))
     eigs = np.linalg.eigvalsh(P)
     if not eigs[0] > 0:
         raise ValueError("matrix must be positive definite")
+    eigs.flags.writeable = False
     return P, eigs
 
 
@@ -111,11 +120,12 @@ def _qform(a: np.ndarray, form: tuple, b: np.ndarray | None = None) -> np.ndarra
     index, Q given by its _form: the package's one form rule.  The terms
     (a_i Q_ij) b_j are summed in the order of (i, j), skipping zero
     entries of Q, so a row's value does not depend on the rows evaluated
-    with it or on the BLAS kernel."""
+    with it or on the BLAS kernel.  An entry of 1.0 forms a_i b_j, the
+    bits of (a_i 1.0) b_j for every double."""
     b = a if b is None else b
     total = None
     for i, j, q in form:
-        term = a[..., i] * q * b[..., j]
+        term = a[..., i] * b[..., j] if q == 1.0 else a[..., i] * q * b[..., j]
         total = term if total is None else total + term
     return np.zeros(a.shape[:-1]) if total is None else total
 
@@ -185,13 +195,21 @@ class PointQuadratic(DelayedQuadratic):
 
 @dataclass(frozen=True)
 class IntegralQuadratic(Functional):
+    """`reads` is (span, form): the slice from the first to the last
+    component Q reads, and Q's form renumbered onto it (see _integral)."""
+
     Q: np.ndarray
     weight: ConstantWeight | ExponentialWeight = field(default_factory=ConstantWeight)
     form: tuple = field(**_NO_COMPARE)
+    reads: tuple = field(**_NO_COMPARE)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _symmetric(self.Q))
         object.__setattr__(self, "form", _form(self.Q))
+        cols = [k for i, j, _ in self.form for k in (i, j)]
+        lo, hi = (min(cols), max(cols) + 1) if cols else (0, 0)
+        object.__setattr__(self, "reads", (slice(lo, hi), tuple(
+            (i - lo, j - lo, q) for i, j, q in self.form)))
         if np.isscalar(self.weight):
             object.__setattr__(self, "weight", ConstantWeight(float(self.weight)))
 
@@ -251,8 +269,8 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     if isinstance(V, DelayedQuadratic):
         return _qform(batch.at(V.at), V.form)
     if isinstance(V, IntegralQuadratic):
-        return batch.per_part(partial(_integral, V.form, V.weight.value,
-                                      V.weight.polynomial))
+        return batch.per_part(partial(_integral, V.reads, V.weight,
+                                      V.weight.value))
     if isinstance(V, MaxExp):
         return _maxexp(V, batch)[0]
     if isinstance(V, Scale):
@@ -262,18 +280,24 @@ def _values(V: Functional, batch: _Batch) -> np.ndarray:
     raise TypeError(f"not a functional term: {V!r}")
 
 
-def _integral(form: tuple, weight_fn, polynomial, part: _Part) -> np.ndarray:
-    # per-segment Simpson; exact when the integrand is polynomial of
-    # degree <= 3 per segment (constant weight, linear history)
-    delay, g, values = part.delay, part.grid, part.values
+def _integral(reads: tuple, weight, weight_fn, part: _Part) -> np.ndarray:
+    """The integral of weight_fn (the weight or its derivative) times the
+    form, per history of the part; a constant weight multiplies by its c
+    unless c = 1.0.  Only the span of components the form reads is
+    averaged, interpolated and formed: the bits of using them all."""
+    span, form = reads
+    delay, g, values = part.delay, part.grid, part.values[..., span]
     if delay == 0.0 or g.shape[0] < 2:
         return np.zeros(values.shape[0])
-    if polynomial:
+    if weight.polynomial:
+        # per-segment Simpson; exact when the integrand is polynomial of
+        # degree <= 3 per segment (constant weight, linear history)
         mids = 0.5 * (values[:, :-1] + values[:, 1:])
-        # the weighted node forms, whose first and last N - 1 are each
-        # segment's two ends
-        nodes = weight_fn(g) * _qform(values, form)
-        fm = weight_fn(0.5 * (g[:-1] + g[1:])) * _qform(mids, form)
+        # the node forms, whose first and last N - 1 are each segment's
+        # two ends
+        nodes, fm = _qform(values, form), _qform(mids, form)
+        if weight.c != 1.0:
+            nodes, fm = weight.c * nodes, weight.c * fm
         return _sum_last((g[1:] - g[:-1]) / 6.0
                          * (nodes[:, :-1] + 4.0 * fm + nodes[:, 1:]))
     # refined composite Simpson with 8 panels on each segment, the
@@ -328,9 +352,10 @@ def _maxexp(V: MaxExp, batch: _Batch):
             L = g[1:] - g[:-1]
             # a row with an infinite node meets inf - inf or 0 * inf here
             with np.errstate(invalid="ignore"):
-                inflate, lim = _limits(V, values.shape[-1], g, L, q, rest)
-                rows, seg = np.nonzero(~(np.maximum(q[:, :-1], q[:, 1:])
-                                         * (e[1:] * inflate) < lim[:, None]))
+                inflate, lim = _limits(V, values.shape[-1], g, q, rest)
+                rows, seg = np.divmod(np.flatnonzero(~(
+                    np.maximum(q[:, :-1], q[:, 1:]) * (e[1:] * inflate)
+                    < lim[:, None])), L.shape[0])
             # each candidate's row of the batch, length, left node, value
             # there, slope and node form
             u, L = values[rows, seg], L[seg]
@@ -380,11 +405,12 @@ def _segment_peaks(V: MaxExp, rest, rows, L, g0, u, d, gam):
     return rest
 
 
-def _limits(V: MaxExp, n: int, g, L, q, rest):
-    """(1 + m, lim) for the segments of a batch: a segment is a
+def _limits(V: MaxExp, n: int, g, q, rest):
+    """(1 + m, lim) for the segments of a part on grid g: a segment is a
     candidate unless its bound max(q_left, q_right) * (exp(2 tau_right)
     (1 + m)) is below its row's lim.  lim is -inf, keeping every
-    segment, where the bound is not derived.
+    segment, where the bound is not derived.  The scalars are taken
+    once per (V.spectrum, n, grid bytes) by _grid_constants.
 
     Derivation, with u = 2^-53, kappa = ||P||_F / lambda_min(P) and
     D = max(1, delay), for a segment from node a to node b of length L
@@ -410,21 +436,34 @@ def _limits(V: MaxExp, n: int, g, L, q, rest):
     and lim = (rest - floor)(1 - 4u).  A row keeps every segment where Q
     is not finite, where lim <= 0, or where Q > big, for then a slope
     form, up to 12 n^2 ||P||_F A^2 / min(1, L_min)^2, could overflow."""
-    frobenius, lam = V.spectrum
+    constants = _grid_constants(V.spectrum, n, g.tobytes())
+    if constants is None:
+        return 1.0, np.full(rest.shape, -np.inf)
+    inflate, floor, big = constants
+    Q = q.max(axis=-1)
+    # (rest - floor)(1 - 4u) rounds to at most rest - floor
+    lim = (rest - floor * (1.0 + Q)) * (1.0 - 4 * _U)
+    return inflate, np.where((Q <= big) & (lim > 0.0), lim, -np.inf)
+
+
+@lru_cache(maxsize=64)
+def _grid_constants(spectrum: tuple, n: int, grid: bytes):
+    """(1 + m, floor, big) of _limits, None where the bound is not
+    derived; kept for the last 64 keys."""
+    frobenius, lam = spectrum
     kappa = frobenius / lam if lam > 0.0 else np.inf
+    g = np.frombuffer(grid)
     D = max(1.0, -float(g[0]))
     relative = (n * n + 5) * _U * kappa
     if not (relative <= 1e-3 and 12 * _U * D <= 1e-3):
-        return 1.0, np.full(rest.shape, -np.inf)
+        return None
     m = _U * (32 * (n * n + 5) * kappa + 160 + 12 * D)
+    L = g[1:] - g[:-1]
     short, longest = min(1.0, float(L.min())), float(L.max())
     floor = _TINY * (32 * n * n * (1 + frobenius) * (1 + longest) ** 2
                      * (1 + 1 / lam) + 80)
     big = _HUGE / (64 * n * n * kappa) * short * short
-    Q = q.max(axis=-1)
-    # (rest - floor)(1 - 4u) rounds to at most rest - floor
-    lim = (rest - floor * (1.0 + Q)) * (1.0 - 4 * _U)
-    return 1.0 + m, np.where((Q <= big) & (lim > 0.0), lim, -np.inf)
+    return 1.0 + m, floor, big
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +502,8 @@ def _closed(V: Functional, batch: _Batch, w) -> np.ndarray:
                     - float(wt.value(-batch.delay)) * _qform(xd, V.form))
         if wt.polynomial:
             return boundary
-        return boundary - batch.per_part(partial(_integral, V.form,
-                                                 wt.derivative, False))
+        return boundary - batch.per_part(partial(_integral, V.reads, wt,
+                                                 wt.derivative))
     if isinstance(V, Scale):
         return V.k * _closed(V.inner, batch, w)
     if isinstance(V, Sum):

@@ -55,6 +55,8 @@ from krasovskii.histories import (
     _eval_on_grid,
     _fourier_histories,
     _norm,
+    _Batch,
+    _Part,
     _sum_last,
     constant_history,
 )
@@ -1220,7 +1222,7 @@ def group_maxexp(V, g, values):
         return np.maximum(f[:, 0], rest), f, rest
     L = np.diff(g)
     with np.errstate(invalid="ignore"):
-        inflate, lim = functionals._limits(V, values.shape[-1], g, L, q, rest)
+        inflate, lim = functionals._limits(V, values.shape[-1], g, q, rest)
         rows, seg = np.nonzero(~(np.maximum(q[:, :-1], q[:, 1:])
                                  * (e[1:] * inflate) < lim[:, None]))
     L, g0 = L[seg], g[seg]
@@ -1547,6 +1549,64 @@ def group_rows(block):
     for g in block:
         yield slice(lo, lo + g.indices.shape[0])
         lo += g.indices.shape[0]
+
+
+@st.composite
+def read_set_cases(draw):
+    """(V, batch, w): an integral term whose Q (n = 1..4) has zero rows
+    and columns, with a constant weight of 1.0 or 0.5 or an exponential
+    weight, on a batch of parts of 1, 2, 17 or 65 nodes, and slope rows w."""
+    n = draw(st.integers(1, 4))
+    read = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                    dtype=float)
+    S = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    weight = draw(st.sampled_from([ConstantWeight(1.0), ConstantWeight(0.5),
+                                   ExponentialWeight(1.5, 0.7)]))
+    sizes = draw(st.sampled_from([[1], [2], [17], [65], [2, 17, 65], [65, 2]]))
+    delay = 0.0 if sizes == [1] else draw(st.sampled_from([0.2, 1.0, 3.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for size in sizes:
+        grid = np.zeros(1) if size == 1 else np.concatenate(
+            [[-delay], np.sort(rng.uniform(-delay, 0.0, size - 2)), [0.0]])
+        rows = draw(st.integers(1, 4))
+        parts.append(_Part(delay, grid, rng.normal(size=(rows, size, n))))
+    w = rng.normal(size=(sum(p.values.shape[0] for p in parts), n))
+    return IntegralQuadratic((S + S.T) * np.outer(read, read), weight), \
+        _Batch(parts), w
+
+
+class TestIntegralReadSet:
+    """The integral term averages, interpolates and forms only the
+    components its Q reads, and multiplies by a constant weight only when
+    it is not 1.0: the bits of the per-group reference, which does all
+    of that on every component."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(read_set_cases())
+    def test_is_the_full_component_reference(self, case):
+        V, batch, w = case
+        wt, ends = V.weight, np.cumsum([0] + [p.values.shape[0] for p in batch])
+        values = np.concatenate([group_integral(V.form, wt.value,
+                                                wt.polynomial, p)
+                                 for p in batch])
+        closed = np.concatenate([group_closed(V, p, w[a:b]) for p, a, b
+                                 in zip(batch, ends[:-1], ends[1:])])
+        assert functionals._values(V, batch).tobytes() == values.tobytes()
+        assert functionals._closed(V, batch, w).tobytes() == closed.tobytes()
+
+    def test_reads_only_what_Q_reads(self):
+        # example1's integral term reads its second component alone; a Q
+        # reading components 0 and 2 of 3 reads the span 0..2, its form
+        # unchanged; a zero Q reads nothing
+        span, form = IntegralQuadratic(np.diag([0.0, 2.0])).reads
+        assert (span, form) == (slice(1, 2), ((0, 0, 2.0),))
+        Q = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.5],
+                      [0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 2.0]])
+        assert IntegralQuadratic(Q).reads == (
+            slice(1, 4), ((0, 0, 1.0), (0, 2, 0.5), (2, 0, 0.5), (2, 2, 2.0)))
+        assert IntegralQuadratic(np.zeros((2, 2))).reads == (slice(0, 0), ())
 
 
 # ---------------------------------------------------------------------------

@@ -546,3 +546,18 @@ class TestParityConfigs:
         assert ({command for command, _, _ in self.tool.CONFIGS.values()}
                 == set(cli._COMMANDS))
         assert set(self.tool.REJECTED) <= set(self.tool.CONFIGS)
+        assert f"set of {len(self.tool.CONFIGS)} configs" in self.tool.__doc__
+
+
+def test_sweep_timing_runs_against_its_own_tree():
+    # tools/sweep_timing.py: one run at budget 36 on each side, the same
+    # tree on both, so the reports' hashes must agree
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "sweep_timing.py"), "--against",
+         str(root), "--budgets", "36", "--runs", "1", "--rounds", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [ln.split(" (")[0] for ln in lines] == [
+        "budget 36 here", "budget 36 there", "budget 36: reports same"]

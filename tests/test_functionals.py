@@ -232,6 +232,76 @@ class TestPositiveDefiniteIntake:
         assert Q[0, 1] == Q[1, 0] == 0.5 * ((1.0 + 2e-12) + 1.0)
 
 
+class TestKernelMemos:
+    """The P intake and the max-type kernel's grid constants are each
+    kept in a bounded memo keyed on bytes, never on the caller's array:
+    results are read-only, a P mutated in place is decided afresh, and a
+    P that raised raises on every call."""
+
+    def test_intake_results_are_read_only(self):
+        Q, eigs = functionals._positive_definite(np.diag([2.0, 3.0]))
+        for array in (Q, eigs):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_a_mutated_P_is_decided_afresh(self):
+        P = np.eye(2)
+        assert functionals._positive_definite(P)[1].tolist() == [1.0, 1.0]
+        P[0, 1] = 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            functionals._positive_definite(P)
+        P[1, 0] = 0.5
+        Q, eigs = functionals._positive_definite(P)
+        assert Q.tobytes() == functionals._symmetric(P).tobytes()
+        assert eigs.tolist() == [0.5, 1.5]
+        P[:] = TestPositiveDefiniteIntake.INDEFINITE
+        with pytest.raises(ValueError, match="positive definite"):
+            functionals._positive_definite(P)
+
+    @pytest.mark.parametrize("P, match", [
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+        (TestPositiveDefiniteIntake.INDEFINITE, "positive definite"),
+        ([[1.0, 0.0], [0.0, 0.0]], "positive definite")])
+    def test_a_bad_P_raises_on_every_call(self, P, match):
+        kept = functionals._positive_definite_of.cache_info().currsize
+        for _ in range(3):
+            with pytest.raises(ValueError, match=match):
+                functionals._positive_definite(P)
+            with pytest.raises(ValueError, match=match):
+                MaxExp(P)
+        assert functionals._positive_definite_of.cache_info().currsize == kept
+
+    def test_memos_are_bounded(self):
+        for k in range(200):
+            P = np.diag([1.0 + k, 2.0])
+            functionals._positive_definite(P)
+            V = MaxExp(P)
+            g = np.linspace(-1.0 - k, 0.0, 5)
+            q = np.ones((1, 5))
+            functionals._limits(V, 2, g, q, np.full(1, 2.0))
+        for memo in (functionals._positive_definite_of,
+                     functionals._grid_constants):
+            info = memo.cache_info()
+            assert info.maxsize is not None and info.maxsize <= 64
+            assert info.currsize <= info.maxsize
+
+    def test_a_grid_of_the_same_bytes_gets_the_same_constants(self):
+        V = MaxExp(np.array([[2.0, 0.3], [0.3, 1.0]]))
+        g = np.array([-1.0, -0.6, -0.25, 0.0])
+        q = np.array([[1.0, 4.0, 2.0, 3.0], [np.inf, 1.0, 1.0, 1.0]])
+        rest = np.array([5.0, 1.0])
+        first = functionals._limits(V, 2, g, q, rest)
+        hits = functionals._grid_constants.cache_info().hits
+        again = functionals._limits(V, 2, g.copy(), q, rest)
+        assert functionals._grid_constants.cache_info().hits == hits + 1
+        assert first[0] == again[0] and first[1].tobytes() == again[1].tobytes()
+        # the kept constants are the ones taken afresh
+        fresh = functionals._grid_constants.__wrapped__(V.spectrum, 2,
+                                                         g.tobytes())
+        assert functionals._grid_constants(V.spectrum, 2, g.tobytes()) == fresh
+
+
 class TestMaxExpExactness:
     def test_maxexp_needs_pd(self):
         with pytest.raises(ValueError):
@@ -416,23 +486,40 @@ def xQy_reference(x, Q, y):
 
 @st.composite
 def form_cases(draw):
-    """(Q, a, b): an n x n matrix, n = 1..4, not symmetric, with zero and
-    -0.0 entries, and (B, n) rows of ordinary, huge and signed-zero
-    entries."""
+    """(Q, a, b): an n x n matrix, n = 1..4, not symmetric, with zero,
+    -0.0 and unit entries 1.0 and -1.0, and (B, n) rows of ordinary,
+    huge, signed-zero and infinite entries, in half the draws also NaN."""
     n, batch = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     zero = st.sampled_from([0.0, -0.0])
-    Q = np.array(draw(st.lists(zero | st.floats(-1e3, 1e3), min_size=n * n,
-                               max_size=n * n))).reshape(n, n)
-    entry = zero | st.floats(-1e10, 1e10) | st.floats(-1e160, 1e160)
+    unit = st.sampled_from([1.0, -1.0])
+    Q = np.array(draw(st.lists(zero | unit | st.floats(-1e3, 1e3),
+                               min_size=n * n, max_size=n * n))).reshape(n, n)
+    special = [np.inf, -np.inf] + [np.nan] * draw(st.booleans())
+    entry = (zero | st.sampled_from(special)
+             | st.floats(-1e10, 1e10) | st.floats(-1e160, 1e160))
     a, b = (np.array(draw(st.lists(entry, min_size=batch * n,
                                    max_size=batch * n))).reshape(batch, n)
             for _ in range(2))
     return Q, a, b
 
 
+def value_bits(x) -> bytes:
+    """The bytes of x with every NaN made one NaN: where an input holds a
+    NaN, IEEE 754 leaves which NaN a result carries open, and NumPy's
+    loops and Python's floats differ in it; every other value keeps its
+    bits."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def exact_bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
 class TestFormRule:
     """functionals._qform is the package's one form: (a_i Q_ij) b_j over
-    the nonzero entries of Q in (i, j) order, whatever batch holds a row."""
+    the nonzero entries of Q in (i, j) order, whatever batch holds a row.
+    An entry of 1.0 may skip its product; -1.0 may not be read as 1.0."""
 
     @settings(max_examples=300)
     @given(form_cases(), st.data())
@@ -440,18 +527,22 @@ class TestFormRule:
         Q, a, b = case
         form = functionals._form(Q)
         split = data.draw(st.integers(0, a.shape[0]))
+        # NaNs made from non-NaN inputs (inf - inf, 0 * inf) are compared
+        # bit for bit; only rows drawn with a NaN compare any NaN as one
+        bits = (value_bits if np.isnan(a).any() or np.isnan(b).any()
+                else exact_bits)
         with np.errstate(over="ignore", invalid="ignore"):
             for y in (b, a):
-                expected = xQy_reference(a, Q, y).tobytes()
-                assert functionals._qform(a, form, y).tobytes() == expected
+                expected = bits(xQy_reference(a, Q, y))
+                assert bits(functionals._qform(a, form, y)) == expected
                 parts = [functionals._qform(a[:split], form, y[:split]),
                          functionals._qform(a[split:], form, y[split:])]
-                assert np.concatenate(parts).tobytes() == expected
+                assert bits(np.concatenate(parts)) == expected
                 for k in range(a.shape[0]):
                     row = functionals._qform(a[k], form, y[k])
-                    assert row.tobytes() == expected[8 * k:8 * k + 8]
-            assert (functionals._qform(a, form).tobytes()
-                    == xQy_reference(a, Q, a).tobytes())
+                    assert bits(row) == expected[8 * k:8 * k + 8]
+            assert (bits(functionals._qform(a, form))
+                    == bits(xQy_reference(a, Q, a)))
 
 
 def maxexp_reference(P, grid, values):

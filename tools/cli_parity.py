@@ -2,7 +2,7 @@
 
     python tools/cli_parity.py --against DIR
 
-Runs one fixed set of configs, covering every subcommand and six
+Runs one fixed set of 42 configs, covering every subcommand and six
 configs that must be rejected at load (REJECTED), once with the
 `krasovskii` package of this source tree and once with that of the tree
 at DIR (its package in DIR/src), each run in a fresh directory with
@@ -453,6 +453,10 @@ CONFIGS = {
     # one sample: a block of one group and one row, whose joined reads
     # are the group's own arrays
     "example1-one-sample": ("certify", EXAMPLE1, ("--budget", "1")),
+    # a constant integral weight other than 1: the scalar-weight branch
+    "example1-half-weight": ("certify", EXAMPLE1.replace(
+        "lkf.term.2.matrix = 0 0; 0 2\n",
+        "lkf.term.2.matrix = 0 0; 0 2\nlkf.term.2.weight = 0.5\n"), ()),
     "example1-tightened": ("certify", TIGHTENED, ()),
     "W-delay-1": ("certify", W_CERTIFY.format(delay="1.0"), ()),
     "W-delay-0": ("certify", W_CERTIFY.format(delay="0"), ()),
