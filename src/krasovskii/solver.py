@@ -8,18 +8,25 @@ Blow-up is a trajectory status, not an exception: experiments
 deliberately probe near finite escape.
 
 Systems with a pointwise formula f(x(t), x(t - delay), v) are stepped
-in blocks of k - 1 steps, k = delay/dt (Bellen & Zennaro, *Numerical
+in blocks of k or k - 1 steps, k = delay/dt (Bellen & Zennaro, *Numerical
 Methods for Delay Differential Equations*, OUP 2003, ch. 3): every
 delayed argument a block needs, at t - delay, t + dt/2 - delay and
 t + dt - delay for each of its steps, already lies on computed rows
 when the block starts, so all of them are read in one vectorised pass.
-Inputs are read once per block, for either kind of system, by one
-`InputSignal.evaluate` call in `integrate` on the array of the block's
-stage times.  Only the delayed and input components that a formula's
-text names are read and converted (a formula without text reads them
-all), and an input returned as a stride-0 broadcast, as zero and
-constant inputs are, is bound once per block as names.  A zero delay
-runs as one block.  A block steps on local Python floats in one loop
+A block takes k steps where its last delayed read, (t + dt) - delay of
+its last step, lies below the time of the block's first row, or on it
+with every component of that row nonzero, so that the interpolant on
+the computed rows gives that row's own bits; otherwise k - 1 steps,
+whose last read lies a step further back, up to rounding.  A formula
+system's inputs are read once per trajectory, by one
+`InputSignal.evaluate` call in `integrate` on the array of every step's
+stage times, and kept as contiguous rows, one per input component and
+stage; the loop reads them, and a block's delayed reads, through
+memoryview slices, converted to no list.  Only the delayed and input
+components that a formula's text names are read (a formula without
+text reads them all), and an input returned as a stride-0 broadcast, as
+zero and constant inputs are, is bound once per block as names.  A zero
+delay runs as one block.  A block steps on local Python floats in one loop
 template, generated on first use per formula text, dimensions and zero
 or positive delay: a built-in formula's text is spliced into each stage,
 its parameters bound as names, and any other formula is called on tuples
@@ -36,10 +43,12 @@ root of the squares summed in a fixed order; the NaN state is cut at
 the same row, with the same t_escape, as the non-finite state of the
 NumPy form.
 Systems with only a general `field` are stepped in blocks of one step,
-each RK4 stage on its own history, and an ArithmeticError in a stage
-makes the step's state NaN, as in a formula's block.
-The input is read at every stage time of a block, also past a blow-up
-in it, so `InputSignal.evaluate` must be a pure function of t.
+each RK4 stage on its own history, each step reading its inputs at t,
+t + dt/2 and t + dt in one `evaluate` call, and an ArithmeticError in a
+stage makes the step's state NaN, as in a formula's block.
+A formula system's input is read at every stage time of the horizon,
+also past a blow-up, so `InputSignal.evaluate` must be a pure function
+of t.
 
 Tables of floats (the trajectory CSV here, the envelope plot data in
 `estimate`) are written by one formatter, `_write_table`, with the bytes
@@ -62,7 +71,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -123,8 +132,15 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     Preconditions: x0.delay == sys.delay, dt > 0, dt divides both the
     delay (with dt <= delay/4 when the delay is positive) and the
     horizon.  The trajectory stops at the first step whose state is not
-    finite or has a norm above blowup_threshold; the formula and the
-    input may still be evaluated at the rest of that step's block.
+    finite or has a norm above blowup_threshold; the formula may still be
+    evaluated at the rest of that step's block.
+
+    A formula system's input is evaluated once, at every stage time of
+    the horizon (t, t + dt/2 and t + dt of each step), also past a
+    blow-up.  Until the call returns it holds those 3 nsteps stage times
+    and, unless the input is a stride-0 broadcast, the 3 nsteps m input
+    values and a copy of the components the formula reads.  A general
+    field reads its inputs step by step.
     """
     if u is None:
         u = zero_input(sys.m)
@@ -150,27 +166,24 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
 
     neg = _initial_grid(x0, delay, dt)
     times = np.concatenate([neg, dt * np.arange(1, nsteps + 1)])
-    n = sys.n
-    values = np.empty((times.shape[0], n))
+    values = np.empty((times.shape[0], sys.n))
     values[:neg.shape[0]] = x0.eval(neg)
     zero_idx = neg.shape[0] - 1
-    end = zero_idx + nsteps
+    tb = times[zero_idx:zero_idx + nsteps]
+    # the stage times of every step: t, then t + dt/2, then t + dt
+    stages = np.concatenate([tb, tb + 0.5 * dt, tb + dt])
 
-    if sys.pointwise is None:
-        # a field may read the whole history, so no row past a blow-up
-        # may enter one: blocks of one step
-        span = 1
-        run_block = partial(_field_block, sys)
-    else:
-        span = nsteps if delay == 0.0 else k - 1
-        run_block = partial(_pointwise_block, _stepper(sys), delay)
     status, t_escape = COMPLETED, None
+    b0 = zero_idx
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(zero_idx, end, span):
-            m = min(span, end - b0)
-            tb = times[b0:b0 + m]
-            stages = np.concatenate([tb, tb + 0.5 * dt, tb + dt])
-            run_block(stages, u.evaluate(stages), times, values, b0, m, dt)
+        if sys.pointwise is None:
+            blocks = _field_blocks(sys, u, stages.reshape(3, nsteps), times, values,
+                                   b0, dt)
+        else:
+            blocks = _pointwise_blocks(_stepper(sys), delay, k if delay > 0 else nsteps,
+                                       stages.reshape(3, nsteps), u.evaluate(stages),
+                                       times, values, b0, dt)
+        for m in blocks:
             bad = _first_bad(values[b0 + 1:b0 + 1 + m], blowup_threshold)
             if bad is not None:
                 status = BLEW_UP
@@ -178,34 +191,59 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
                 times = times[:b0 + bad + 1].copy()
                 values = values[:b0 + bad + 1].copy()
                 break
+            b0 += m
 
     times.flags.writeable = False
     values.flags.writeable = False
     return Trajectory(sys, times, values, status, t_escape, x0, u, dt)
 
 
-def _pointwise_block(stepper, delay, stages, v, times, values, b0, m, dt):
-    # RK4 steps from row b0 to row b0 + m of the formula f(x, x_delayed, v)
-    # given its inputs v at the 3m stage times, its delayed reads taken
-    # first.  The last delayed read, (t + dt) - delay of the last step,
-    # lies on the grid node dt before row b0's time, up to rounding; one
-    # step more and a read rounding just past its node would need a row
-    # not yet computed.
+def _pointwise_blocks(stepper, delay, k, stages, v, times, values, b0, dt):
+    # RK4 steps of the formula f(x, x_delayed, v) from row b0, given the
+    # stage times (3, nsteps) of every step and the inputs v at them, in
+    # blocks of at most k steps, yielding each block's step count once its
+    # rows are written.  A block's delayed reads are taken first, from the
+    # rows up to b0.  Its last read, (t + dt) - delay of its last step, lies
+    # on row b0's time after k steps and on the node before it after
+    # k - 1, up to rounding: k steps are taken where that read lies below
+    # row b0's time, or on it with every component of row b0 nonzero, so
+    # that the read's 0.0 x[b0 - 1] + 1.0 x[b0] has the bits of x[b0];
+    # otherwise k - 1, and a read rounding just past its node never needs
+    # a row not yet computed.
     varying, fixed, delayed, inputs = stepper
+    nsteps = stages.shape[1]
+    n = values.shape[1]
     if v.strides[0] == 0:
         # a stride-0 broadcast holds one row for every stage time
-        step, v, reads = fixed, v[0].tolist(), []
+        step, v, held = fixed, v[0].tolist(), []
     else:
-        step, reads = varying, v.T[inputs].tolist()
-    if delayed:
-        past = values[:b0 + 1].T[delayed, :, None]
-        reads = _interp_rows(times[:b0 + 1], past, stages - delay).reshape(
-            len(delayed), -1).tolist() + reads
-    # each column at t, at t + dt/2 and at t + dt
-    cols = [c[i * m:(i + 1) * m] for c in reads for i in range(3)]
-    n = values.shape[1]
-    rows = step(values[b0].tolist(), cols, v, m, 0.5 * dt, dt, dt / 6.0)
-    values[b0 + 1:b0 + 1 + len(rows) // n] = np.frombuffer(rows).reshape(-1, n)
+        # one row per input component and stage, handed to the loop as
+        # memoryview slices, which zip reads as it reads lists
+        step, rows = varying, memoryview(v.T[inputs].ravel())
+        held = range(0, 3 * len(inputs) * nsteps, nsteps)
+    lags = stages - delay if delay > 0 else None
+    half, sixth = 0.5 * dt, dt / 6.0
+    j = 0
+    while j < nsteps:
+        m = min(k, nsteps - j)
+        y = values[b0].tolist()
+        if m == k and lags is not None:
+            last, t0 = lags[2, j + k - 1], times[b0]
+            if not (last < t0 or (last == t0 and all(y))):
+                m -= 1
+        cols = []
+        if delayed:
+            past = values[:b0 + 1].T[delayed, :, None]
+            reads = memoryview(_interp_rows(times[:b0 + 1], past,
+                                            lags[:, j:j + m].ravel()).ravel())
+            # each component at t, at t + dt/2 and at t + dt
+            cols = [reads[i:i + m] for i in range(0, 3 * m * len(delayed), m)]
+        cols += [rows[i + j:i + j + m] for i in held]
+        out = step(y, cols, v, m, half, dt, sixth)
+        values[b0 + 1:b0 + 1 + len(out) // n] = np.frombuffer(out).reshape(-1, n)
+        yield m
+        j += m
+        b0 += m
 
 
 def _stepper(sys):
@@ -280,26 +318,31 @@ def {name}(y, cols, u, count, half, dt, sixth):
     return code, delayed, inputs
 
 
-def _field_block(sys, stages, v, times, values, b0, m, dt):
-    # one RK4 step (m is 1) of the general field, given its stage times
-    # t, t + dt/2, t + dt and the inputs v there, each stage on its own
-    # history whose final node carries the stage state, bridging the one
-    # step wide gap past the filled rows; an ArithmeticError in a stage
-    # makes the state NaN, as in the formula loop
-    half = 0.5 * dt
-    (t, tm, t2), (v1, vm, v2), y = stages, v, values[b0]
+def _field_blocks(sys, u, stages, times, values, b0, dt):
+    # RK4 steps of the general field from row b0, one per block: a field
+    # may read the whole history, so no row past a blow-up may enter one.
+    # Each step reads its inputs at its stage times t, t + dt/2, t + dt
+    # (a column of stages) in one evaluate call, and takes each stage on
+    # its own history whose final node carries the stage state, bridging
+    # the one step wide gap past the filled rows; an ArithmeticError in a
+    # stage makes the state NaN, as in the formula loop
+    half, sixth = 0.5 * dt, dt / 6.0
 
     def stage(s, state, v):
         return sys.field(_window_of_rows(times, values, sys.delay, s, b0 + 1, state), v)
 
-    try:
-        k1 = stage(t, y, v1)
-        k2 = stage(tm, y + half * k1, vm)
-        k3 = stage(tm, y + half * k2, vm)
-        k4 = stage(t2, y + dt * k3, v2)
-        values[b0 + 1] = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    except ArithmeticError:
-        values[b0 + 1] = np.nan
+    for at in stages.T:
+        (t, tm, t2), (v1, vm, v2), y = at, u.evaluate(at), values[b0]
+        try:
+            k1 = stage(t, y, v1)
+            k2 = stage(tm, y + half * k1, vm)
+            k3 = stage(tm, y + half * k2, vm)
+            k4 = stage(t2, y + dt * k3, v2)
+            values[b0 + 1] = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except ArithmeticError:
+            values[b0 + 1] = np.nan
+        yield 1
+        b0 += 1
 
 
 def _first_bad(rows, threshold):
@@ -321,7 +364,7 @@ def _initial_grid(x0: HistoryFunction, delay: float, dt: float) -> np.ndarray:
     neg = np.linspace(-delay, 0.0, k + 1)
     spacing = delay / k
     tol = _edge_tol(delay)
-    idx = np.clip(np.round((x0.grid + delay) / spacing).astype(int), 0, k)
+    idx = np.minimum(np.maximum(np.round((x0.grid + delay) / spacing).astype(int), 0), k)
     extras = x0.grid[np.abs(x0.grid - neg[idx]) > tol]
     if extras.size == 0:
         return neg

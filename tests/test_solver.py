@@ -4,6 +4,7 @@ import io
 import math
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -340,7 +341,7 @@ def _x0(phi):
 
 class TestGeneralFieldRule:
     """A general field steps by the formula path's rules: its inputs are
-    read once per step, as a formula's are once per block, and an
+    read once per step, as a formula's are once per trajectory, and an
     ArithmeticError in a stage gives a NaN state, cut at the row and
     t_escape of the formula kernel."""
 
@@ -382,8 +383,8 @@ class TestGeneralFieldRule:
         assert np.array_equal(general.values,
                               integrate(sys, x0, noise, 0.5, 0.01).values)
 
-    @pytest.mark.parametrize("delay, blocks", [(0.0, [50]), (0.2, [19, 19, 12])])
-    def test_formula_kernel_reads_inputs_once_per_block(self, delay, blocks):
+    @pytest.mark.parametrize("delay", [0.0, 0.2])
+    def test_formula_kernel_reads_inputs_once_per_trajectory(self, delay):
         noise = piecewise_noise_input(3, 0.5, 0.0437)
         seen = []
 
@@ -394,12 +395,9 @@ class TestGeneralFieldRule:
         sys = make_example1(delay)
         x0 = random_history((61, 1), 2, delay, 1.0, 2)
         traj = integrate(sys, x0, InputSignal(1, evaluate, "counted"), 0.5, 0.01)
-        assert [t.shape[0] for t in seen] == [3 * m for m in blocks]
-        b0 = traj.start
-        for t, m in zip(seen, blocks):
-            tb = traj.times[b0:b0 + m]
-            assert t.tobytes() == np.concatenate([tb, tb + 0.005, tb + 0.01]).tobytes()
-            b0 += m
+        assert len(seen) == 1
+        tb = traj.times[traj.start:-1]
+        assert seen[0].tobytes() == np.concatenate([tb, tb + 0.005, tb + 0.01]).tobytes()
         assert np.array_equal(traj.values, integrate(sys, x0, noise, 0.5, 0.01).values)
 
 
@@ -448,6 +446,124 @@ class TestGeneratedStepper:
         # later in its block
         assert overflows[0] == 4
         assert len(escapes) > 1
+
+
+def block_schedule(x0, delay, dt, horizon, values):
+    """The blocks (first row, steps) of the schedule's rule, with the
+    place of the last delayed read of each block that could take k =
+    delay/dt steps: "<" below the first row's time, "=" on it, ">" past
+    it.  k steps are taken below, or on it with every component of the
+    first row nonzero; k - 1 otherwise.  `values` are the reference's
+    rows; after a blow-up the blocks end with the one holding the bad
+    step."""
+    k, nsteps = round(delay / dt), round(horizon / dt)
+    neg = _initial_grid(x0, delay, dt)
+    times = np.concatenate([neg, dt * np.arange(1, nsteps + 1)])
+    b0 = neg.shape[0] - 1
+    end = b0 + nsteps
+    blocks, reads = [], []
+    while b0 < min(end, values.shape[0]):
+        m = min(k, end - b0)
+        if m == k:
+            last = (times[b0 + k - 1] + dt) - delay
+            at = "<" if last < times[b0] else "=" if last == times[b0] else ">"
+            reads.append(at)
+            if not (at == "<" or (at == "=" and np.all(values[b0] != 0.0))):
+                m = k - 1
+        blocks.append((b0, m))
+        b0 += m
+    return blocks, reads
+
+
+def assert_block_schedule(sys, x0, u, horizon, dt, blowup_threshold=1e9):
+    """The trajectory is the per-step reference's, bit for bit, and its
+    blocks, seen through their one delayed read each, are the rule's."""
+    seen = []
+
+    def interp(times, values, t):
+        seen.append((times.shape[0] - 1, t.shape[0] // 3))
+        return _interp_rows(times, values, t)
+
+    with mock.patch.object(solver, "_interp_rows", interp):
+        traj = assert_matches_reference(sys, x0, u, horizon, dt, blowup_threshold)
+    blocks, reads = block_schedule(x0, sys.delay, dt, horizon, traj.values)
+    assert seen == blocks
+    return traj, blocks, reads
+
+
+def linear_growth_system(delay):
+    # exp(40 t) passes 1e3 at t = 0.17 and 1e9 at t = 0.52
+    return make_linear_baseline(-40.0, 0.5, delay)
+
+
+class TestBlockSchedule:
+    """A formula's blocks take a full delay, k = delay/dt steps, where the
+    last delayed read lies below the block's first row, or on it with that
+    row nonzero, and k - 1 steps otherwise; every trajectory stays the
+    per-step reference's, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(system=st.sampled_from(["example1", "linear", "three-state"]),
+           grid=st.sampled_from(TestBlockParity.GRIDS + [(0.1, 0.01, 2.03)]),
+           scale=st.sampled_from([0.0, 1.0, 100.0]),
+           modes=st.sampled_from([0, 2, 8]),
+           kind=st.sampled_from(["zero", "constant", "noise"]),
+           threshold=st.sampled_from([1e3, 1e9, math.inf]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(system="example1", grid=(1.0, 0.01, 20.37), scale=1.0, modes=2,
+             kind="noise", threshold=1e9, seed=0)
+    @example(system="example1", grid=(1.0, 0.01, 20.37), scale=0.0, modes=0,
+             kind="zero", threshold=1e9, seed=0)
+    def test_matches_the_reference(self, system, grid, scale, modes, kind,
+                                   threshold, seed):
+        delay, dt, horizon = grid
+        if system == "example1":
+            sys = make_example1(delay)
+        elif system == "linear":
+            sys = linear_growth_system(delay)
+        else:
+            sys = three_state_system(delay)
+        x0 = (zero_history(delay, sys.n) if scale == 0.0 else
+              random_history((67, seed), sys.n, delay, scale, modes))
+        u = parity_input(kind, seed)
+        if u is not None and sys.m == 2:
+            u = piecewise_noise_input((67, seed), 0.5, 0.0437, m=2)
+        assert_block_schedule(sys, x0, u, horizon, dt, threshold)
+
+    def test_delay_one_at_dt_hundredth(self):
+        # of the 20 reads that could end a full delay, 19 lie on their
+        # node and one rounds past it
+        x0 = random_history((67, 1), 2, 1.0, 1.0, 2)
+        _, blocks, reads = assert_block_schedule(make_example1(1.0), x0, None,
+                                                 20.37, 0.01)
+        assert reads == ["="] * 16 + [">"] + ["="] * 3
+        assert [m for _, m in blocks] == [100] * 16 + [99] + [100] * 3 + [38]
+        # the zero history stays zero, so each of the 15 reads on their
+        # node falls back; the blocks shift, and 3 reads lie below theirs
+        _, blocks, reads = assert_block_schedule(make_example1(1.0),
+                                                 zero_history(1.0, 2), None, 20.37, 0.01)
+        assert (reads.count("="), reads.count("<"), reads.count(">")) == (15, 3, 2)
+        assert [m for _, m in blocks[:-1]] == [100 if at == "<" else 99 for at in reads]
+
+    def test_read_below_its_node(self):
+        x0 = random_history((67, 2), 2, 0.1, 1.0, 2)
+        _, blocks, reads = assert_block_schedule(make_example1(0.1), x0, None,
+                                                 2.03, 0.01)
+        assert {"<", "=", ">"} <= set(reads)
+        assert [m for _, m in blocks].count(10) == reads.count("<") + reads.count("=")
+
+    @pytest.mark.parametrize("threshold, start, bad", [(1e3, 100, 118),
+                                                      (1e9, 100, 152)])
+    def test_blow_up_inside_a_full_delay(self, threshold, start, bad):
+        # the bad step's row lies inside the trajectory's last block, a
+        # block of the full delay
+        traj, blocks, _ = assert_block_schedule(
+            linear_growth_system(1.0), constant_history(1.0, [1.0]), None,
+            1.5, 0.01, threshold)
+        assert traj.status == BLEW_UP
+        assert blocks[-1] == (start, 100)
+        assert traj.values.shape[0] == bad
+        assert start + 1 < bad < start + 100
 
 
 # every built-in formula, with non-dyadic and negative parameters
