@@ -5,7 +5,9 @@ computed piecewise-linear dense trajectory by the one interpolant of
 `histories`.  Requiring dt <= delay/4 (for positive delays) keeps every
 delayed read inside the completed segment, so the scheme stays explicit.
 Blow-up is a trajectory status, not an exception: experiments
-deliberately probe near finite escape.
+deliberately probe near finite escape.  Inputs are read in one
+`InputSignal.evaluate` call per trajectory, at every stage time, also
+past a blow-up, so `evaluate` must be a pure function of t.
 
 Systems with a pointwise formula f(x(t), x(t - delay), v) are stepped
 in blocks of k or k - 1 steps, k = delay/dt (Bellen & Zennaro, *Numerical
@@ -18,37 +20,32 @@ its last step, lies below the time of the block's first row, or on it
 with every component of that row nonzero, so that the interpolant on
 the computed rows gives that row's own bits; otherwise k - 1 steps,
 whose last read lies a step further back, up to rounding.  A formula
-system's inputs are read once per trajectory, by one
-`InputSignal.evaluate` call in `integrate` on the array of every step's
-stage times, and kept as contiguous rows, one per input component and
+system's inputs are kept as contiguous rows, one per input component and
 stage; the loop reads them, and a block's delayed reads, through
 memoryview slices, converted to no list.  Only the delayed and input
-components that a formula's text names are read (a formula without
-text reads them all), and an input returned as a stride-0 broadcast, as
-zero and constant inputs are, is bound once per block as names.  A zero
-delay runs as one block.  A block steps on local Python floats in one loop
+components that a formula's text names are read (a formula without text
+reads them all), and an input returned as a stride-0 broadcast, as zero
+and constant inputs are, is bound once per block as names.  A zero delay
+runs as one block.  A block steps on local Python floats in one loop
 template, generated on first use per formula text, dimensions and zero
-or positive delay: a built-in formula's text is spliced into each stage,
-its parameters bound as names, and any other formula is called on tuples
-of components.  The block's rows go through one array('d') buffer into
-the trajectory.  Each stage state and update
-is written out in the operation order of the vector form, so the states
-are those NumPy computes, bit for bit.  Where NumPy would return inf or
-nan, Python's `**` and `/` raise instead: an ArithmeticError in a stage
-makes that step's state NaN and ends the block.  Blow-up is
-checked once per block, and the trajectory is cut at the first bad
-step: a state that is not finite or whose norm exceeds the threshold,
-the norm being the package's one rule, `histories._norm`, the square
-root of the squares summed in a fixed order; the NaN state is cut at
-the same row, with the same t_escape, as the non-finite state of the
-NumPy form.
+or positive delay: a built-in formula's text, whose read set and
+per-stage renaming come from `systems`, is spliced into each stage, its
+parameters bound as names, and any other formula is called on tuples of
+components.  The block's rows go through one array('d') buffer into the
+trajectory.  Each stage state and update is written out in the
+operation order of the vector form, so the states are those NumPy
+computes, bit for bit.  Where NumPy would return inf or nan, Python's
+`**` and `/` raise instead: an ArithmeticError in a stage makes that
+step's state NaN and ends the block.  Blow-up is checked once per block,
+and the trajectory is cut at the first bad step: a state that is not
+finite or whose norm exceeds the threshold, the norm being the package's
+one rule, `histories._norm`, the square root of the squares summed in a
+fixed order; the NaN state is cut at the same row, with the same
+t_escape, as the non-finite state of the NumPy form.
 Systems with only a general `field` are stepped in blocks of one step,
-each RK4 stage on its own history, each step reading its inputs at t,
-t + dt/2 and t + dt in one `evaluate` call, and an ArithmeticError in a
-stage makes the step's state NaN, as in a formula's block.
-A formula system's input is read at every stage time of the horizon,
-also past a blow-up, so `InputSignal.evaluate` must be a pure function
-of t.
+each RK4 stage on its own history, its inputs rows of the one input
+array; an ArithmeticError in a stage makes the step's state NaN, as
+in a formula's block.
 
 Tables of floats (the trajectory CSV here, the envelope plot data in
 `estimate`) are written by one formatter, `_write_table`, with the bytes
@@ -68,7 +65,6 @@ value (NaN, +-inf, 0 < |x| < 1e-6, |x| >= 1e17) is formatted by % itself.
 from __future__ import annotations
 
 import math
-import re
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,7 +73,7 @@ from typing import Optional
 import numpy as np
 
 from .histories import HistoryFunction, _edge_tol, _interp_rows, _norm, _window_of_rows
-from .systems import DelaySystem, InputSignal, zero_input
+from .systems import DelaySystem, InputSignal, _reads, _splice, zero_input
 
 __all__ = [
     "Trajectory",
@@ -135,12 +131,11 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     finite or has a norm above blowup_threshold; the formula may still be
     evaluated at the rest of that step's block.
 
-    A formula system's input is evaluated once, at every stage time of
-    the horizon (t, t + dt/2 and t + dt of each step), also past a
-    blow-up.  Until the call returns it holds those 3 nsteps stage times
-    and, unless the input is a stride-0 broadcast, the 3 nsteps m input
-    values and a copy of the components the formula reads.  A general
-    field reads its inputs step by step.
+    The input is evaluated once, at every stage time of the horizon (t,
+    t + dt/2 and t + dt of each step), also past a blow-up.  Until the
+    call returns it holds those 3 nsteps stage times and, unless the
+    input is a stride-0 broadcast, the 3 nsteps m input values and, for
+    a formula, a copy of the components it reads.
     """
     if u is None:
         u = zero_input(sys.m)
@@ -176,13 +171,13 @@ def integrate(sys: DelaySystem, x0: HistoryFunction, u: InputSignal | None,
     status, t_escape = COMPLETED, None
     b0 = zero_idx
     with np.errstate(over="ignore", invalid="ignore"):
+        v = u.evaluate(stages)
         if sys.pointwise is None:
-            blocks = _field_blocks(sys, u, stages.reshape(3, nsteps), times, values,
-                                   b0, dt)
+            blocks = _field_blocks(sys, stages.reshape(3, nsteps),
+                                   v.reshape(3, nsteps, sys.m), times, values, b0, dt)
         else:
             blocks = _pointwise_blocks(_stepper(sys), delay, k if delay > 0 else nsteps,
-                                       stages.reshape(3, nsteps), u.evaluate(stages),
-                                       times, values, b0, dt)
+                                       stages.reshape(3, nsteps), v, times, values, b0, dt)
         for m in blocks:
             bad = _first_bad(values[b0 + 1:b0 + 1 + m], blowup_threshold)
             if bad is not None:
@@ -276,14 +271,13 @@ def _loop(text, n, m, lagged):
     must not be: the state y0, ..., stage state s0, ..., delayed reads
     d1_0, dm_0, d2_0, ... and inputs v1_0, vm_0, v2_0, ... at t, t + dt/2
     and t + dt, constant inputs u0, ..., and stages k1_0, ..., k4_0, ...."""
-    delayed = sorted({int(j) for j in re.findall(r"\bxd(\d+)\b", text)} if lagged else ())
-    inputs = sorted({int(j) for j in re.findall(r"\bv(\d+)\b", text)})
+    delayed = _reads(text, "xd") if lagged else []
+    inputs = _reads(text, "v")
 
     def stage(x, at, k, fixed):
         names = {"x": x, "xd": f"d{at}_" if lagged else x,
                  "v": "u" if fixed else f"v{at}_", "f": k}
-        spliced = re.sub(r"\b(xd|x|v|f)(\d+)\b", lambda g: names[g[1]] + g[2], text)
-        return "".join(f"\n            {line}" for line in spliced.splitlines())
+        return "".join(f"\n            {line}" for line in _splice(text, names).splitlines())
 
     def state(h, k):
         return "".join(f"\n            s{j} = y{j} + {h} * {k}{j}" for j in range(n))
@@ -318,21 +312,20 @@ def {name}(y, cols, u, count, half, dt, sixth):
     return code, delayed, inputs
 
 
-def _field_blocks(sys, u, stages, times, values, b0, dt):
+def _field_blocks(sys, stages, v, times, values, b0, dt):
     # RK4 steps of the general field from row b0, one per block: a field
     # may read the whole history, so no row past a blow-up may enter one.
-    # Each step reads its inputs at its stage times t, t + dt/2, t + dt
-    # (a column of stages) in one evaluate call, and takes each stage on
-    # its own history whose final node carries the stage state, bridging
-    # the one step wide gap past the filled rows; an ArithmeticError in a
-    # stage makes the state NaN, as in the formula loop
+    # Step j reads its inputs at its stage times stages[:, j] as v[:, j],
+    # and takes each stage on its own history whose final node carries the
+    # stage state, bridging the one step wide gap past the filled rows; an
+    # ArithmeticError in a stage makes the state NaN, as in the formula loop
     half, sixth = 0.5 * dt, dt / 6.0
 
     def stage(s, state, v):
         return sys.field(_window_of_rows(times, values, sys.delay, s, b0 + 1, state), v)
 
-    for at in stages.T:
-        (t, tm, t2), (v1, vm, v2), y = at, u.evaluate(at), values[b0]
+    for (t, tm, t2), (v1, vm, v2) in zip(stages.T, v.swapaxes(0, 1)):
+        y = values[b0]
         try:
             k1 = stage(t, y, v1)
             k2 = stage(tm, y + half * k1, vm)

@@ -10,22 +10,24 @@ Vector fields are pure callables (HistoryFunction, input vector) -> R^n
 with f(0, 0) = 0, asserted once at construction.  Each built-in
 right-hand side reads the history only through phi(0) and phi(-delay),
 so it is stated once, as the text of a `pointwise` formula f(x(t),
-x(t - delay), v): statements over x0, ..., xd0, ... and v0 that assign
-f0, ..., its parameters bound as names.  The callable generated from the
-text returns a tuple of n components; the sweeps call it on (n, B) and
-(m, B) columns, and the solver splices the text into its loop, calling
-only a user formula, which has no text.  A system given only a formula
-derives its `field`, the formula at phi(0) and phi(-delay), and probes
-the formula once, with lists of zeros.  Only example2 with a
-user-supplied uncertainty pair, which may read the whole history, has a
-general `field` and no `pointwise` formula.  An input is evaluated at a
-float t or, broadcast, at a 1-d array of times, so the solver reads a
-block's inputs in one call.
+x(t - delay), v): statements over x0, ..., xd0, ... and v0, ... that
+assign f0, ..., its parameters bound as names.  One pattern, `_NAME`,
+matches these names: the callable generated from the text binds the
+components it names and returns a tuple of n components, which the
+sweeps call on (n, B) and (m, B) columns, and the solver splices the
+text into its loop, calling only a user formula, which has no text.  A
+system given only a formula derives its `field`, the formula at phi(0)
+and phi(-delay), and probes the formula once, with lists of zeros.  Only
+example2 with a user-supplied uncertainty pair, which may read the whole
+history, has a general `field` and no `pointwise` formula.  An input is
+evaluated at a float t or, broadcast, at a 1-d array of times, so the
+solver reads a trajectory's inputs in one call.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -74,8 +76,8 @@ class DelaySystem:
     field: Optional[Callable[[HistoryFunction, np.ndarray], np.ndarray]] = None
     name: str = ""
     # the formula f(x(t), x(t - delay), v) of a field that reads the
-    # history only at 0 and -delay, indexing its arguments' components
-    # x[0], x[1], ... and returning n: the sweeps call it on (n, B) and
+    # history only at 0 and -delay, indexing components x[0], ..., xd[0],
+    # ... and v[0], ... and returning n: the sweeps call it on (n, B) and
     # (m, B) columns; the solver splices a built-in formula's text into
     # its loop and calls any other formula on tuples of floats.
     pointwise: Optional[Callable[[Sequence, Sequence, Sequence], Sequence]] = None
@@ -158,12 +160,24 @@ DELAYED_UNCERTAINTY = UncertaintyPair(lambda phi: float(phi.eval(-phi.delay)[0])
                                       lambda phi: float(phi.eval(-phi.delay)[1]))
 
 
+_NAME = re.compile(r"\b(xd|x|v|f)(\d+)\b")
+
+
+def _reads(text: str, kind: str) -> list:
+    """The components of kind "x", "xd" or "v" that `text` names, sorted."""
+    return sorted({int(j) for k, j in _NAME.findall(text) if k == kind})
+
+
+def _splice(text: str, names: dict) -> str:
+    """`text` with each name kind + j renamed names[kind] + j."""
+    return _NAME.sub(lambda g: names[g[1]] + g[2], text)
+
+
 def _formula(text: str, n: int, **params) -> Callable:
     """The pointwise formula of `text`, statements over x0, ..., xd0, ...
-    and v0 that assign f0, ..., with `params` bound as names; it keeps
-    `text` and `params`, which the solver splices into its loop."""
-    reads = "".join(f"    {c}{j} = {c}[{j}]\n"
-                    for c, k in (("x", n), ("xd", n), ("v", 1)) for j in range(k))
+    and v0, ... that assign f0, ..., binding `params` and the components
+    it names; it keeps `text` and `params`, which the solver splices."""
+    reads = "".join(f"    {c}{j} = {c}[{j}]\n" for c in ("x", "xd", "v") for j in _reads(text, c))
     body = "".join(f"    {line}\n" for line in text.splitlines())
     returns = "".join(f"f{j}, " for j in range(n))
     namespace = dict(params)

@@ -561,3 +561,17 @@ def test_sweep_timing_runs_against_its_own_tree():
     lines = proc.stdout.splitlines()
     assert [ln.split(" (")[0] for ln in lines] == [
         "budget 36 here", "budget 36 there", "budget 36: reports same"]
+
+
+def test_solver_parity_runs_against_its_own_tree():
+    # tools/solver_parity.py at one seed, the same tree on both sides, so
+    # both paths' hashes must agree
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "solver_parity.py"), "--against",
+         str(root), "--seeds", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [ln.split(" (")[0] for ln in lines] == ["here", "there", "trajectories same"]
+    assert "formula 1440 trajectories" in lines[0] and "field 180 trajectories" in lines[0]

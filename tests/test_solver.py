@@ -35,6 +35,7 @@ from krasovskii.systems import (
     DELAYED_UNCERTAINTY,
     DelaySystem,
     InputSignal,
+    _formula,
     build_system,
     constant_input,
     make_example1,
@@ -341,7 +342,7 @@ def _x0(phi):
 
 class TestGeneralFieldRule:
     """A general field steps by the formula path's rules: its inputs are
-    read once per step, as a formula's are once per trajectory, and an
+    read once per trajectory, as a formula's are, and an
     ArithmeticError in a stage gives a NaN state, cut at the row and
     t_escape of the formula kernel."""
 
@@ -367,19 +368,21 @@ class TestGeneralFieldRule:
         assert np.array_equal(general.values, pointwise.values)
 
     @pytest.mark.parametrize("delay", [0.0, 0.2])
-    def test_one_input_read_per_step(self, delay):
+    def test_field_reads_inputs_once_per_trajectory(self, delay):
         noise = piecewise_noise_input(3, 0.5, 0.0437)
-        shapes = []
+        seen = []
 
         def evaluate(t):
-            shapes.append(np.shape(t))
+            seen.append(np.array(t, copy=True))
             return noise.evaluate(t)
 
         sys = make_example1(delay)
         x0 = random_history((61, 0), 2, delay, 1.0, 2)
         general = integrate(dataclasses.replace(sys, pointwise=None), x0,
                             InputSignal(1, evaluate, "counted"), 0.5, 0.01)
-        assert shapes == [(3,)] * 50
+        assert len(seen) == 1
+        tb = general.times[general.start:-1]
+        assert seen[0].tobytes() == np.concatenate([tb, tb + 0.005, tb + 0.01]).tobytes()
         assert np.array_equal(general.values,
                               integrate(sys, x0, noise, 0.5, 0.01).values)
 
@@ -635,23 +638,25 @@ class TestFormulaText:
         assert np.array_equal(traj.values, plain.values)
 
 
-def sparse_system(delay):
-    """Three states and two inputs, stated as text and as the same
-    callable; the text reads xd2 and v1 only, so a block reads neither
-    xd0, xd1 nor v0."""
-    def pointwise(x, xd, v):
-        return (-x[0] + 0.5 * xd[2] + v[1],
-                -2.0 * x[1] - x[0] * x[2],
-                -0.5 * x[2] + x[0] * x[1] - 0.2 * xd[2] * v[1])
+def sparse_reference(x, xd, v):
+    # sparse_system's formula as a callable written out by hand
+    return (-x[0] + 0.5 * xd[2] + v[1],
+            -2.0 * x[1] - x[0] * x[2],
+            -0.5 * x[2] + x[0] * x[1] - 0.2 * xd[2] * v[1])
 
-    pointwise.text = ("f0 = -x0 + 0.5 * xd2 + v1\n"
-                      "f1 = -2.0 * x1 - x0 * x2\n"
-                      "f2 = -0.5 * x2 + x0 * x1 - 0.2 * xd2 * v1")
-    pointwise.params = {}
+
+def sparse_system(delay):
+    """Three states and two inputs: the formula is built from text by
+    `systems._formula`, and the field is `sparse_reference` at phi(0)
+    and phi(-delay); the text reads xd2 and v1 only, so a block reads
+    neither xd0, xd1 nor v0."""
+    text = ("f0 = -x0 + 0.5 * xd2 + v1\n"
+            "f1 = -2.0 * x1 - x0 * x2\n"
+            "f2 = -0.5 * x2 + x0 * x1 - 0.2 * xd2 * v1")
     return DelaySystem(3, 2, delay,
-                       lambda phi, v: np.array(pointwise(phi.eval(0.0),
-                                                         phi.eval(-delay), v)),
-                       "sparse", pointwise)
+                       lambda phi, v: np.array(sparse_reference(
+                           phi.eval(0.0), phi.eval(-delay), v)),
+                       "sparse", _formula(text, 3))
 
 
 def echo_system(delay):
@@ -684,6 +689,21 @@ class TestReadSet:
         text = sparse_system(1.0).pointwise.text
         assert _loop(text, 3, 2, True)[1:] == ([2], [1])
         assert _loop(text, 3, 2, False)[1:] == ([], [1])
+
+    @pytest.mark.parametrize("delay, dt, horizon", GRIDS)
+    def test_formula_of_two_inputs_is_the_reference(self, delay, dt, horizon):
+        # the text's formula, as the sweeps call it on columns and as the
+        # solver splices it, against the callable written out by hand
+        sys = sparse_system(delay)
+        rng = np.random.default_rng(89)
+        x, xd, v = (rng.standard_normal((k, 64)) for k in (3, 3, 2))
+        assert (np.array(sys.pointwise(x, xd, v)).tobytes()
+                == np.array(sparse_reference(x, xd, v)).tobytes())
+        x0 = random_history((89, 0), 3, delay, 1.0, 2)
+        u = piecewise_noise_input((89, 0), 0.5, 0.0437, m=2)
+        general = integrate(dataclasses.replace(sys, pointwise=None), x0, u,
+                            horizon, dt)
+        assert general.values.tobytes() == integrate(sys, x0, u, horizon, dt).values.tobytes()
 
     @pytest.mark.parametrize("delay, dt, horizon", GRIDS)
     def test_ignored_components(self, delay, dt, horizon):

@@ -18,6 +18,7 @@ from krasovskii.systems import (
     DELAYED_UNCERTAINTY,
     DelaySystem,
     UncertaintyPair,
+    _formula,
     build_system,
     constant_input,
     make_example1,
@@ -426,6 +427,17 @@ class TestPointwiseContract:
     def test_rejected_naming_the_system(self, n, formula):
         with pytest.raises(ValueError, match="'non-conforming'"):
             DelaySystem(n, 1, 1.0, _rest_field(n), "non-conforming", formula)
+
+    @pytest.mark.parametrize("n, m, text", [
+        pytest.param(1, 1, "f0 = -x0 + v1", id="v1-of-one-input"),
+        pytest.param(3, 2, "f0 = -x0 + xd3\nf1 = -x1 + v1\nf2 = -x2",
+                     id="xd3-of-three-states"),
+    ])
+    def test_text_naming_a_component_past_the_sizes_rejected(self, n, m, text):
+        # the formula binds only the components its text names, so the
+        # probe's lists of zeros raise IndexError on the one past the sizes
+        with pytest.raises(ValueError, match="'past-the-sizes'.*index the components"):
+            DelaySystem(n, m, 1.0, _rest_field(n), "past-the-sizes", _formula(text, n))
 
     @pytest.mark.parametrize("formula", [
         pytest.param(lambda x, xd, v: (-x[0], xd[1] - x[1] + v[0]), id="tuple"),
