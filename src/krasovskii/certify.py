@@ -19,8 +19,9 @@ _MEMO_BYTES of arrays per sampler: every check that sweeps the same
 sampler reads one draw pass and one set of reads.  Kept blocks are
 shared, so their arrays are read-only.  Any other sampler needs only
 sample(i), the history and input vector of index i, drawn one index at
-a time and grouped by grid.  Either way sample i is row i mod _PAGE of
-its page, drawn whole from the page's own generator,
+a time and grouped by grid; FalsificationSampler.sample(i) reads its
+row of its page's kept block.  Either way sample i is row i mod _PAGE
+of its page, drawn whole from the page's own generator,
 np.random.default_rng((seed, SAMPLER_STREAM, page)).  Every residual is
 computed as it would be alone, so a verdict, its witness index and the
 skip count do not depend on the block size, on how the samples group
@@ -28,7 +29,7 @@ or on which blocks were kept.
 
 A draw builds its pages' generators for itself and shares no random
 state, but a sampler's memo of kept blocks is not thread-safe, so
-sweeps of one sampler must not run in threads of one process at once.
+sweeps or samples of one sampler must not run in threads at once.
 
 Margins are the closed-form constants attached to the two growth-route
 stability results and their supporting lemmas: the tolerable strength
@@ -141,9 +142,9 @@ class FalsificationSampler:
     or grouping draws it, and verdicts are reproducible.
 
     Each sampler keeps the blocks that `groups` draws, up to _MEMO_BYTES
-    of arrays, so the checks of a run that share it draw each block once.
-    The memo is not thread-safe either, and it takes no part in equality
-    or hashing.
+    of arrays, so the checks of a run that share it draw each block once;
+    `sample(i)` reads its row of its page's block.  The memo is not
+    thread-safe, and it takes no part in equality or hashing.
     """
 
     seed: int
@@ -209,11 +210,10 @@ class FalsificationSampler:
                    index[members])
 
     def sample(self, i: int):
-        """Sample i alone, drawn afresh and not kept, with no group read
-        taken: its history and its read-only input vector."""
-        ((grid, values, inputs, _),) = self._stacks(i, i + 1)
-        inputs.flags.writeable = False
-        return HistoryFunction._trusted(self.delay, grid, values[0]), inputs[0]
+        """Sample i, its history and read-only input vector: its row of
+        its page's block, which `groups` draws and keeps as any other."""
+        page = i - i % _PAGE
+        return _row(self.groups(page, page + _PAGE), i)
 
 
 @dataclass(frozen=True)
@@ -363,8 +363,8 @@ def _sweep(check: str, residual, sampler, budget: int,
 
 
 def _row(groups, i: int) -> tuple:
-    """Sample i read from the group that holds it: the history and
-    read-only input that sample(i) draws, bit for bit."""
+    """Sample i read from the group that holds it, as `sample(i)` and a
+    sweep's witness read it: its history and read-only input vector."""
     for g in groups:
         rows = np.flatnonzero(g.indices == i)
         if rows.size:

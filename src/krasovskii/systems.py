@@ -106,11 +106,11 @@ class DelaySystem:
             z = [0.0] * self.n
             try:
                 pw = [float(c) for c in self.pointwise(z, z, [0.0] * self.m)]
-            except (AttributeError, IndexError, TypeError) as exc:
+            except Exception as exc:
                 raise ValueError(
                     f"the pointwise formula of {self.name!r} must index the "
-                    f"components of its arguments and return a sequence: "
-                    f"{exc}") from exc
+                    f"components of its arguments, return a sequence and be "
+                    f"defined at zero, but raised {exc!r}") from exc
             if len(pw) != self.n or not all(abs(c) <= 1e-12 for c in pw):
                 raise ValueError(
                     f"the pointwise formula of {self.name!r} must return "

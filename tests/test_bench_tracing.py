@@ -63,3 +63,22 @@ def test_uninstall_restores_every_name(bench, name, tmp_path):
     assert set(before) - {key for key in before if key[0] == "workload"} <= rebound
     assert ("workload", "system") in rebound
     assert [key for key in before if after[key] is not before[key]] == []
+
+
+@pytest.mark.parametrize("name", ["certify", "envelope", "perturbed"])
+def test_one_traced_round_checks_clean(bench, name, tmp_path):
+    # one round of `bench/run.py --trace 1`: every check holds and no
+    # operation fails; on certify the sampler-only path records its draws
+    tracing, workloads = bench
+    workload = workloads.WORKLOADS[name](909, tmp_path)
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer, krasovskii, workload)
+    try:
+        rnd, outputs = workload.run_round()
+        workload.check(rnd, outputs)
+    finally:
+        uninstall()
+    assert rnd.problems == []
+    assert rnd.failed == 0 and rnd.attempted > 0
+    if name == "certify":
+        assert tracer.layers["certify.sample"][0] > 0

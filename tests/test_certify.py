@@ -966,6 +966,27 @@ def memo_bytes(sampler):
     return sum(block.nbytes for block in sampler._memo.values())
 
 
+def count_stacks(monkeypatch):
+    """The (start, stop) of every FalsificationSampler._stacks call from
+    here on, in order."""
+    calls, stacks = [], FalsificationSampler._stacks
+
+    def counted(self, start, stop):
+        calls.append((start, stop))
+        return stacks(self, start, stop)
+
+    monkeypatch.setattr(FalsificationSampler, "_stacks", counted)
+    return calls
+
+
+def assert_reference_bits(sampler, i):
+    (phi, v), (ref_phi, ref_v) = sampler.sample(i), reference_sample(sampler, i)
+    assert phi.grid.tobytes() == ref_phi.grid.tobytes()
+    assert phi.values.tobytes() == ref_phi.values.tobytes()
+    assert v.tobytes() == ref_v.tobytes()
+    assert not v.flags.writeable
+
+
 class TestSharedSampler:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -1019,14 +1040,33 @@ class TestSharedSampler:
                 kind, FalsificationSampler(5, 2, 1, 1.0), budget))
             monkeypatch.setattr(certify, "_MEMO_BYTES", cap)
 
-    def test_sample_keeps_nothing(self):
+    def test_sample_reads_its_kept_page(self, monkeypatch):
+        indices = (0, 1, 35, 10 ** 6)
+        page_bytes = FalsificationSampler(7, 2, 1, 1.0)._draw(0, 64).nbytes
         sampler = FalsificationSampler(7, 2, 1, 1.0)
-        for i in (0, 1, 35, 10 ** 6):
-            (phi, v), (ref_phi, ref_v) = (sampler.sample(i),
-                                          reference_sample(sampler, i))
-            assert phi.values.tobytes() == ref_phi.values.tobytes()
-            assert v.tobytes() == ref_v.tobytes()
-        assert not sampler._memo and sampler._memo.nbytes == 0
+        for i in indices:
+            assert_reference_bits(sampler, i)
+        assert list(sampler._memo) == [(0, 64), (10 ** 6, 10 ** 6 + 64)]
+        assert sampler._memo.nbytes == memo_bytes(sampler)
+        calls = count_stacks(monkeypatch)
+        for i in (63, 10 ** 6 + 5):
+            assert_reference_bits(sampler, i)
+        assert calls == []
+        # below one page's bytes nothing is kept, and the bits hold
+        monkeypatch.setattr(certify, "_MEMO_BYTES", page_bytes - 1)
+        capped = FalsificationSampler(7, 2, 1, 1.0)
+        for i in indices:
+            assert_reference_bits(capped, i)
+        assert not capped._memo and capped._memo.nbytes == 0
+        assert len(calls) == len(indices)
+
+    def test_sample_only_sweep_draws_each_page_once(self, monkeypatch):
+        # MemoSampler has only sample(i): 576 samples are 9 pages, each
+        # drawn once and read 64 times
+        calls = count_stacks(monkeypatch)
+        check_sandwich(PointQuadratic(EYE), 1.0, 3.0, 2.0,
+                       MemoSampler(7, 2, 1.0), 576)
+        assert calls == [(p, p + 64) for p in range(0, 576, 64)]
 
     def test_memo_is_no_part_of_equality(self):
         sampler = FalsificationSampler(7, 2, 1, 1.0)

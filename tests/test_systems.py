@@ -439,6 +439,18 @@ class TestPointwiseContract:
         with pytest.raises(ValueError, match="'past-the-sizes'.*index the components"):
             DelaySystem(n, m, 1.0, _rest_field(n), "past-the-sizes", _formula(text, n))
 
+    @pytest.mark.parametrize("n, formula, raised", [
+        pytest.param(2, _formula("f0 = -x0", 2), "NameError", id="f1-unassigned"),
+        pytest.param(1, _formula("f0 = -x0 + y", 1), "NameError", id="unbound-name"),
+        pytest.param(1, lambda x, xd, v: (x[0] / xd[0],), "ZeroDivisionError",
+                     id="textless-division-by-xd0"),
+    ])
+    def test_any_probe_exception_names_the_system(self, n, formula, raised):
+        # whatever the probe raises becomes the ValueError that names the
+        # system, with the exception it wraps
+        with pytest.raises(ValueError, match=f"'probed'.*defined at zero.*{raised}"):
+            DelaySystem(n, 1, 1.0, name="probed", pointwise=formula)
+
     @pytest.mark.parametrize("formula", [
         pytest.param(lambda x, xd, v: (-x[0], xd[1] - x[1] + v[0]), id="tuple"),
         pytest.param(lambda x, xd, v: [-x[0], -x[1]], id="list"),
