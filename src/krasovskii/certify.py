@@ -8,7 +8,9 @@ sampling evidence, never a proof.
 A sweep draws its samples in blocks and evaluates each block once.  A
 block is a batch (histories._Batch) whose parts are its groups, the
 samples whose histories share a grid, each holding only its draw:
-(B, len(grid), n) values, (B, m) inputs and indices.  The block takes
+(B, len(grid), n) values, sample-minor as the Fourier kernel draws
+them (each component's values at each node one contiguous run over the
+group), (B, m) inputs and indices.  The block takes
 the reads that every check and functional term needs once, when it is
 built: phi(0), phi(-delay), |phi(0)|, sup|phi| and |v|.  So every term
 and check that reads only these runs once on the whole block, and only
@@ -22,7 +24,8 @@ sample(i), the history and input vector of index i, drawn one index at
 a time and grouped by grid; FalsificationSampler.sample(i) reads its
 row of its page's kept block.  Either way sample i is row i mod _PAGE
 of its page, drawn whole from the page's own generator,
-np.random.default_rng((seed, SAMPLER_STREAM, page)).  Every residual is
+np.random.default_rng((seed, SAMPLER_STREAM, page)), and leaves its
+block as C-contiguous rows, as a witness does.  Every residual is
 computed as it would be alone, so a verdict, its witness index and the
 skip count do not depend on the block size, on how the samples group
 or on which blocks were kept.
@@ -69,6 +72,7 @@ from .histories import (
     HistoryFunction,
     _Batch,
     _Part,
+    _c_rows,
     _fourier_histories,
     _norm,
     random_history,  # noqa: F401  (still importable from this module)
@@ -262,19 +266,23 @@ class CheckReport:
 
 # samples drawn per block of a sweep; a block's samples are evaluated
 # together, and what reads a grid runs once per group, one per shared
-# grid.  When every term ran per group, each group paid each NumPy
-# call's fixed cost once: the two W sweeps of 10^4 example1 samples took
-# 58-65 ms in 256-sample blocks (120 groups), 47-53 ms in 512 and 35 ms
-# in 1024 (30 groups), and no less in 2048 or 4096, while their
-# transient peak grows with the block: 0.44, 0.78, 1.40, 2.61 and
-# 5.05 MB (tracemalloc, best-of-5 wall times, 2 CPUs)
-_BLOCK = 1024
+# grid.  The benchmark's eight sweeps of 10^4 example1 samples on kept
+# blocks took 28.7 ms in blocks of 512, 19.7 in 1024, 17.6 in 2048,
+# 17.8 in 3072 and 16.8 in 4096, while the transient peak of a round
+# grows with the block: 0.54, 0.99, 1.90, 2.81 and 3.71 MB (medians of
+# 4 to 9 tools/sweep_timing.py runs of 30 rounds each, alternating;
+# tracemalloc; 2 shared CPUs).  The runs of 2048 spread over 15.1-18.2
+# ms, which holds 4096's, at half its peak
+_BLOCK = 2048
 
 
 @dataclass(frozen=True, eq=False)
 class _Group(_Part):
     """Samples of one block on one grid, as drawn: a part of its block,
-    with their inputs (B, m) and indices."""
+    with their inputs (B, m) and indices.  A drawn group's values are
+    sample-minor (histories._fourier_histories); a group stacked from
+    sample(i) holds C-ordered rows.  The kernels give the same bits on
+    either."""
 
     inputs: np.ndarray
     indices: np.ndarray
@@ -284,8 +292,9 @@ class _Block(_Batch):
     """The samples of one block, a batch whose parts are its groups, one
     per grid.  It joins their inputs and indices and takes the norms the
     checks read, |phi(0)|, sup|phi| and |v| (B,), once, when it is built:
-    sup|phi| group by group, the others on the joined rows.  Blocks are
-    shared, so every array of a block and its groups is read-only."""
+    sup|phi| group by group, on the groups' own layout, the others on
+    the joined rows.  Blocks are shared, so every array of a block and
+    its groups is read-only."""
 
     def __init__(self, groups):
         super().__init__(groups)
@@ -368,7 +377,8 @@ def _row(groups, i: int) -> tuple:
     for g in groups:
         rows = np.flatnonzero(g.indices == i)
         if rows.size:
-            return (HistoryFunction._trusted(g.delay, g.grid, g.values[rows[0]]),
+            return (HistoryFunction._trusted(g.delay, g.grid,
+                                             _c_rows(g.values[rows[0]])),
                     g.inputs[rows[0]])
 
 

@@ -116,17 +116,26 @@ def _form(Q: np.ndarray) -> tuple:
 
 
 def _qform(a: np.ndarray, form: tuple, b: np.ndarray | None = None) -> np.ndarray:
-    """a' Q b (b defaults to a) along the last axis, for every leading
-    index, Q given by its _form: the package's one form rule.  The terms
-    (a_i Q_ij) b_j are summed in the order of (i, j), skipping zero
-    entries of Q, so a row's value does not depend on the rows evaluated
-    with it or on the BLAS kernel.  An entry of 1.0 forms a_i b_j, the
-    bits of (a_i 1.0) b_j for every double."""
+    """a' Q b (b defaults to a, of a's shape) along the last axis, for
+    every leading index, Q given by its _form: the package's one form
+    rule.  The terms (a_i Q_ij) b_j are summed in the order of (i, j),
+    skipping zero entries of Q, so a row's value does not depend on the
+    rows evaluated with it or on the BLAS kernel.  An entry of 1.0 forms
+    a_i b_j, the bits of (a_i 1.0) b_j for every double.  Products and
+    sums are taken in place, in the layout of a's columns, so a batch of
+    large planes allocates one array per entry of Q, not two or three."""
     b = a if b is None else b
     total = None
     for i, j, q in form:
-        term = a[..., i] * b[..., j] if q == 1.0 else a[..., i] * q * b[..., j]
-        total = term if total is None else total + term
+        if q == 1.0:
+            term = a[..., i] * b[..., j]
+        else:
+            term = a[..., i] * q
+            term *= b[..., j]
+        if total is None:
+            total = term
+        else:
+            total += term
     return np.zeros(a.shape[:-1]) if total is None else total
 
 
@@ -291,15 +300,24 @@ def _integral(reads: tuple, weight, weight_fn, part: _Part) -> np.ndarray:
         return np.zeros(values.shape[0])
     if weight.polynomial:
         # per-segment Simpson; exact when the integrand is polynomial of
-        # degree <= 3 per segment (constant weight, linear history)
-        mids = 0.5 * (values[:, :-1] + values[:, 1:])
+        # degree <= 3 per segment (constant weight, linear history).
+        # Each step writes into the array it reads, so a large plane is
+        # allocated once, not per operation, and keeps the operand order
+        # of  h / 6 * (nodes_left + 4 fm + nodes_right),  fm the form at
+        # 0.5 * (left + right)
+        mids = values[:, :-1] + values[:, 1:]
+        np.multiply(0.5, mids, out=mids)
         # the node forms, whose first and last N - 1 are each segment's
         # two ends
         nodes, fm = _qform(values, form), _qform(mids, form)
         if weight.c != 1.0:
-            nodes, fm = weight.c * nodes, weight.c * fm
-        return _sum_last((g[1:] - g[:-1]) / 6.0
-                         * (nodes[:, :-1] + 4.0 * fm + nodes[:, 1:]))
+            np.multiply(weight.c, nodes, out=nodes)
+            np.multiply(weight.c, fm, out=fm)
+        np.multiply(4.0, fm, out=fm)
+        np.add(nodes[:, :-1], fm, out=fm)
+        fm += nodes[:, 1:]
+        np.multiply((g[1:] - g[:-1]) / 6.0, fm, out=fm)
+        return _sum_last(fm)
     # refined composite Simpson with 8 panels on each segment, the
     # segments summed in order
     ts = np.linspace(g[:-1], g[1:], 17, axis=-1)
@@ -353,9 +371,13 @@ def _maxexp(V: MaxExp, batch: _Batch):
             # a row with an infinite node meets inf - inf or 0 * inf here
             with np.errstate(invalid="ignore"):
                 inflate, lim = _limits(V, values.shape[-1], g, q, rest)
-                rows, seg = np.divmod(np.flatnonzero(~(
-                    np.maximum(q[:, :-1], q[:, 1:]) * (e[1:] * inflate)
-                    < lim[:, None])), L.shape[0])
+                # each segment's bound, scaled in place, then the mask of
+                # the segments it rules out, which frees the bounds
+                skip = np.maximum(q[:, :-1], q[:, 1:])
+                skip *= e[1:] * inflate
+                skip = np.less(skip, lim[:, None])
+                rows, seg = np.divmod(np.flatnonzero(
+                    np.logical_not(skip, out=skip)), L.shape[0])
             # each candidate's row of the batch, length, left node, value
             # there, slope and node form
             u, L = values[rows, seg], L[seg]

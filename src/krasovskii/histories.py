@@ -159,7 +159,7 @@ def random_history(seed, n: int, delay: float, norm_bound: float,
     grid, values = _fourier_histories(draws, delay, np.array([norm_bound]))
     # valid by construction, and the grid is shared by every random
     # history with the same delay and mode count
-    return HistoryFunction._trusted(delay, grid, values[0])
+    return HistoryFunction._trusted(delay, grid, _c_rows(values[0]))
 
 
 def stream_key(seed: int, tag: int, index: int = 0) -> tuple:
@@ -176,17 +176,25 @@ def _fourier_histories(draws: np.ndarray, delay: float, norm_bounds: np.ndarray)
     zero when that bound or its peak is.  At zero delay a history is its
     constant alone.
 
+    The values are sample-minor: a (B, len(grid), n) view of one
+    C-contiguous (n, len(grid), B) buffer, so each component's values
+    at each node are one contiguous run over the batch, and the grid
+    kernels (forms, node maxima, segment sums) read whole planes.  A row
+    taken out of the batch is not contiguous; `_c_rows` makes it so.
     Each history's terms are added one after another, constant first,
-    so its values do not depend on the batch it is drawn in.
+    so its values do not depend on the batch or the layout it is drawn
+    in.
     """
     if not delay >= 0:
         raise ValueError("delay must be nonnegative")
     batch, rows, n = draws.shape
-    if delay == 0.0:
-        grid, values = _ZERO_GRID, draws[:, :1].copy()
-    else:
+    grid = _ZERO_GRID
+    if delay != 0.0:
         grid, basis = _fourier_basis(delay, (rows - 1) // 2)
-        values = np.empty((batch, grid.shape[0], n))
+    values = np.empty((n, grid.shape[0], batch)).transpose(2, 1, 0)
+    if delay == 0.0:
+        values[...] = draws[:, :1]
+    else:
         # the terms (term, history, component, node) of a few histories
         # at a time, so a large batch holds no more than _TERMS at once
         step = max(1, _TERMS // (basis.size * n))
@@ -200,6 +208,14 @@ def _fourier_histories(draws: np.ndarray, delay: float, norm_bounds: np.ndarray)
     values[zero] = 0.0
     values.flags.writeable = False
     return grid, values
+
+
+def _c_rows(values: np.ndarray) -> np.ndarray:
+    """The read-only C-contiguous rows of one history's values, as they
+    leave a batch: a lone draw, a sample or a witness."""
+    rows = np.ascontiguousarray(values)
+    rows.flags.writeable = False
+    return rows
 
 
 # Fourier terms held at once by _fourier_histories: 256 KiB
@@ -274,7 +290,8 @@ def _eval_on_grid(delay, grid, values, tau):
 
 @dataclass(frozen=True, eq=False)
 class _Part:
-    """Histories on one shared grid: values (B, len(grid), n)."""
+    """Histories on one shared grid: values (B, len(grid), n), in any
+    layout."""
 
     delay: float
     grid: np.ndarray
@@ -361,15 +378,21 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     np.sum adds one contiguous 1-d array: left to right below 8 values,
     eight running sums up to 128, halves above.  NumPy's own reduction
     over the last axis of a 2-d array may take another order, depending
-    on the shape; written out, a row's sum does not depend on its batch."""
+    on the shape and layout; written out, a row's sum does not depend on
+    its batch or layout.  The running sums are taken in a's layout, so
+    on a sample-minor batch every addition reads and writes contiguous
+    planes."""
     n = a.shape[-1]
     if n < 8:
-        total = np.zeros(a.shape[:-1])
-        for k in range(n):
+        if n == 0:
+            return np.zeros(a.shape[:-1])
+        # 0.0 + a_0, the bits of a zero start, in a's layout
+        total = 0.0 + a[..., 0]
+        for k in range(1, n):
             total = total + a[..., k]
         return total
     if n <= 128:
-        r = a[..., :8].copy()
+        r = a[..., :8].copy(order="K")
         stop = n - n % 8
         for i in range(8, stop, 8):
             r += a[..., i:i + 8]

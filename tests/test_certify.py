@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from krasovskii import certify, functionals
+from krasovskii import certify, functionals, systems
 from krasovskii.certify import (
     CheckReport,
     FalsificationSampler,
@@ -59,6 +59,7 @@ from krasovskii.histories import (
     _Part,
     _sum_last,
     constant_history,
+    random_history,
 )
 from krasovskii.systems import (
     DELAYED_UNCERTAINTY,
@@ -921,6 +922,140 @@ class TestBatchedDraws:
         if batched.witness is not None:
             assert (batched.witness[0].values.tobytes()
                     == adapted.witness[0].values.tobytes())
+
+
+# ---------------------------------------------------------------------------
+# the sample-minor layout of a drawn block
+
+LAYOUT_Q = np.array([[2.0, 0.3, -0.5, 0.1], [0.3, 1.0, 0.2, 0.0],
+                     [-0.5, 0.2, 1.5, -1.0], [0.1, 0.0, -1.0, 3.0]])
+
+
+def layout_system(n, m, delay):
+    """A formula system of n states and m inputs that reads every
+    component of x, x(t - delay) and v."""
+    text = "\n".join(
+        f"f{j} = -x{j} + 0.5 * xd{(j + 1) % n} * x{j} - 0.25 * xd{j}"
+        + "".join(f" + {k + 1.0} * v{k}" for k in range(m) if j == 0)
+        for j in range(n))
+    return DelaySystem(n, m, delay, name="layout",
+                       pointwise=systems._formula(text, n))
+
+
+def layout_terms(n, delay):
+    """Every term kind on the leading n x n block of LAYOUT_Q, positive
+    definite for every n, with 1.0, negative and zero entries."""
+    Q = LAYOUT_Q[:n, :n]
+    return {
+        "point": PointQuadratic(Q),
+        "delayed": DelayedQuadratic(Q, -0.5 * delay),
+        "integral-constant": IntegralQuadratic(Q),
+        "integral-half": IntegralQuadratic(Q, ConstantWeight(0.5)),
+        "integral-exponential": IntegralQuadratic(Q, ExponentialWeight(1.5, 0.7)),
+        "max": MaxExp(Q),
+        "W": combine_W(PointQuadratic(np.eye(n)) + IntegralQuadratic(Q), 0.02, Q),
+    }
+
+
+def c_ordered_twin(block):
+    """The block rebuilt from C-ordered copies of its groups' values."""
+    return certify._Block(
+        dataclasses.replace(g, values=np.ascontiguousarray(g.values))
+        for g in block)
+
+
+class TestSampleMinorLayout:
+    """A drawn block keeps each group's values sample-minor, as a view
+    of one C-contiguous (n, len(grid), B) buffer; what leaves a block
+    is C-contiguous rows.  No kernel's bits depend on the layout."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           m=st.integers(0, 2), delay=st.sampled_from([0.0, 0.2, 1.0]),
+           stop=st.integers(1, 200))
+    @example(seed=20260809, n=2, m=1, delay=1.0, stop=200)
+    @example(seed=7, n=1, m=0, delay=0.0, stop=37)
+    @example(seed=11, n=3, m=0, delay=0.2, stop=150)
+    @example(seed=5, n=4, m=2, delay=1.0, stop=100)
+    def test_kernels_ignore_the_layout(self, seed, n, m, delay, stop):
+        minor = FalsificationSampler(seed, n, m, delay).groups(0, stop)
+        rows = c_ordered_twin(minor)
+        assert all(g.values.flags.c_contiguous for g in rows)
+        for name in ("x0", "xd", "inputs", "indices", "point_norm",
+                     "sup_norm", "input_norm"):
+            assert (getattr(minor, name).tobytes()
+                    == getattr(rows, name).tobytes()), name
+        sys = layout_system(n, m, delay)
+        # the general field reads each sample's values as a history
+        field_only = dataclasses.replace(sys, pointwise=None)
+        for s in (sys, field_only):
+            assert (certify._field(s, minor).tobytes()
+                    == certify._field(s, rows).tobytes())
+        w = certify._field(sys, minor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, V in layout_terms(n, delay).items():
+                assert (functionals._values(V, minor).tobytes()
+                        == functionals._values(V, rows).tobytes()), name
+                assert (functionals._closed(V, minor, w).tobytes()
+                        == functionals._closed(V, rows, w).tobytes()), name
+            for sign in (+1, -1):
+                residual = certify._growth_residual(
+                    sys, LAYOUT_Q[:n, :n], 0.5, square_gain(), sign)
+                assert residual(minor).tobytes() == residual(rows).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           m=st.integers(0, 2), delay=st.sampled_from([0.0, 0.2, 1.0]),
+           start=st.integers(0, 10 ** 6), length=st.integers(1, 150))
+    @example(seed=20260809, n=2, m=1, delay=1.0, start=0, length=150)
+    @example(seed=7, n=1, m=0, delay=0.0, start=63, length=2)
+    def test_batch_draw_is_one_sample_minor_buffer(self, seed, n, m, delay,
+                                                   start, length):
+        sampler = FalsificationSampler(seed, n, m, delay)
+        for g in sampler.groups(start, start + length):
+            size, nodes = g.values.shape[:2]
+            buffer = g.values.base
+            assert buffer.shape == (n, nodes, size)
+            assert buffer.flags.c_contiguous
+            assert np.shares_memory(buffer, g.values)
+            assert g.values.strides == (8, 8 * size, 8 * size * nodes)
+            assert not g.values.flags.writeable
+            for i in g.indices.tolist()[:3]:
+                phi, _ = sampler.sample(i)
+                assert phi.values.flags.c_contiguous
+                assert not phi.values.flags.writeable
+                assert_reference_bits(sampler, i)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("delay", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("modes", [0, 2, 8])
+    def test_lone_draw_is_c_rows(self, n, delay, modes):
+        # random_history's values are the batch kernel's row, contiguous
+        seed = (20260809, n, modes)
+        phi = random_history(seed, n, delay, 1.0, modes)
+        draws = np.random.default_rng(seed).standard_normal((1, 1 + 2 * modes, n))
+        grid, values = _fourier_histories(draws, delay, np.array([1.0]))
+        assert phi.values.flags.c_contiguous
+        assert not phi.values.flags.writeable
+        assert phi.values.tobytes() == values[0].tobytes()
+        assert phi.grid.tobytes() == grid.tobytes()
+
+    @pytest.mark.parametrize("kind", ["sandwich", "dissipation",
+                                      "tight-right-growth"])
+    def test_witness_is_c_rows(self, kind):
+        sampler = FalsificationSampler(20260809, 2, 1, 1.0)
+        if kind == "tight-right-growth":
+            rep = check_right_growth(make_example1(1.0), EYE, 0.1,
+                                     square_gain(), sampler, 600)
+        else:
+            rep = sweep_of(kind, sampler, 600)
+        assert rep.violated
+        phi, v = rep.witness
+        ref_phi, ref_v = reference_sample(sampler, rep.witness_index)
+        assert phi.values.flags.c_contiguous
+        assert not phi.values.flags.writeable
+        assert phi.values.tobytes() == ref_phi.values.tobytes()
+        assert v.tobytes() == ref_v.tobytes()
 
 
 # ---------------------------------------------------------------------------

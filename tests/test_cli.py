@@ -561,6 +561,10 @@ def test_sweep_timing_runs_against_its_own_tree():
     lines = proc.stdout.splitlines()
     assert [ln.split(" (")[0] for ln in lines] == [
         "budget 36 here", "budget 36 there", "budget 36: reports same"]
+    # each tree's line ends with the transient peak of an untimed round
+    for line in lines[:2]:
+        peak = line.rsplit("tracemalloc peak ", 1)[1]
+        assert peak.endswith(" MB") and float(peak[:-3]) > 0.0
 
 
 def test_solver_parity_runs_against_its_own_tree():

@@ -12,10 +12,13 @@ first.  A run warms up with one round, then times --rounds rounds, each
 scaled by the mean of the reference kernel taken right before and right
 after it, as bench/speed.Clock scales a call; the run's figure is the
 median round.  The samplers are kept from round to round, as the
-benchmark keeps them.
+benchmark keeps them.  After the timed rounds, one more round runs
+untimed under tracemalloc: its peak is the transient memory of a round
+on kept blocks, the memo not included.
 
 Prints, per budget and tree, the median and range of the runs' figures
-in reference milliseconds, and whether every run's sha256 of the eight
+in reference milliseconds and the largest tracemalloc peak of the runs,
+and whether every run's sha256 of the eight
 reports (CSV rows, report text, worst value bits, witness index and
 bytes, skip counts) is the same; exits 1 when any two hashes differ.  A
 run that imports the package from anywhere but its tree's src/ is an
@@ -32,6 +35,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -73,7 +77,13 @@ def _child(budget: int, rounds: int, seed: int) -> dict:
         after = speed.reference_s()
         times.append(speed.REFERENCE_S * wall / (0.5 * (ref + after)))
         ref = after
+    tracemalloc.start()
+    for sweep in sweeps:
+        sweep()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     return {"ms": 1e3 * statistics.median(times), "sha256": digest,
+            "peak_mb": peak / 1e6,
             "package": str(Path(krasovskii.__file__).resolve().parent)}
 
 
@@ -121,9 +131,11 @@ def main(argv=None) -> int:
         same &= len(hashes) == 1
         for side, tree in trees.items():
             ms = [run["ms"] for run in runs[side]]
+            peak = max(run["peak_mb"] for run in runs[side])
             print(f"budget {budget} {side} ({tree}): median "
                   f"{statistics.median(ms):.3f} ms, range {min(ms):.3f}-"
-                  f"{max(ms):.3f} ms over {len(ms)} runs")
+                  f"{max(ms):.3f} ms over {len(ms)} runs, tracemalloc peak "
+                  f"{peak:.2f} MB")
         print(f"budget {budget}: reports "
               + ("same" if len(hashes) == 1 else "DIFFER")
               + f" (sha256 {sorted(hashes)[0][:16]}"
